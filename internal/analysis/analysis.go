@@ -232,15 +232,32 @@ func PkgPathIs(pkg *types.Package, path string) bool {
 // EngineMethod returns the method name if call invokes a method on the
 // simulation engine type (sim.Engine), and "" otherwise.
 func EngineMethod(info *types.Info, call *ast.CallExpr) string {
+	if typ, m := SimMethod(info, call); typ == "Engine" {
+		return m
+	}
+	return ""
+}
+
+// SimMethod returns the receiver type and method name if call invokes a
+// method of a named type declared in the simulation engine package
+// (rackblox/internal/sim), and empty strings otherwise.
+func SimMethod(info *types.Info, call *ast.CallExpr) (typ, method string) {
 	fn := Callee(info, call)
 	if fn == nil {
-		return ""
+		return "", ""
 	}
 	named := ReceiverNamed(fn)
-	if named == nil || named.Obj().Name() != "Engine" {
-		return ""
+	if named == nil || !PkgPathIs(named.Obj().Pkg(), "rackblox/internal/sim") {
+		return "", ""
 	}
-	if !PkgPathIs(named.Obj().Pkg(), "rackblox/internal/sim") {
+	return named.Obj().Name(), fn.Name()
+}
+
+// SimFunc returns the function name if call invokes a package-level
+// function of the simulation engine package, and "" otherwise.
+func SimFunc(info *types.Info, call *ast.CallExpr) string {
+	fn := Callee(info, call)
+	if fn == nil || ReceiverNamed(fn) != nil || !PkgPathIs(fn.Pkg(), "rackblox/internal/sim") {
 		return ""
 	}
 	return fn.Name()

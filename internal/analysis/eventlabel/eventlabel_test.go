@@ -7,11 +7,11 @@ import (
 	"rackblox/internal/analysis/eventlabel"
 )
 
-// TestEventlabel exercises unlabeled/empty-label findings, the dynamic
-// label allowance, the //rackvet:unlabeled escape hatch (both
-// placements), the _test.go and cmd/ allowlists, and — by running over
-// the fixture sim package itself — the exemption for the engine's own
-// At/After forwarder declarations.
+// TestEventlabel exercises unlabeled and string-labeled scheduling
+// findings, the NewLabel placement and constant-name rules, the
+// //rackvet:unlabeled escape hatch (both placements), the _test.go and
+// cmd/ allowlists, and — by running over the fixture sim package itself —
+// the exemption for the engine's own forwarder declarations.
 func TestEventlabel(t *testing.T) {
 	analysistest.Run(t, eventlabel.Analyzer,
 		"rackblox/internal/sim",

@@ -1,5 +1,5 @@
 // cmd/ is outside the analyzer's scope: driver code may schedule
-// unlabeled warmup events. No want comments.
+// unlabeled or string-labeled warmup events. No want comments.
 package main
 
 import "rackblox/internal/sim"
@@ -8,4 +8,5 @@ func main() {
 	eng := &sim.Engine{}
 	eng.At(0, func(sim.Time) {})
 	eng.After(1, func(sim.Time) {})
+	eng.AfterNamed(1, "warmup", func(sim.Time) {})
 }

@@ -1,14 +1,31 @@
 // Package sim is a miniature of the real engine: just enough surface for
-// the analyzers' receiver-type matching. The At/After forwarders below
-// delegate with the empty label exactly like the real ones — the
-// structural exemption the eventlabel suite asserts.
+// the analyzers' receiver-type matching, with the real engine's
+// scheduling API: Schedule and Post take label handles, and the
+// string-named forms delegate to them.
 package sim
 
 // Time is virtual simulation time in nanoseconds.
 type Time int64
 
+// Handler is an event's callback.
+type Handler interface{ Fire(now Time) }
+
 // EventFunc is an event handler.
 type EventFunc func(now Time)
+
+func (f EventFunc) Fire(now Time) { f(now) }
+
+// Label is a handle to an interned handler label.
+type Label struct{ id int32 }
+
+var names = []string{"other"}
+
+func NewLabel(name string) Label { return labelFor(name) }
+
+func labelFor(name string) Label {
+	names = append(names, name)
+	return Label{int32(len(names) - 1)}
+}
 
 // Engine is the fixture engine.
 type Engine struct {
@@ -23,15 +40,30 @@ func (e *Engine) Processed() uint64 { return 0 }
 
 func (e *Engine) ProcessedBy() map[string]uint64 { return nil }
 
+func (e *Engine) Schedule(t Time, l Label, h Handler) { _, _ = l, h }
+
+func (e *Engine) ScheduleAfter(d Time, l Label, h Handler) { e.Schedule(e.now+d, l, h) }
+
 func (e *Engine) At(t Time, fn EventFunc) { e.AtNamed(t, "", fn) }
 
-func (e *Engine) AtNamed(t Time, label string, fn EventFunc) { _, _ = label, fn }
+func (e *Engine) AtNamed(t Time, label string, fn EventFunc) { e.Schedule(t, labelFor(label), fn) }
 
 func (e *Engine) After(d Time, fn EventFunc) { e.AfterNamed(d, "", fn) }
 
-func (e *Engine) AfterNamed(d Time, label string, fn EventFunc) { _, _ = label, fn }
+func (e *Engine) AfterNamed(d Time, label string, fn EventFunc) { e.AtNamed(e.now+d, label, fn) }
 
 func (e *Engine) SetTick(interval Time, fn func(at Time)) { _ = fn }
+
+// ShardGroup is the fixture shard group.
+type ShardGroup struct{ engines []*Engine }
+
+func (g *ShardGroup) Post(src, dst int, at Time, l Label, h Handler) {
+	g.engines[dst].Schedule(at, l, h)
+}
+
+func (g *ShardGroup) Send(src, dst int, at Time, label string, fn EventFunc) {
+	g.Post(src, dst, at, labelFor(label), fn)
+}
 
 // RNG is the fixture per-component random stream.
 type RNG struct{ state uint64 }

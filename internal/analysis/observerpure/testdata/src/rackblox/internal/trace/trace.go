@@ -27,12 +27,15 @@ func (r *Recorder) Observe(eng *sim.Engine, s *core.GCState) {
 	}
 }
 
+var labelFlush = sim.NewLabel("trace.flush")
+
 func (r *Recorder) impure(eng *sim.Engine, s *core.GCState, rng *sim.RNG) {
-	eng.AfterNamed(1, "trace.flush", func(sim.Time) {}) // want "observer code calls Engine.AfterNamed"
-	eng.At(1, func(sim.Time) {})                        // want "observer code calls Engine.At"
-	eng.SetTick(10, func(sim.Time) {})                  // want "observer code calls Engine.SetTick"
-	core.Tick(s)                                        // want "observer code calls core.Tick"
-	s.Count++                                           // want "observer code writes core.Count"
-	s.Open = true                                       // want "observer code writes core.Open"
-	_ = rng.Intn(2)                                     // want "observer code draws from sim.RNG"
+	eng.AfterNamed(1, "trace.flush", func(sim.Time) {})           // want "observer code calls Engine.AfterNamed"
+	eng.At(1, func(sim.Time) {})                                  // want "observer code calls Engine.At"
+	eng.Schedule(1, labelFlush, sim.EventFunc(func(sim.Time) {})) // want "observer code calls Engine.Schedule"
+	eng.SetTick(10, func(sim.Time) {})                            // want "observer code calls Engine.SetTick"
+	core.Tick(s)                                                  // want "observer code calls core.Tick"
+	s.Count++                                                     // want "observer code writes core.Count"
+	s.Open = true                                                 // want "observer code writes core.Open"
+	_ = rng.Intn(2)                                               // want "observer code draws from sim.RNG"
 }

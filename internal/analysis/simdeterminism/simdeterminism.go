@@ -24,9 +24,14 @@
 //
 // Reachability is intra-package: a map-range body that calls a local
 // function reaching a sink (transitively, to a fixed point) is flagged
-// at the range statement. Calls through function values and interfaces
-// are not resolved — a known, documented approximation; the replay tests
-// remain the dynamic backstop for what this static gate cannot see.
+// at the range statement. A call through a function value — a func-typed
+// field, parameter, or variable, such as a transport or a commit
+// callback — cannot be resolved, so it is assumed to reach the scheduler:
+// that is the shape of a Hermes node committing its pending writes in map
+// order, each commit sending messages and releasing a callback. Calls
+// through interfaces are not resolved — a known, documented
+// approximation; the replay tests remain the dynamic backstop for what
+// this static gate cannot see.
 package simdeterminism
 
 import (
@@ -53,6 +58,9 @@ var simPackages = map[string]bool{
 	"rackblox/internal/core":        true,
 	"rackblox/internal/ec":          true,
 	"rackblox/internal/switchsim":   true,
+	"rackblox/internal/replication": true,
+	"rackblox/internal/ssd":         true,
+	"rackblox/internal/sched":       true,
 	"rackblox/internal/experiments": true,
 }
 
@@ -71,11 +79,23 @@ type sink int
 
 const (
 	sinkNone     sink = 0
-	sinkSchedule sink = 1 << iota // Engine.At/After/AtNamed/AfterNamed/SetTick
+	sinkSchedule sink = 1 << iota // a sim method that schedules events (see scheduling)
 	sinkExported                  // write to an exported field (Result and friends)
 	sinkObserver                  // call into internal/trace or internal/stats
 	sinkRandom                    // sim.RNG or math/rand draw
+	sinkFuncCall                  // call through a function value, assumed to schedule
 )
+
+// scheduling lists, per sim receiver type, the methods that schedule
+// engine events.
+var scheduling = map[string]map[string]bool{
+	"Engine": {"At": true, "After": true, "AtNamed": true, "AfterNamed": true,
+		"Schedule": true, "ScheduleAfter": true, "SetTick": true},
+	"ShardGroup":     {"Post": true, "PostAfter": true, "Send": true, "SendAfter": true},
+	"Resource":       {"Reserve": true, "Acquire": true},
+	"Bandwidth":      {"Reserve": true, "Transfer": true},
+	"PacedBandwidth": {"Admit": true, "Transfer": true},
+}
 
 func (s sink) describe() string {
 	var parts []string
@@ -90,6 +110,9 @@ func (s sink) describe() string {
 	}
 	if s&sinkRandom != 0 {
 		parts = append(parts, "draws randomness")
+	}
+	if s&sinkFuncCall != 0 {
+		parts = append(parts, "calls a function value that may schedule events")
 	}
 	return strings.Join(parts, ", ")
 }
@@ -242,12 +265,14 @@ func (c *checker) directSink(n ast.Node) sink {
 	info := c.pass.TypesInfo
 	switch n := n.(type) {
 	case *ast.CallExpr:
-		switch analysis.EngineMethod(info, n) {
-		case "At", "After", "AtNamed", "AfterNamed", "SetTick":
+		if typ, m := analysis.SimMethod(info, n); scheduling[typ][m] {
 			return sinkSchedule
 		}
 		fn := analysis.Callee(info, n)
-		if fn == nil || fn.Pkg() == nil {
+		if fn == nil {
+			return c.funcValueCall(n)
+		}
+		if fn.Pkg() == nil {
 			return sinkNone
 		}
 		path := fn.Pkg().Path()
@@ -280,6 +305,24 @@ func (c *checker) directSink(n ast.Node) sink {
 		return c.exportedWrite(n.X)
 	}
 	return sinkNone
+}
+
+// funcValueCall classifies a call with no statically known callee: a
+// call through a func-typed field, parameter, or variable is a sink;
+// conversions, builtins, and immediately invoked literals (whose bodies
+// are inspected in place) are not.
+func (c *checker) funcValueCall(call *ast.CallExpr) sink {
+	if _, lit := ast.Unparen(call.Fun).(*ast.FuncLit); lit {
+		return sinkNone
+	}
+	tv, ok := c.pass.TypesInfo.Types[call.Fun]
+	if !ok || tv.IsType() || tv.IsBuiltin() {
+		return sinkNone
+	}
+	if _, ok := tv.Type.Underlying().(*types.Signature); !ok {
+		return sinkNone
+	}
+	return sinkFuncCall
 }
 
 // exportedWrite reports whether an assignment target writes through an

@@ -17,9 +17,24 @@ type Result struct {
 	Rows  []int64
 }
 
+var labelWork = sim.NewLabel("core.work")
+
 func schedulesInMapOrder(eng *sim.Engine, m map[int]sim.Time) {
 	for _, d := range m { // want "map iteration order .* schedules engine events"
-		eng.AfterNamed(d, "core.work", func(sim.Time) {})
+		eng.ScheduleAfter(d, labelWork, sim.EventFunc(func(sim.Time) {}))
+	}
+}
+
+func postsInMapOrder(g *sim.ShardGroup, m map[int]sim.Time) {
+	for _, at := range m { // want "map iteration order .* schedules engine events"
+		g.Post(0, 1, at, labelWork, sim.EventFunc(func(sim.Time) {}))
+	}
+}
+
+// The string-named forms schedule too.
+func namedInMapOrder(eng *sim.Engine, m map[int]sim.Time) {
+	for _, d := range m { // want "map iteration order .* schedules engine events"
+		eng.AfterNamed(d, "core.named", func(sim.Time) {})
 	}
 }
 

@@ -16,11 +16,13 @@ import (
 func (r *Rack) startClients() {
 	for _, g := range r.groups {
 		g := g
-		r.eng.AfterNamed(g.gen.NextGap(), "client.issue_ec", func(sim.Time) { r.issueEC(g) })
+		g.issueEv = func(sim.Time) { r.issueEC(g) }
+		r.eng.ScheduleAfter(g.gen.NextGap(), labelClientIssueEC, g.issueEv)
 	}
 	for i, pr := range r.pairs {
 		pr := pr
-		r.eng.AfterNamed(pr.gen.NextGap(), "client.issue", func(sim.Time) { r.issue(pr) })
+		pr.issueEv = func(sim.Time) { r.issue(pr) }
+		r.eng.ScheduleAfter(pr.gen.NextGap(), labelClientIssue, pr.issueEv)
 		if r.cfg.SoftwareIsolated {
 			for j, inst := range []*instance{pr.primary, pr.replica} {
 				inst := inst
@@ -30,9 +32,9 @@ func (r *Rack) startClients() {
 					keys = 64
 				}
 				z := sim.NewZipf(rng, 0.99, keys)
-				r.eng.AfterNamed(rng.Exp(r.cfg.Workload.MeanGap), "client.peer_load", func(sim.Time) {
+				r.eng.ScheduleAfter(rng.Exp(r.cfg.Workload.MeanGap), labelClientPeerLoad, sim.EventFunc(func(sim.Time) {
 					r.peerLoad(inst, z, rng)
-				})
+				}))
 			}
 		}
 	}
@@ -43,9 +45,9 @@ func (r *Rack) startClients() {
 func (r *Rack) peerLoad(inst *instance, z *sim.Zipf, rng *sim.RNG) {
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(rng.Exp(2*r.cfg.Workload.MeanGap), "client.peer_load", func(sim.Time) {
+		r.eng.ScheduleAfter(rng.Exp(2*r.cfg.Workload.MeanGap), labelClientPeerLoad, sim.EventFunc(func(sim.Time) {
 			r.peerLoad(inst, z, rng)
-		})
+		}))
 	}
 	lpn := int(z.Next())
 	addr, err := inst.peer.FTL.Write(lpn)
@@ -62,7 +64,7 @@ func (r *Rack) peerLoad(inst *instance, z *sim.Zipf, rng *sim.RNG) {
 func (r *Rack) issue(pr *pair) {
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(pr.gen.NextGap(), "client.issue", func(sim.Time) { r.issue(pr) })
+		r.eng.ScheduleAfter(pr.gen.NextGap(), labelClientIssue, pr.issueEv)
 	}
 	if r.cfg.MaxClientInflight > 0 && pr.inflight >= r.cfg.MaxClientInflight {
 		return
@@ -70,14 +72,9 @@ func (r *Rack) issue(pr *pair) {
 
 	op := pr.gen.Next()
 	r.seq++
-	st := &reqState{
-		seq:       r.seq,
-		write:     op.Write,
-		lpn:       op.LPN,
-		pair:      pr,
-		issue:     now,
-		lastIssue: now,
-	}
+	st := r.states.Get()
+	st.seq, st.write, st.lpn, st.pair = r.seq, op.Write, op.LPN, pr
+	st.issue, st.lastIssue = now, now
 	st.span = r.tracer.StartRequest(st.seq, reqKind(op.Write), now)
 	st.span.Annotate(trace.Int("lpn", int64(op.LPN)), trace.Int("volume", int64(pr.idx)))
 	r.reqs[st.seq] = st
@@ -144,7 +141,7 @@ func (r *Rack) clientSend(pkt packet.Packet, tor *switchsim.Switch) {
 		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
-	r.eng.AfterNamed(hop, "net.client_send", func(sim.Time) { tor.Process(pkt) })
+	r.toTor(hop, labelNetClientSend, tor, pkt)
 }
 
 // forwarderFor builds the delivery path out of one rack's ToR: packets
@@ -157,14 +154,10 @@ func (r *Rack) forwarderFor(torRack int) switchsim.Forwarder {
 
 func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 	// Resolve the destination up front: the spine latency depends on it.
-	var dstSrv *server
+	dstSrv := r.serverByIP(pkt.DstIP)
 	dstRack := 0 // the client and the controller home next to rack 0
-	for _, s := range r.servers {
-		if s.ip == pkt.DstIP {
-			dstSrv = s
-			dstRack = s.rackIdx
-			break
-		}
+	if dstSrv != nil {
+		dstRack = dstSrv.rackIdx
 	}
 	hop := r.net.HopLatency(r.eng.Now()) + r.cluster.spine.Latency(torRack, dstRack)
 	if torRack != dstRack {
@@ -173,46 +166,65 @@ func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
-	r.eng.AfterNamed(hop, "net.deliver", func(sim.Time) {
-		if pkt.DstIP == r.clientIP {
-			r.clientReceive(pkt)
+	r.sendHop(hop, labelNetDeliver, hopDeliver, pkt, nil, dstSrv, torRack)
+}
+
+// serverByIP resolves a server from its address in O(1): servers address
+// as 10.0.<rack>.<16+local> (NewRack), so the index is decoded from the
+// IP. The client's, the controller's, and any other address resolve to
+// nil.
+func (r *Rack) serverByIP(ip uint32) *server {
+	if ip>>16 != 10<<8 {
+		return nil
+	}
+	rack, local := int(ip>>8&0xff), int(ip&0xff)-16
+	if local < 0 || local >= r.cfg.StorageServers || rack >= r.cluster.racks {
+		return nil
+	}
+	if s := r.servers[rack*r.cfg.StorageServers+local]; s.ip == ip {
+		return s
+	}
+	return nil
+}
+
+// arrive lands a packet that left rack torRack's ToR at its destination:
+// the client, server dstSrv (resolved when it left), or the controller.
+func (r *Rack) arrive(torRack int, dstSrv *server, pkt packet.Packet) {
+	if pkt.DstIP == r.clientIP {
+		r.clientReceive(pkt)
+		return
+	}
+	if dstSrv != nil {
+		if dstSrv.rackIdx != torRack && r.cluster.torFailed[dstSrv.rackIdx] {
+			return // cross-rack delivery dead-ends at the failed ToR
+		}
+		// RackBlox (Software) redirection happens here, at the server
+		// boundary rather than in the switch.
+		if pkt.Op == packet.OpRead && r.cfg.System == RackBloxSoftware && r.softwareRedirect(dstSrv, pkt) {
+			r.swRedirects++
 			return
 		}
-		if dstSrv != nil {
-			if dstRack != torRack && r.cluster.torFailed[dstRack] {
-				return // cross-rack delivery dead-ends at the failed ToR
-			}
-			// RackBlox (Software) redirection happens here, at the
-			// server boundary rather than in the switch.
-			if pkt.Op == packet.OpRead && r.cfg.System == RackBloxSoftware {
-				if fwd, ok := r.softwareRedirect(dstSrv, pkt); ok {
-					r.swRedirects++
-					_ = fwd
-					return
-				}
-			}
-			dstSrv.receive(pkt)
-			return
-		}
-		if r.controller != nil && pkt.DstIP == r.controller.ip {
-			r.controller.receive(pkt)
-		}
-	})
+		dstSrv.receive(pkt)
+		return
+	}
+	if r.controller != nil && pkt.DstIP == r.controller.ip {
+		r.controller.receive(pkt)
+	}
 }
 
 // softwareRedirect implements RackBlox (Software)'s server-side read
 // redirection: if the target vSSD is collecting and the server's cached
 // controller hint says the replica is idle, the server forwards the read
 // to the replica server itself — an extra 2-hop trip the hardware design
-// avoids.
-func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) (packet.Packet, bool) {
+// avoids. It reports whether it forwarded the read.
+func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) bool {
 	inst, ok := s.insts[pkt.VSSD]
 	if !ok || !inst.v.InGC(r.eng.Now()) || !inst.replicaIdleHint {
-		return pkt, false
+		return false
 	}
 	rep := r.insts[inst.replicaID]
 	if rep == nil || rep.v.InGC(r.eng.Now()) {
-		return pkt, false
+		return false
 	}
 	fwd := pkt
 	fwd.VSSD = rep.id
@@ -221,8 +233,8 @@ func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) (packet.Packet, bo
 	// cost, plus the forwarding server's processing.
 	delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
 	fwd.AddLatency(delay)
-	r.eng.AfterNamed(delay, "client.sw_redirect", func(sim.Time) { rep.server.receive(fwd) })
-	return fwd, true
+	r.toServer(delay, labelClientSWRedirect, rep.server, fwd)
+	return true
 }
 
 // bounceRead returns a read to the coordination layer after its target
@@ -246,18 +258,17 @@ func (r *Rack) bounceRead(inst *instance, st *reqState) {
 			fwd.VSSD = rep.id
 			fwd.DstIP = rep.server.ip
 			delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
-			r.eng.AfterNamed(delay, "client.sw_redirect", func(sim.Time) { rep.server.receive(fwd) })
+			r.toServer(delay, labelClientSWRedirect, rep.server, fwd)
 			r.swRedirects++
 			return
 		}
 		// No usable replica: serve in place after all.
-		r.eng.AfterNamed(serverProcTime, "client.bounce", func(sim.Time) { inst.server.receive(pkt) })
+		r.toServer(serverProcTime, labelClientBounce, inst.server, pkt)
 		return
 	}
 	hop := r.net.HopLatency(r.eng.Now())
 	pkt.AddLatency(hop)
-	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "client.bounce", func(sim.Time) { tor.Process(pkt) })
+	r.toTor(hop, labelClientBounce, r.torOf(inst.server), pkt)
 }
 
 // respond sends the completion back to the client through the switch.
@@ -273,8 +284,7 @@ func (r *Rack) respond(st *reqState, inst *instance) {
 	}
 	hop := r.net.HopLatency(r.eng.Now())
 	pkt.AddLatency(hop)
-	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "net.respond", func(sim.Time) { tor.Process(pkt) })
+	r.toTor(hop, labelNetRespond, r.torOf(inst.server), pkt)
 }
 
 // clientReceive records the completed request. Erasure-coded writes fan
@@ -292,6 +302,7 @@ func (r *Rack) clientReceive(pkt packet.Packet) {
 		}
 	}
 	delete(r.reqs, pkt.Seq)
+	defer r.retire(st)
 	st.decInflight()
 	now := r.eng.Now()
 	if r.pacer != nil && !st.write {

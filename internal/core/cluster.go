@@ -116,7 +116,7 @@ func (c *Cluster) handoff(pkt packet.Packet, rack int) {
 	}
 	delay := c.spine.Propagation() + c.spine.MeterForegroundTraced(c.spine.FrameBytes(pkt), sp)
 	pkt.AddLatency(delay)
-	c.rack.eng.AfterNamed(delay, "net.handoff", func(sim.Time) { c.tors[rack].Process(pkt) })
+	c.rack.toTor(delay, labelNetHandoff, c.tors[rack], pkt)
 }
 
 // failToR takes one rack's ToR down at the injection instant.
@@ -146,19 +146,19 @@ func (c *Cluster) scheduleScenario(events []Event) {
 		ev := ev
 		switch ev.Kind {
 		case EventReviveServer:
-			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+			r.eng.Schedule(ev.At, labelScenario, sim.EventFunc(func(now sim.Time) {
 				if c.ReviveServer(ev.Index) {
 					r.tracer.Instant("scenario", "revive_server", now,
 						trace.Int("server", int64(ev.Index)))
 				}
-			})
+			}))
 		case EventReviveToR:
-			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+			r.eng.Schedule(ev.At, labelScenario, sim.EventFunc(func(now sim.Time) {
 				if c.ReviveToR(ev.Index) {
 					r.tracer.Instant("scenario", "revive_tor", now,
 						trace.Int("rack", int64(ev.Index)))
 				}
-			})
+			}))
 		}
 	}
 	serverEpoch := make(map[int]int)
@@ -170,20 +170,20 @@ func (c *Cluster) scheduleScenario(events []Event) {
 			srv := r.servers[ev.Index]
 			serverEpoch[ev.Index]++
 			epoch := serverEpoch[ev.Index]
-			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+			r.eng.Schedule(ev.At, labelScenario, sim.EventFunc(func(now sim.Time) {
 				srv.failed = true
 				srv.crashes++
 				r.tracer.Instant("scenario", "fail_server", now,
 					trace.Int("server", int64(ev.Index)))
-			})
-			r.eng.AtNamed(ev.At+detect, "scenario", func(sim.Time) {
+			}))
+			r.eng.Schedule(ev.At+detect, labelScenario, sim.EventFunc(func(sim.Time) {
 				// failed==false: revived before detection, a transient
 				// blip. crashes!=epoch: this detector's outage already
 				// ended and a newer crash owns the server.
 				if srv.failed && srv.crashes == epoch {
 					r.onServerDetectedDead(srv)
 				}
-			})
+			}))
 		case EventFailRack:
 			lo := ev.Index * c.serversPerRack
 			hi := lo + c.serversPerRack
@@ -192,34 +192,34 @@ func (c *Cluster) scheduleScenario(events []Event) {
 				serverEpoch[i]++
 				epochs[i-lo] = serverEpoch[i]
 			}
-			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+			r.eng.Schedule(ev.At, labelScenario, sim.EventFunc(func(now sim.Time) {
 				for i := lo; i < hi; i++ {
 					r.servers[i].failed = true
 					r.servers[i].crashes++
 				}
 				r.tracer.Instant("scenario", "fail_rack", now,
 					trace.Int("rack", int64(ev.Index)))
-			})
-			r.eng.AtNamed(ev.At+detect, "scenario", func(sim.Time) {
+			}))
+			r.eng.Schedule(ev.At+detect, labelScenario, sim.EventFunc(func(sim.Time) {
 				for i := lo; i < hi; i++ {
 					if r.servers[i].failed && r.servers[i].crashes == epochs[i-lo] {
 						r.onServerDetectedDead(r.servers[i])
 					}
 				}
-			})
+			}))
 		case EventFailToR:
 			torEpoch[ev.Index]++
 			epoch := torEpoch[ev.Index]
-			r.eng.AtNamed(ev.At, "scenario", func(now sim.Time) {
+			r.eng.Schedule(ev.At, labelScenario, sim.EventFunc(func(now sim.Time) {
 				c.failToR(ev.Index)
 				r.tracer.Instant("scenario", "fail_tor", now,
 					trace.Int("rack", int64(ev.Index)))
-			})
-			r.eng.AtNamed(ev.At+detect, "scenario", func(sim.Time) {
+			}))
+			r.eng.Schedule(ev.At+detect, labelScenario, sim.EventFunc(func(sim.Time) {
 				if c.torCrashes[ev.Index] == epoch {
 					r.onToRDetectedDead(ev.Index)
 				}
-			})
+			}))
 		}
 	}
 }

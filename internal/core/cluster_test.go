@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rackblox/internal/packet"
 	"rackblox/internal/sim"
 )
 
@@ -20,6 +21,33 @@ func clusterConfig() Config {
 	cfg.Warmup = 50 * sim.Millisecond
 	cfg.Duration = 300 * sim.Millisecond
 	return cfg
+}
+
+// serverByIP decodes a server's index from its 10.0.<rack>.<16+local>
+// address; the client, the controller, and unassigned addresses miss.
+func TestServerByIP(t *testing.T) {
+	r, err := NewRack(clusterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range r.servers {
+		if got := r.serverByIP(s.ip); got != s {
+			t.Errorf("server %d (rack %d): address resolved to %v", s.index, s.rackIdx, got)
+		}
+	}
+	for _, ip := range []uint32{
+		r.clientIP,
+		packet.IP4(10, 0, 0, 250), // the controller
+		packet.IP4(10, 0, 0, 15),
+		packet.IP4(10, 0, 1, 16+6), // one past the rack's servers
+		packet.IP4(10, 0, 3, 16),   // one past the racks
+		packet.IP4(10, 1, 0, 16),
+		packet.IP4(11, 0, 0, 16),
+	} {
+		if s := r.serverByIP(ip); s != nil {
+			t.Errorf("%08x resolved to server %d", ip, s.index)
+		}
+	}
 }
 
 func TestMultiRackClusterHealthyRun(t *testing.T) {

@@ -370,6 +370,13 @@ func DefaultConfig() Config {
 	}
 }
 
+// Servers address as 10.0.<rack>.<16+local>, so a rack holds at most
+// 240 of them and a cluster at most 256 racks.
+const (
+	maxServersPerRack = 256 - 16
+	maxRacks          = 256
+)
+
 // racks normalizes the fault-domain count: 0 means one rack.
 func (c *Config) racks() int {
 	if c.Racks < 1 {
@@ -500,6 +507,10 @@ func (c *Config) validateFailureSpec() error {
 func (c *Config) Validate() error {
 	if c.StorageServers < 2 {
 		return errors.New("core: need at least two storage servers for replication")
+	}
+	if c.StorageServers > maxServersPerRack || c.racks() > maxRacks {
+		return fmt.Errorf("core: at most %d racks of %d storage servers fit the 10.0.<rack>.<16+server> address plan",
+			maxRacks, maxServersPerRack)
 	}
 	if c.VSSDPairs < 1 {
 		return errors.New("core: need at least one vSSD pair")

@@ -54,6 +54,7 @@ func TestConfigValidation(t *testing.T) {
 		{"keyspace", func(c *Config) { c.KeyspaceFrac = 0 }},
 		{"mean gap", func(c *Config) { c.Workload.MeanGap = 0 }},
 		{"duration", func(c *Config) { c.Duration = 0 }},
+		{"servers past the address plan", func(c *Config) { c.StorageServers = 241 }},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig()

@@ -42,6 +42,8 @@ type ecGroup struct {
 	insts    []*instance
 	gen      workload.Generator
 	inflight int
+	// issueEv is the volume's next client arrival, bound once.
+	issueEv sim.EventFunc
 
 	// usedStripes is how many stripes the preconditioned keyspace
 	// touches; reconstruction of a lost chunk covers exactly these.
@@ -414,7 +416,7 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 func (r *Rack) issueEC(g *ecGroup) {
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(g.gen.NextGap(), "client.issue_ec", func(sim.Time) { r.issueEC(g) })
+		r.eng.ScheduleAfter(g.gen.NextGap(), labelClientIssueEC, g.issueEv)
 	}
 	if r.cfg.MaxClientInflight > 0 && g.inflight >= r.cfg.MaxClientInflight {
 		return
@@ -422,14 +424,9 @@ func (r *Rack) issueEC(g *ecGroup) {
 
 	op := g.gen.Next()
 	r.seq++
-	st := &reqState{
-		seq:       r.seq,
-		write:     op.Write,
-		group:     g,
-		issue:     now,
-		lastIssue: now,
-		userLPN:   op.LPN,
-	}
+	st := r.states.Get()
+	st.seq, st.write, st.group, st.userLPN = r.seq, op.Write, g, op.LPN
+	st.issue, st.lastIssue = now, now
 	st.span = r.tracer.StartRequest(st.seq, reqKind(op.Write), now)
 	st.span.Annotate(trace.Int("lpn", int64(op.LPN)), trace.Int("volume", int64(g.idx)))
 	r.reqs[st.seq] = st
@@ -577,10 +574,10 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		if remaining > 0 {
 			return
 		}
-		r.eng.AfterNamed(ecDecodeTime, "ec.decode", func(tnow sim.Time) {
+		r.eng.ScheduleAfter(ecDecodeTime, labelECDecode, sim.EventFunc(func(tnow sim.Time) {
 			recSpan.EndAt(tnow)
 			s.completeRead(inst, req)
-		})
+		}))
 	}
 	chunkBytes := int64(r.cfg.Geometry.PageSize)
 	for _, src := range sources {
@@ -593,7 +590,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 				// device read on the source's first channel.
 				addr = flash.Addr{Channel: src.v.Channels()[0]}
 			}
-			src.server.dev.TimeRead(addr, func(_, _ sim.Time) {
+			src.server.dev.TimeRead(addr, sim.EventFunc(func(sim.Time) {
 				if src == inst {
 					finish()
 					return
@@ -603,15 +600,15 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 						// This survivor only feeds its rack's partial sum:
 						// a rack-local hop to the shipper, no spine bytes.
 						back := r.net.PathLatency(r.eng.Now(), 2)
-						r.eng.AfterNamed(back, "ec.chunk_back", func(sim.Time) { finish() })
+						r.eng.ScheduleAfter(back, labelECChunkBack, sim.EventFunc(func(sim.Time) { finish() }))
 						return
 					}
 					// The chunk ships back over the metered spine link,
 					// then the remote-rack edge hops.
-					fs, fe := r.cluster.spine.CrossFetch(chunkBytes, func(sim.Time) {
+					fs, fe := r.cluster.spine.CrossFetch(chunkBytes, sim.EventFunc(func(sim.Time) {
 						back := r.cluster.spine.Propagation() + r.net.PathLatency(r.eng.Now(), 2)
-						r.eng.AfterNamed(back, "ec.chunk_back", func(sim.Time) { finish() })
-					})
+						r.eng.ScheduleAfter(back, labelECChunkBack, sim.EventFunc(func(sim.Time) { finish() }))
+					}))
 					if recSpan != nil {
 						if tnow := r.eng.Now(); fs > tnow {
 							recSpan.Child("spine_wait", tnow).EndAt(fs)
@@ -621,8 +618,8 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 					return
 				}
 				back := r.net.PathLatency(r.eng.Now(), 2)
-				r.eng.AfterNamed(back, "ec.chunk_back", func(sim.Time) { finish() })
-			})
+				r.eng.ScheduleAfter(back, labelECChunkBack, sim.EventFunc(func(sim.Time) { finish() }))
+			}))
 		}
 		if src == inst {
 			readChunk(now)
@@ -631,7 +628,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 			if cross {
 				out += r.cluster.spine.Propagation()
 			}
-			r.eng.AfterNamed(out, "ec.chunk_read", readChunk)
+			r.eng.ScheduleAfter(out, labelECChunkRead, sim.EventFunc(readChunk))
 		}
 	}
 }
@@ -642,7 +639,7 @@ func (r *Rack) scheduleRepair(g *ecGroup) {
 		return
 	}
 	g.repairArmed = true
-	r.eng.AfterNamed(r.cfg.GCCheckInterval, "ec.repair_pump", func(sim.Time) { r.repairPump(g) })
+	r.eng.ScheduleAfter(r.cfg.GCCheckInterval, labelECRepairPump, sim.EventFunc(func(sim.Time) { r.repairPump(g) }))
 }
 
 // repairPump admits background chunk reconstruction only in the
@@ -802,7 +799,7 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 		end = e
 	}
 	end += sim.Time(task.Stripes)*ecDecodeTime + r.net.PathLatency(now, 2)
-	r.eng.AtNamed(end, "ec.repair_done", func(now sim.Time) {
+	r.eng.Schedule(end, labelECRepairDone, sim.EventFunc(func(now sim.Time) {
 		sp.Annotate(trace.Int("cross_bytes", crossBytes))
 		sp.Finish(now)
 		r.lastRepairDone = now
@@ -811,7 +808,7 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 		}
 		g.repairInFlight = false
 		r.scheduleRepair(g)
-	})
+	}))
 }
 
 // reintegrate closes the repair loop for one fully rebuilt holder: the
@@ -852,7 +849,7 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 		if delay > last {
 			last = delay
 		}
-		r.eng.AfterNamed(delay, "ec.reintegrate", func(sim.Time) {
+		r.eng.ScheduleAfter(delay, labelECReintegrate, sim.EventFunc(func(sim.Time) {
 			if tor.Down() || !fresh() {
 				return // a dark ToR misses the update; revival replays it
 			}
@@ -862,12 +859,12 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 			} else {
 				tor.ReplaceStripeMember(oldID, newID)
 			}
-		})
+		}))
 	}
 	// The holder counts as re-integrated once the slowest ToR has the
 	// replacement installed; reads issued after this instant are served
 	// directly everywhere.
-	r.eng.AfterNamed(last, "ec.reintegrate", func(sim.Time) {
+	r.eng.ScheduleAfter(last, labelECReintegrate, sim.EventFunc(func(sim.Time) {
 		if !fresh() {
 			return
 		}
@@ -891,5 +888,5 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 		r.tracer.Instant("repair", "reintegrate", r.eng.Now(),
 			trace.Int("group", int64(g.idx)), trace.Int("holder", int64(holder)),
 			trace.String("mode", mode))
-	})
+	}))
 }

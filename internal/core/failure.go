@@ -148,13 +148,13 @@ func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *i
 	for _, tor := range tors {
 		tor := tor
 		delay := hop + r.cluster.spine.Latency(deadInst.server.rackIdx, tor.RackID())
-		r.eng.AfterNamed(delay, "failover.install", func(sim.Time) {
+		r.eng.ScheduleAfter(delay, labelFailoverInstall, sim.EventFunc(func(sim.Time) {
 			if tor.Down() {
 				return
 			}
 			tor.RegisterDest(survivorID, survivorIP)
 			tor.Failover(deadID, survivorID)
-		})
+		}))
 	}
 	if r.controller != nil {
 		r.controller.inGC[deadID] = false
@@ -175,7 +175,7 @@ func (r *Rack) propagateMemberDead(g *ecGroup, deadInst *instance) {
 			continue
 		}
 		seen[tor] = true
-		r.eng.AfterNamed(hop, "failover.member_dead", func(sim.Time) { tor.MarkRemoteDead(deadID) })
+		r.eng.ScheduleAfter(hop, labelFailoverMemberDead, sim.EventFunc(func(sim.Time) { tor.MarkRemoteDead(deadID) }))
 	}
 }
 
@@ -403,12 +403,12 @@ func (r *Rack) clearPairFailover(inst *instance) {
 	for j, tor := range r.cluster.tors {
 		tor := tor
 		delay := hop + r.cluster.spine.Latency(inst.server.rackIdx, j)
-		r.eng.AfterNamed(delay, "failover.clear", func(sim.Time) {
+		r.eng.ScheduleAfter(delay, labelFailoverClear, sim.EventFunc(func(sim.Time) {
 			if tor.Down() {
 				return
 			}
 			tor.FailoverCleared(id)
-		})
+		}))
 	}
 }
 
@@ -423,33 +423,40 @@ func (r *Rack) watchTimeout(seq uint64) {
 	if !r.anyFailure {
 		return // no failure in the timeline; avoid per-request timer overhead
 	}
-	r.eng.AfterNamed(clientTimeout, "client.timeout", func(sim.Time) {
-		st, ok := r.reqs[seq]
-		if !ok {
-			return // completed
-		}
-		delete(r.reqs, seq)
-		if st.group != nil && st.retries < maxECRetries {
-			st.retries++
-			r.ecRetransmits++
-			r.seq++
-			st.seq = r.seq
-			st.ecPending = 0
-			st.arrival, st.dispatched, st.deviceDone = 0, 0, 0
-			st.bounced, st.redirected = false, false
-			// The new attempt re-anchors the span's phase partition: time
-			// up to here becomes the retransmit phase.
-			st.lastIssue = r.eng.Now()
-			st.span.Annotate(trace.Int("retry", int64(st.retries)))
-			r.reqs[st.seq] = st
-			r.watchTimeout(st.seq)
-			r.sendEC(st)
-			return
-		}
-		st.decInflight()
-		r.lostRequests++
-		if !st.write {
-			r.lostReads++
-		}
-	})
+	t := r.timers.Get()
+	t.r, t.seq = r, seq
+	r.eng.ScheduleAfter(clientTimeout, labelClientTimeout, t)
+}
+
+// requestTimedOut fires a request's loss detector: a request still in
+// flight is retransmitted (erasure coding) or counted lost.
+func (r *Rack) requestTimedOut(seq uint64) {
+	st, ok := r.reqs[seq]
+	if !ok {
+		return // completed
+	}
+	delete(r.reqs, seq)
+	if st.group != nil && st.retries < maxECRetries {
+		st.retries++
+		r.ecRetransmits++
+		r.seq++
+		st.seq = r.seq
+		st.ecPending = 0
+		st.arrival, st.dispatched, st.deviceDone = 0, 0, 0
+		st.bounced, st.redirected = false, false
+		// The new attempt re-anchors the span's phase partition: time up
+		// to here becomes the retransmit phase.
+		st.lastIssue = r.eng.Now()
+		st.span.Annotate(trace.Int("retry", int64(st.retries)))
+		r.reqs[st.seq] = st
+		r.watchTimeout(st.seq)
+		r.sendEC(st)
+		return
+	}
+	st.decInflight()
+	r.lostRequests++
+	if !st.write {
+		r.lostReads++
+	}
+	r.retire(st)
 }

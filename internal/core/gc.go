@@ -11,10 +11,9 @@ import (
 // RNG draws — and therefore the whole simulation — stay deterministic.
 func (r *Rack) startGCMonitors() {
 	for _, inst := range r.allInstances() {
-		inst := inst
 		// Stagger first checks so instances do not phase-lock.
 		offset := sim.Time(r.rng.Int63n(int64(r.cfg.GCCheckInterval) + 1))
-		r.eng.AfterNamed(offset, "gc.monitor", func(sim.Time) { r.monitorGC(inst) })
+		r.eng.ScheduleAfter(offset, labelGCMonitor, inst.monitorEv)
 	}
 }
 
@@ -25,7 +24,7 @@ func (r *Rack) monitorGC(inst *instance) {
 	}
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.AfterNamed(r.cfg.GCCheckInterval, "gc.monitor", func(sim.Time) { r.monitorGC(inst) })
+		r.eng.ScheduleAfter(r.cfg.GCCheckInterval, labelGCMonitor, inst.monitorEv)
 	}
 	if inst.v.InGC(now) || inst.gcRequestInFlight {
 		return
@@ -114,8 +113,8 @@ func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 	}
 	hop := r.net.HopLatency(r.eng.Now())
 	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "gc.op", func(sim.Time) { tor.Process(pkt) })
-	r.eng.AfterNamed(hop+gcReplyTimeout, "gc.op_timeout", func(sim.Time) {
+	r.toTor(hop, labelGCOp, tor, pkt)
+	r.eng.ScheduleAfter(hop+gcReplyTimeout, labelGCOpTimeout, sim.EventFunc(func(sim.Time) {
 		if !inst.gcRequestInFlight || inst.gcRetries != epoch {
 			return // reply arrived
 		}
@@ -130,7 +129,7 @@ func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 			r.forcedGCs++
 			r.startGCBurst(inst, r.restoreTarget(gcType))
 		}
-	})
+	}))
 }
 
 // notifySwitchGC sends a fire-and-forget gc_op state update.
@@ -144,7 +143,7 @@ func (r *Rack) notifySwitchGC(inst *instance, gcType packet.GCField) {
 	}
 	hop := r.net.HopLatency(r.eng.Now())
 	tor := r.torOf(inst.server)
-	r.eng.AfterNamed(hop, "gc.notify", func(sim.Time) { tor.Process(pkt) })
+	r.toTor(hop, labelGCNotify, tor, pkt)
 }
 
 // handleGCReply processes the switch's accept/delay answer.
@@ -201,7 +200,7 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 		r.TraceGC(inst.id, inst.lastGCType, r.eng.Now(), end, burst.Blocks)
 	}
 	r.tracer.RecordGC(inst.id, inst.lastGCType.String(), r.eng.Now(), end, burst.Blocks)
-	r.eng.AtNamed(end, "gc.burst_end", func(sim.Time) {
+	r.eng.Schedule(end, labelGCBurstEnd, sim.EventFunc(func(sim.Time) {
 		// A protected soft episode stays open — switch bit set, reads
 		// redirected — until the ratio is restored. Closing and
 		// immediately reopening would let reads slip into the gap and
@@ -222,7 +221,7 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 		r.finishGC(inst)
 		inst.server.flushPump(inst)
 		inst.server.pump(inst)
-	})
+	}))
 }
 
 // finishGC clears coordination state after a burst completes.
@@ -296,7 +295,7 @@ func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
 	r := c.rack
 	inst.gcRequestInFlight = true
 	trip := r.net.PathLatency(r.eng.Now(), 2) + controllerProc
-	r.eng.AfterNamed(trip, "gc.ctrl_request", func(sim.Time) {
+	r.eng.ScheduleAfter(trip, labelGCCtrlRequest, sim.EventFunc(func(sim.Time) {
 		replicaBusy := c.inGC[c.replicas[inst.id]]
 		grant := gcType != packet.GCSoft || !replicaBusy
 		if grant {
@@ -311,7 +310,7 @@ func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
 			r.delayedByCtrl++
 		}
 		back := r.net.PathLatency(r.eng.Now(), 2)
-		r.eng.AfterNamed(back, "gc.ctrl_reply", func(sim.Time) {
+		r.eng.ScheduleAfter(back, labelGCCtrlReply, sim.EventFunc(func(sim.Time) {
 			inst.gcRequestInFlight = false
 			inst.replicaIdleHint = !replicaBusy
 			if grant {
@@ -321,8 +320,8 @@ func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
 			} else {
 				inst.gcDelayed++
 			}
-		})
-	})
+		}))
+	}))
 }
 
 // notify updates the controller's GC state (start of background GC or
@@ -330,10 +329,10 @@ func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
 func (c *controller) notify(inst *instance, started bool) {
 	r := c.rack
 	trip := r.net.PathLatency(r.eng.Now(), 2) + controllerProc
-	r.eng.AfterNamed(trip, "gc.ctrl_notify", func(sim.Time) {
+	r.eng.ScheduleAfter(trip, labelGCCtrlNotify, sim.EventFunc(func(sim.Time) {
 		c.inGC[inst.id] = started
 		if rep := r.insts[c.replicas[inst.id]]; rep != nil {
 			rep.replicaIdleHint = !started
 		}
-	})
+	}))
 }

@@ -253,7 +253,7 @@ func (r *Rack) pacerTick() {
 			trace.Int("rate_kbps", int64(r.pacer.rateMBps*1000)))
 	}
 	if now < r.stopIssuing || active {
-		r.eng.AfterNamed(r.pacer.slo.Interval, "paced.tick", func(sim.Time) { r.pacerTick() })
+		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, sim.EventFunc(func(sim.Time) { r.pacerTick() }))
 	}
 }
 

@@ -44,6 +44,10 @@ type instance struct {
 	repl        *replication.Node
 	inflight    int
 	maxInflight int
+	// pumpEv and monitorEv are the instance's queue pump and GC monitor
+	// events, bound once so rescheduling them allocates nothing.
+	pumpEv    sim.EventFunc
+	monitorEv sim.EventFunc
 
 	// Per-instance write cache and flusher (one flush slot per owned
 	// channel); isolation prevents cross-tenant head-of-line blocking.
@@ -77,6 +81,8 @@ type pair struct {
 	replica  *instance
 	gen      workload.Generator
 	inflight int
+	// issueEv is the pair's next client arrival, bound once.
+	issueEv sim.EventFunc
 }
 
 // reqState tracks one request across the rack for latency breakdown.
@@ -155,6 +161,15 @@ type Rack struct {
 	reqs    map[uint64]*reqState
 	seq     uint64
 	rng     *sim.RNG
+
+	// Pools of the datapath's per-request state and event records (see
+	// records.go). They grow lazily to the number in flight.
+	states   sim.Pool[reqState]
+	requests sim.Pool[sched.Request]
+	hops     sim.Pool[hop]
+	ops      sim.Pool[serverOp]
+	msgs     sim.Pool[hermesMsg]
+	timers   sim.Pool[lossTimer]
 
 	clientIP uint32
 	// controller models the VDC controller server used by VDC and
@@ -457,6 +472,8 @@ func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, prima
 		group:           group,
 		replicaIdleHint: true,
 	}
+	inst.pumpEv = func(sim.Time) { srv.pump(inst) }
+	inst.monitorEv = func(sim.Time) { r.monitorGC(inst) }
 	srv.insts[id] = inst
 	r.insts[id] = inst
 	return inst, nil
@@ -483,17 +500,9 @@ func (r *Rack) hermesTransport(pri, rep *instance) replication.Transport {
 			delay += r.cluster.spine.MeterForeground(
 				r.cluster.spine.MessageBytes(msg.Type == replication.MsgInv))
 		}
-		r.eng.AfterNamed(delay, "hermes.msg", func(sim.Time) {
-			if !dst.server.reachable() {
-				return // messages to a crashed or isolated server are lost
-			}
-			if msg.Type == replication.MsgInv {
-				// The invalidation carries the write: the follower caches
-				// it for background flush.
-				dst.server.applyReplicaWrite(dst, msg.LPN)
-			}
-			dst.repl.Handle(msg)
-		})
+		m := r.msgs.Get()
+		m.dst, m.msg = dst, msg
+		r.eng.ScheduleAfter(delay, labelHermesMsg, m)
 	}
 }
 

@@ -159,7 +159,7 @@ func (r *Rack) Run() *Result {
 	r.startGCMonitors()
 	r.scheduleFailure()
 	if r.pacer != nil {
-		r.eng.AfterNamed(r.pacer.slo.Interval, "paced.tick", func(sim.Time) { r.pacerTick() })
+		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, sim.EventFunc(func(sim.Time) { r.pacerTick() }))
 	}
 	r.eng.Run()
 

@@ -65,18 +65,14 @@ func (s *server) receive(pkt packet.Packet) {
 		inst.pred.Observe(pkt.Op == packet.OpWrite, sim.Time(pkt.LatencyNS()))
 		inst.idle.OnRequest(now)
 
-		req := &sched.Request{
-			Seq:     pkt.Seq,
-			Write:   pkt.Op == packet.OpWrite,
-			Arrival: now,
-			Data:    inst,
-		}
+		req := s.rack.requests.Get()
+		req.Seq, req.Write, req.Arrival, req.Data = pkt.Seq, pkt.Op == packet.OpWrite, now, inst
 		if s.rack.cfg.coordinated() {
 			req.NetTime = sim.Time(pkt.LatencyNS())
 			req.Predict = inst.pred.Predict(req.Write)
 		}
 		inst.queue.Enqueue(req)
-		s.rack.eng.AfterNamed(serverProcTime, "server.pump", func(sim.Time) { s.pump(inst) })
+		s.rack.eng.ScheduleAfter(serverProcTime, labelServerPump, inst.pumpEv)
 	case packet.OpGC:
 		// Reply from the ToR switch to an earlier gc_op.
 		s.rack.handleGCReply(inst, pkt)
@@ -145,7 +141,8 @@ func (s *server) drainStalled(inst *instance) {
 // timed it out, and for erasure coding retransmitted it under a fresh
 // sequence number): the scheduler token and inflight slot return, and
 // no response is sent for the dead attempt.
-func (s *server) cancelRead(inst *instance) {
+func (s *server) cancelRead(inst *instance, req *sched.Request) {
+	s.rack.retireRequest(req)
 	inst.queue.OnComplete(false, 0)
 	inst.inflight--
 	s.pump(inst)
@@ -158,7 +155,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	now := r.eng.Now()
 	st := r.reqs[req.Seq]
 	if st == nil {
-		s.cancelRead(inst)
+		s.cancelRead(inst, req)
 		return
 	}
 	if st.dispatched == 0 {
@@ -188,6 +185,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 		inst.inflight--
 		r.bounces++
 		r.bounceRead(inst, st)
+		r.retireRequest(req)
 		s.pump(inst)
 		return
 	}
@@ -197,31 +195,39 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	// Erasure-coded chunk holders (no Hermes node) always serve.
 	if inst.repl != nil && !inst.repl.CanRead(lpn) && attempt < 3 {
 		r.staleRetries++
-		r.eng.AfterNamed(hermesRetryGap, "server.stale_retry", func(sim.Time) { s.startRead(inst, req, attempt+1) })
+		op := s.newOp(stepRetryRead, inst, req)
+		op.attempt = attempt + 1
+		r.eng.ScheduleAfter(hermesRetryGap, labelServerStaleRetry, op)
 		return
 	}
 
 	if inst.cache.Contains(inst.id, lpn) {
 		r.cacheHits++
-		r.eng.AfterNamed(cacheHitTime, "server.cache_hit", func(sim.Time) { s.completeRead(inst, req) })
+		r.eng.ScheduleAfter(cacheHitTime, labelServerCacheHit, s.newOp(stepCompleteRead, inst, req))
 		return
 	}
 	// Software-isolated vSSDs pass the token-bucket limiter first.
 	admitAt := inst.v.Admit(now)
-	issue := func(sim.Time) {
-		addr, err := inst.v.FTL.Read(int(lpn))
-		if err != nil {
-			// Reads outside the preconditioned range still cost one
-			// device read on the vSSD's first channel.
-			addr = flash.Addr{Channel: inst.v.Channels()[0]}
-		}
-		s.dev.TimeRead(addr, func(_, _ sim.Time) { s.completeRead(inst, req) })
-	}
+	op := s.newOp(stepIssueRead, inst, req)
+	op.lpn = lpn
 	if admitAt > now {
-		r.eng.AtNamed(admitAt, "server.admit", issue)
-	} else {
-		issue(now)
+		r.eng.Schedule(admitAt, labelServerAdmit, op)
+		return
 	}
+	op.step = stepCompleteRead
+	s.issueRead(inst, op)
+}
+
+// issueRead reads op's page on the owning flash channel; op completes the
+// read when the channel is done.
+func (s *server) issueRead(inst *instance, op *serverOp) {
+	addr, err := inst.v.FTL.Read(int(op.lpn))
+	if err != nil {
+		// Reads outside the preconditioned range still cost one device
+		// read on the vSSD's first channel.
+		addr = flash.Addr{Channel: inst.v.Channels()[0]}
+	}
+	s.dev.TimeRead(addr, op)
 }
 
 func (s *server) completeRead(inst *instance, req *sched.Request) {
@@ -231,7 +237,7 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 	if st == nil {
 		// Timed out and (for EC) retransmitted while the device worked;
 		// the flash time was spent, but nobody is waiting for the reply.
-		s.cancelRead(inst)
+		s.cancelRead(inst, req)
 		return
 	}
 	st.deviceDone = now
@@ -242,6 +248,7 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 	if r.cfg.coordinated() {
 		lat += req.NetTime + req.Predict
 	}
+	r.retireRequest(req)
 	inst.queue.OnComplete(false, lat)
 	inst.inflight--
 	r.respond(st, inst)
@@ -258,6 +265,7 @@ func (s *server) startWrite(inst *instance, req *sched.Request) {
 		// Timed out (and for EC retransmitted) before dispatch: return
 		// the scheduler token and drop the dead attempt.
 		inst.queue.OnComplete(true, 0)
+		r.retireRequest(req)
 		return
 	}
 	if st.dispatched == 0 {
@@ -271,40 +279,39 @@ func (s *server) startWrite(inst *instance, req *sched.Request) {
 	// seq pins this attempt: an EC retransmission reissues the logical
 	// request under a fresh sequence number, so a stale attempt's
 	// completion must not respond against the new one.
-	seq := req.Seq
-	r.eng.AfterNamed(cacheInsertTime, "server.cache_insert", func(sim.Time) {
-		if r.reqs[seq] != st {
-			s.flushPump(inst)
-			s.pump(inst)
-			return // attempt superseded by a client retransmission
-		}
-		if inst.repl == nil {
-			// Erasure-coded chunk holder: durability comes from the
-			// stripe's parity chunks (the client fans the write out to
-			// all of them), so each sub-write commits locally.
-			done := r.eng.Now()
-			if done > st.deviceDone {
-				st.deviceDone = done
-			}
-			r.respond(st, inst)
-			s.flushPump(inst)
-			s.pump(inst)
-			return
-		}
-		inst.repl.Write(st.lpn, func() {
-			if r.reqs[seq] != st {
-				s.flushPump(inst)
-				s.pump(inst)
-				return
-			}
-			done := r.eng.Now()
-			st.deviceDone = done
-			r.respond(st, inst)
-			s.flushPump(inst)
-			s.pump(inst)
-		})
-	})
+	op := s.newOp(stepCacheInserted, inst, nil)
+	op.seq = req.Seq
+	r.retireRequest(req)
+	r.eng.ScheduleAfter(cacheInsertTime, labelServerCacheInsert, op)
 	s.flushPump(inst)
+}
+
+// cacheInserted continues a write once it sits in DRAM: a replicated
+// write starts its Hermes round, with op as the commit callback; an
+// erasure-coded chunk write commits locally.
+func (s *server) cacheInserted(op *serverOp) {
+	r := s.rack
+	inst := op.inst
+	st := r.reqs[op.seq]
+	if st != nil && inst.repl != nil {
+		inst.repl.Write(st.lpn, op.commit)
+		return
+	}
+	op.release()
+	if st == nil {
+		s.flushPump(inst)
+		s.pump(inst)
+		return // attempt superseded by a client retransmission
+	}
+	// Erasure-coded chunk holder: durability comes from the stripe's
+	// parity chunks (the client fans the write out to all of them), so
+	// each sub-write commits locally.
+	if done := r.eng.Now(); done > st.deviceDone {
+		st.deviceDone = done
+	}
+	r.respond(st, inst)
+	s.flushPump(inst)
+	s.pump(inst)
 }
 
 // applyReplicaWrite caches a write arriving via Hermes invalidation at the
@@ -355,11 +362,6 @@ func (s *server) flushPump(inst *instance) {
 			}
 		}
 		inst.flushInflight++
-		s.dev.TimeProgram(addr, func(_, _ sim.Time) {
-			inst.flushInflight--
-			inst.cache.FlushDone()
-			s.drainStalled(inst)
-			s.flushPump(inst)
-		})
+		s.dev.TimeProgram(addr, s.newOp(stepFlushed, inst, nil))
 	}
 }

@@ -17,7 +17,7 @@ import (
 // what makes this model both a scaling vehicle (BenchmarkShardedSoak,
 // the figsh experiment) and the template for migrating the full datapath
 // onto rack shards: an executing event touches only its shard's state;
-// everything that crosses a rack boundary is immutable values in a Send.
+// everything that crosses a rack boundary is immutable values in a Post.
 //
 // Every decision is drawn from a per-rack RNG consumed only by that
 // rack's events, so the model is deterministic by construction and
@@ -147,7 +147,7 @@ func RunShardedCluster(cfg ShardedClusterConfig, parallel bool) ShardedClusterRe
 				if lat > rs.maxLat {
 					rs.maxLat = lat
 				}
-				eng.AfterNamed(rs.rng.Exp(cfg.ThinkTime)+1, "shard.op", op)
+				eng.ScheduleAfter(rs.rng.Exp(cfg.ThinkTime)+1, labelShardOp, sim.EventFunc(op))
 			}
 			op = func(now sim.Time) {
 				if rs.left == 0 {
@@ -167,28 +167,28 @@ func RunShardedCluster(cfg ShardedClusterConfig, parallel bool) ShardedClusterRe
 						dst++
 					}
 					start := now
-					g.SendAfter(home, 0, g.Lookahead(), "spine.req", func(sim.Time) {
+					g.PostAfter(home, 0, g.Lookahead(), labelSpineReq, sim.EventFunc(func(sim.Time) {
 						spineBytes += frame
 						_, xe := link.Transfer(frame, nil)
-						g.Send(0, dst, xe+g.Lookahead(), "shard.remote", func(rnow sim.Time) {
+						g.Post(0, dst, xe+g.Lookahead(), labelShardRemote, sim.EventFunc(func(rnow sim.Time) {
 							rem := racks[dst-1]
 							rocc := rem.rng.Exp(cfg.ServiceTime) + 1
 							_, de := rem.devices[rem.rng.Intn(len(rem.devices))].Acquire(rocc, nil)
-							g.Send(dst, 0, de+g.Lookahead(), "spine.resp", func(sim.Time) {
+							g.Post(dst, 0, de+g.Lookahead(), labelSpineResp, sim.EventFunc(func(sim.Time) {
 								spineBytes += frame
 								_, re := link.Transfer(frame, nil)
-								g.Send(0, home, re+g.Lookahead(), "shard.done", func(dnow sim.Time) {
+								g.Post(0, home, re+g.Lookahead(), labelShardDone, sim.EventFunc(func(dnow sim.Time) {
 									finish(dnow, start)
-								})
-							})
-						})
-					})
+								}))
+							}))
+						}))
+					}))
 					return
 				}
 				_, end := dev.Acquire(occ, nil)
-				eng.AtNamed(end, "shard.done", func(dnow sim.Time) { finish(dnow, now) })
+				eng.Schedule(end, labelShardDone, sim.EventFunc(func(dnow sim.Time) { finish(dnow, now) }))
 			}
-			eng.AfterNamed(rs.rng.Exp(cfg.ThinkTime)+1, "shard.op", op)
+			eng.ScheduleAfter(rs.rng.Exp(cfg.ThinkTime)+1, labelShardOp, sim.EventFunc(op))
 		}
 	}
 

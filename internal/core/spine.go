@@ -40,6 +40,7 @@ type Spine struct {
 	// offered split as for repair bytes.
 	foregroundBytes   int64
 	foregroundOffered int64
+	deliveries        sim.Pool[spineDelivery]
 }
 
 // newSpine builds the cross-rack boundary for a topology of racks fault
@@ -114,7 +115,9 @@ func (s *Spine) MeterForegroundTraced(bytes int64, sp *trace.Span) sim.Time {
 		return 0
 	}
 	s.foregroundOffered += bytes
-	start, end := s.link.Transfer(bytes, func(_, _ sim.Time) { s.foregroundBytes += bytes })
+	d := s.deliveries.Get()
+	d.spine, d.bytes = s, bytes
+	start, end := s.link.Reserve(bytes, d)
 	if sp != nil {
 		if now := s.eng.Now(); start > now {
 			sp.Child("spine_wait", now).EndAt(start)
@@ -132,15 +135,36 @@ func (s *Spine) MeterForegroundTraced(bytes int64, sp *trace.Span) sim.Time {
 // accounting point for cross-rack repair traffic; transfers serialize on
 // the link, so aggregate repair throughput can never exceed the
 // configured cross-rack bandwidth.
-func (s *Spine) CrossFetch(bytes int64, done func(sim.Time)) (start, end sim.Time) {
+func (s *Spine) CrossFetch(bytes int64, done sim.Handler) (start, end sim.Time) {
 	s.crossRepairOffered += bytes
 	s.crossFetches++
-	return s.link.Transfer(bytes, func(_, e sim.Time) {
-		s.crossRepairBytes += bytes
-		if done != nil {
-			done(e)
-		}
-	})
+	d := s.deliveries.Get()
+	d.spine, d.bytes, d.repair, d.done = s, bytes, true, done
+	return s.link.Reserve(bytes, d)
+}
+
+// spineDelivery is the pooled completion record of one spine transfer:
+// it counts the delivered bytes as foreground or repair traffic, then
+// fires the caller's handler, if any.
+type spineDelivery struct {
+	spine  *Spine
+	bytes  int64
+	repair bool
+	done   sim.Handler
+}
+
+func (d *spineDelivery) Fire(now sim.Time) {
+	s, done := d.spine, d.done
+	if d.repair {
+		s.crossRepairBytes += d.bytes
+	} else {
+		s.foregroundBytes += d.bytes
+	}
+	*d = spineDelivery{}
+	s.deliveries.Put(d)
+	if done != nil {
+		done.Fire(now)
+	}
 }
 
 // Utilization returns the cross-rack link's busy fraction (0 with a

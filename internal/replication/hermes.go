@@ -12,6 +12,9 @@ package replication
 
 import (
 	"fmt"
+	"slices"
+
+	"rackblox/internal/sim"
 )
 
 // State is the per-key replica state.
@@ -91,15 +94,33 @@ type Message struct {
 // it and charges network latency.
 type Transport func(msg Message)
 
+// keyState is one key's replica state. Its zero value — valid, never
+// written — is the state of every key absent from Node.keys.
 type keyState struct {
 	st State
 	ts Timestamp
 }
 
+// pendingWrite is one coordinator write waiting for acks. Finished writes
+// go back to the node's free list, so steady-state writes allocate
+// nothing.
 type pendingWrite struct {
-	ts       Timestamp
-	awaiting map[int]bool
+	ts Timestamp
+	// awaiting lists the peers whose ack is outstanding (a handful at
+	// most, so a slice beats a map).
+	awaiting []int
 	onCommit func()
+}
+
+// stopAwaiting removes peer from the outstanding acks, reporting whether
+// it was there.
+func (pw *pendingWrite) stopAwaiting(peer int) bool {
+	i := slices.Index(pw.awaiting, peer)
+	if i < 0 {
+		return false
+	}
+	pw.awaiting = slices.Delete(pw.awaiting, i, i+1)
+	return true
 }
 
 // Node is one replica endpoint of a group.
@@ -107,8 +128,9 @@ type Node struct {
 	id      int
 	peers   []int
 	version uint64
-	keys    map[uint32]*keyState
+	keys    map[uint32]keyState
 	pending map[uint32]*pendingWrite
+	free    sim.Pool[pendingWrite]
 	send    Transport
 }
 
@@ -130,7 +152,7 @@ func NewNode(id int, peers []int, send Transport) *Node {
 	return &Node{
 		id:      id,
 		peers:   append([]int(nil), peers...),
-		keys:    make(map[uint32]*keyState),
+		keys:    make(map[uint32]keyState),
 		pending: make(map[uint32]*pendingWrite),
 		send:    send,
 	}
@@ -139,20 +161,32 @@ func NewNode(id int, peers []int, send Transport) *Node {
 // ID returns the node id.
 func (n *Node) ID() int { return n.id }
 
-func (n *Node) key(lpn uint32) *keyState {
-	k, ok := n.keys[lpn]
-	if !ok {
-		k = &keyState{st: Valid} // unwritten keys are trivially consistent
-		n.keys[lpn] = k
-	}
-	return k
-}
-
 // CanRead reports whether this replica may serve a local read of lpn.
-func (n *Node) CanRead(lpn uint32) bool { return n.key(lpn).st == Valid }
+// Unwritten keys are trivially consistent.
+func (n *Node) CanRead(lpn uint32) bool { return n.keys[lpn].st == Valid }
 
 // KeyState exposes the replica state of a key (tests, introspection).
-func (n *Node) KeyState(lpn uint32) State { return n.key(lpn).st }
+func (n *Node) KeyState(lpn uint32) State { return n.keys[lpn].st }
+
+// release returns a finished pending write to the free list, keeping its
+// awaiting slice's capacity for the next write.
+func (n *Node) release(pw *pendingWrite) {
+	pw.awaiting, pw.onCommit = pw.awaiting[:0], nil
+	n.free.Put(pw)
+}
+
+// pendingLPNs returns the keys with an in-flight write in ascending order:
+// callers that commit or release several writes do so in this order,
+// because each callback schedules events and draws randomness, and map
+// order would change the run from one execution to the next.
+func (n *Node) pendingLPNs() []uint32 {
+	lpns := make([]uint32, 0, len(n.pending))
+	for lpn := range n.pending {
+		lpns = append(lpns, lpn)
+	}
+	slices.Sort(lpns)
+	return lpns
+}
 
 // Write starts a coordinator write of lpn at this node. onCommit fires
 // once every replica has acknowledged the invalidation (the Hermes commit
@@ -162,19 +196,21 @@ func (n *Node) KeyState(lpn uint32) State { return n.key(lpn).st }
 func (n *Node) Write(lpn uint32, onCommit func()) {
 	n.version++
 	ts := Timestamp{Version: n.version, NodeID: n.id}
-	k := n.key(lpn)
-	k.st = Writing
-	k.ts = ts
+	n.keys[lpn] = keyState{st: Writing, ts: ts}
 
-	if prev, ok := n.pending[lpn]; ok && prev.onCommit != nil {
-		prev.onCommit()
+	if prev, ok := n.pending[lpn]; ok {
+		if prev.onCommit != nil {
+			prev.onCommit()
+		}
+		n.release(prev)
 	}
-	pw := &pendingWrite{ts: ts, awaiting: map[int]bool{}, onCommit: onCommit}
+	pw := n.free.Get()
+	pw.ts, pw.onCommit = ts, onCommit
 	for _, p := range n.peers {
 		if p == n.id {
 			continue
 		}
-		pw.awaiting[p] = true
+		pw.awaiting = append(pw.awaiting, p)
 		n.send(Message{Type: MsgInv, From: n.id, To: p, LPN: lpn, TS: ts})
 	}
 	n.pending[lpn] = pw
@@ -185,17 +221,18 @@ func (n *Node) Write(lpn uint32, onCommit func()) {
 
 func (n *Node) commit(lpn uint32, pw *pendingWrite) {
 	delete(n.pending, lpn)
-	k := n.key(lpn)
-	if k.ts == pw.ts {
-		k.st = Valid
+	if k := n.keys[lpn]; k.ts == pw.ts {
+		n.keys[lpn] = keyState{st: Valid, ts: k.ts}
 		for _, p := range n.peers {
 			if p != n.id {
 				n.send(Message{Type: MsgVal, From: n.id, To: p, LPN: lpn, TS: pw.ts})
 			}
 		}
 	}
-	if pw.onCommit != nil {
-		pw.onCommit()
+	done := pw.onCommit
+	n.release(pw)
+	if done != nil {
+		done()
 	}
 }
 
@@ -219,15 +256,17 @@ func (n *Node) Peers() []int { return append([]int(nil), n.peers...) }
 // Rejoin resets the node's per-key replica state and in-flight writes
 // while keeping its identity, peer list, and Lamport clock: the model
 // of a revived server whose DRAM and flash are gone rejoining the
-// group empty. Superseded in-flight writes release their callbacks so
-// no client waits on a commit that can never happen.
+// group empty. Superseded in-flight writes release their callbacks, in
+// key order, so no client waits on a commit that can never happen.
 func (n *Node) Rejoin() {
-	for _, pw := range n.pending {
+	for _, lpn := range n.pendingLPNs() {
+		pw := n.pending[lpn]
 		if pw.onCommit != nil {
 			pw.onCommit()
 		}
+		n.release(pw)
 	}
-	n.keys = make(map[uint32]*keyState)
+	n.keys = make(map[uint32]keyState)
 	n.pending = make(map[uint32]*pendingWrite)
 }
 
@@ -243,12 +282,11 @@ func (n *Node) RemovePeer(dead int) {
 		}
 	}
 	n.peers = kept
-	for lpn, pw := range n.pending {
-		if pw.awaiting[dead] {
-			delete(pw.awaiting, dead)
-			if len(pw.awaiting) == 0 {
-				n.commit(lpn, pw)
-			}
+	// Writes that no longer wait for anyone commit in key order.
+	for _, lpn := range n.pendingLPNs() {
+		pw := n.pending[lpn]
+		if pw.stopAwaiting(dead) && len(pw.awaiting) == 0 {
+			n.commit(lpn, pw)
 		}
 	}
 }
@@ -258,7 +296,6 @@ func (n *Node) Handle(msg Message) {
 	if msg.To != n.id {
 		panic(fmt.Sprintf("replication: node %d got message for %d", n.id, msg.To))
 	}
-	k := n.key(msg.LPN)
 	// Lamport clock advance keeps future local writes ordered after
 	// everything this node has seen.
 	if msg.TS.Version > n.version {
@@ -266,9 +303,8 @@ func (n *Node) Handle(msg Message) {
 	}
 	switch msg.Type {
 	case MsgInv:
-		if k.ts.Less(msg.TS) {
-			k.st = Invalid
-			k.ts = msg.TS
+		if n.keys[msg.LPN].ts.Less(msg.TS) {
+			n.keys[msg.LPN] = keyState{st: Invalid, ts: msg.TS}
 		}
 		n.send(Message{Type: MsgAck, From: n.id, To: msg.From, LPN: msg.LPN, TS: msg.TS})
 	case MsgAck:
@@ -276,13 +312,13 @@ func (n *Node) Handle(msg Message) {
 		if !ok || pw.ts != msg.TS {
 			return // ack for a superseded write
 		}
-		delete(pw.awaiting, msg.From)
+		pw.stopAwaiting(msg.From)
 		if len(pw.awaiting) == 0 {
 			n.commit(msg.LPN, pw)
 		}
 	case MsgVal:
-		if k.ts == msg.TS && k.st == Invalid {
-			k.st = Valid
+		if k := n.keys[msg.LPN]; k.ts == msg.TS && k.st == Invalid {
+			n.keys[msg.LPN] = keyState{st: Valid, ts: k.ts}
 		}
 	}
 }

@@ -101,10 +101,10 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	g.Nodes[1].Write(3, nil)
 	g.drain()
 	// All replicas converge on one timestamp and become valid.
-	ts := g.Nodes[0].key(3).ts
+	ts := g.Nodes[0].keys[3].ts
 	for _, n := range g.Nodes {
-		if n.key(3).ts != ts {
-			t.Fatalf("node %d ts %+v != %+v", n.ID(), n.key(3).ts, ts)
+		if n.keys[3].ts != ts {
+			t.Fatalf("node %d ts %+v != %+v", n.ID(), n.keys[3].ts, ts)
 		}
 		if !n.CanRead(3) {
 			t.Fatalf("node %d not readable after convergence", n.ID())
@@ -193,9 +193,9 @@ func TestConvergenceProperty(t *testing.T) {
 		}
 		g.drain()
 		for lpn := range keys {
-			ts := g.Nodes[0].key(lpn).ts
+			ts := g.Nodes[0].keys[lpn].ts
 			for _, n := range g.Nodes {
-				if !n.CanRead(lpn) || n.key(lpn).ts != ts {
+				if !n.CanRead(lpn) || n.keys[lpn].ts != ts {
 					return false
 				}
 			}
@@ -260,5 +260,35 @@ func TestRemovePeerThreeNodeGroup(t *testing.T) {
 	g.drain()
 	if !committed {
 		t.Fatal("write never committed with the surviving follower")
+	}
+}
+
+// Regression: RemovePeer and Rejoin release every pending write, and each
+// release runs a callback that schedules events in the simulator. They
+// used to range over the pending map, so the callbacks ran in a
+// different order on every run; they must run in ascending key order.
+func TestPendingWritesReleaseInKeyOrder(t *testing.T) {
+	for _, release := range []struct {
+		name string
+		do   func(n *Node)
+	}{
+		{"RemovePeer", func(n *Node) { n.RemovePeer(1) }},
+		{"Rejoin", func(n *Node) { n.Rejoin() }},
+	} {
+		n := NewNode(0, []int{0, 1}, func(Message) {}) // acks never arrive
+		var order []uint32
+		for i := uint32(0); i < 64; i++ {
+			lpn := (i * 37) % 64 // every key once, out of order
+			n.Write(lpn, func() { order = append(order, lpn) })
+		}
+		release.do(n)
+		if len(order) != 64 {
+			t.Fatalf("%s released %d of 64 pending writes", release.name, len(order))
+		}
+		for i, lpn := range order {
+			if lpn != uint32(i) {
+				t.Fatalf("%s released writes in order %v, want ascending keys", release.name, order)
+			}
+		}
 	}
 }

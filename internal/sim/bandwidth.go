@@ -12,8 +12,9 @@ type Bandwidth struct {
 	// reserved on the link); delivered counts them only once the last
 	// byte has cleared it. delivered <= offered always, with equality
 	// once every reserved transfer has completed.
-	offered   int64
-	delivered int64
+	offered    int64
+	delivered  int64
+	deliveries Pool[delivery]
 }
 
 // NewBandwidth returns an idle link moving bytesPerSec bytes per second.
@@ -45,20 +46,47 @@ func (b *Bandwidth) TransferTime(bytes int64) Time {
 	return d
 }
 
-// Transfer reserves the link for bytes and calls done(start, end) when the
-// last byte clears it; done may be nil. Waiting behind earlier transfers
-// is implicit in the returned start time.
-func (b *Bandwidth) Transfer(bytes int64, done func(start, end Time)) (start, end Time) {
+// Reserve books the link for bytes, returns the transfer window, and
+// fires done (which may be nil) when the last byte clears the link.
+// Waiting behind earlier transfers is implicit in the returned start time.
+func (b *Bandwidth) Reserve(bytes int64, done Handler) (start, end Time) {
 	b.offered += bytes
 	// Delivered bytes are counted at completion, not enqueue, so a
 	// simulation that stops mid-transfer never reports bytes the link
 	// did not actually move.
-	return b.res.Acquire(b.TransferTime(bytes), func(s, e Time) {
-		b.delivered += bytes
-		if done != nil {
-			done(s, e)
-		}
-	})
+	d := b.deliveries.Get()
+	d.link, d.bytes, d.done = b, bytes, done
+	return b.res.Reserve(b.TransferTime(bytes), d)
+}
+
+// Transfer is Reserve with a callback that receives the transfer window:
+// done(start, end) runs when the last byte clears the link. done may be
+// nil. Like Resource.Acquire, the adapter allocates once per call.
+func (b *Bandwidth) Transfer(bytes int64, done func(start, end Time)) (start, end Time) {
+	if done == nil {
+		return b.Reserve(bytes, nil)
+	}
+	w := &window{done: done}
+	w.start, w.end = b.Reserve(bytes, w)
+	return w.start, w.end
+}
+
+// delivery is the pooled completion record of one transfer: it counts the
+// bytes as delivered, then fires the caller's handler.
+type delivery struct {
+	link  *Bandwidth
+	bytes int64
+	done  Handler
+}
+
+func (d *delivery) Fire(now Time) {
+	b, done := d.link, d.done
+	b.delivered += d.bytes
+	*d = delivery{}
+	b.deliveries.Put(d)
+	if done != nil {
+		done.Fire(now)
+	}
 }
 
 // Bytes returns the bytes the link has fully delivered: transfers still

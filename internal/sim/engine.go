@@ -18,8 +18,17 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// EventFunc is a callback executed at its scheduled virtual time.
+// Handler is an event's callback, executed at its scheduled virtual time.
+// Hot paths schedule pooled, pointer-typed event records that implement
+// it, so firing an event allocates nothing; cold paths pass an EventFunc.
+type Handler interface{ Fire(now Time) }
+
+// EventFunc is a callback executed at its scheduled virtual time. A func
+// value is pointer-shaped, so converting one to Handler does not allocate.
 type EventFunc func(now Time)
+
+// Fire calls f.
+func (f EventFunc) Fire(now Time) { f(now) }
 
 // nilIdx is the nil value for node-pool indices.
 const nilIdx int32 = -1
@@ -32,19 +41,17 @@ const nilIdx int32 = -1
 type node struct {
 	at  Time
 	seq uint64
-	fn  EventFunc
+	h   Handler
 	// next links the node into a wheel slot's FIFO list while queued and
 	// into the pool's free list while free.
-	next int32
-	// label is the interned handler-label slot (0 = "other").
-	label int32
+	next  int32
+	label Label
 }
 
 // nodePool recycles event nodes through an intrusive free list. put zeroes
-// the callback and label so a drained node retains neither its closure nor
-// its string — the retention leak the old eventHeap.Pop had — and the pool
-// needs no sync.Pool (the engine is single-threaded), so it stays
-// deterministic and race-clean.
+// the handler so a drained node does not retain it — the retention leak
+// the old eventHeap.Pop had — and the pool needs no sync.Pool (the engine
+// is single-threaded), so it stays deterministic and race-clean.
 type nodePool struct {
 	nodes []node
 	free  int32
@@ -62,17 +69,17 @@ func (p *nodePool) get() int32 {
 
 func (p *nodePool) put(i int32) {
 	n := &p.nodes[i]
-	n.at, n.seq, n.fn, n.label = 0, 0, nil, 0
+	n.at, n.seq, n.h, n.label = 0, 0, nil, Label{}
 	n.next = p.free
 	p.free = i
 }
 
-// live counts pooled nodes still holding a callback — zero once every
+// live counts pooled nodes still holding a handler — zero once every
 // scheduled event has executed (leak accounting for tests).
 func (p *nodePool) live() int {
 	n := 0
 	for i := range p.nodes {
-		if p.nodes[i].fn != nil {
+		if p.nodes[i].h != nil {
 			n++
 		}
 	}
@@ -106,11 +113,9 @@ type Engine struct {
 	useHeap bool
 	// processed counts executed events, useful as a runaway guard in tests.
 	processed uint64
-	// Handler labels (AtNamed) are interned to small slots at schedule
-	// time, so the per-Step accounting is a slice increment instead of a
-	// map operation. Slot 0 is "other", the bucket for unlabeled events.
-	labelIdx    map[string]int32
-	labelNames  []string
+	// labelCounts counts executed events per Label id, so the per-Step
+	// accounting is a slice increment; Schedule grows it to cover every
+	// label it sees. Id 0 is "other", the bucket for unlabeled events.
 	labelCounts []uint64
 	stopped     bool
 
@@ -133,36 +138,17 @@ func NewEngine() *Engine { return &Engine{} }
 // scheduler, for differential tests against the time wheel.
 func newHeapEngine() *Engine { return &Engine{useHeap: true} }
 
-// ensure lazily wires the queue, pool, and label table so the zero value
-// stays usable.
+// ensure lazily wires the queue and pool so the zero value stays usable.
 func (e *Engine) ensure() {
 	if e.q != nil {
 		return
 	}
 	e.pool.free = nilIdx
-	e.labelIdx = map[string]int32{"other": 0}
-	e.labelNames = []string{"other"}
-	e.labelCounts = []uint64{0}
 	if e.useHeap {
 		e.q = &heapQueue{pool: &e.pool}
 	} else {
 		e.q = newWheelQueue(&e.pool)
 	}
-}
-
-// labelSlot interns a handler label, returning its counter slot.
-func (e *Engine) labelSlot(label string) int32 {
-	if label == "" {
-		return 0
-	}
-	if s, ok := e.labelIdx[label]; ok {
-		return s
-	}
-	s := int32(len(e.labelNames))
-	e.labelIdx[label] = s
-	e.labelNames = append(e.labelNames, label)
-	e.labelCounts = append(e.labelCounts, 0)
-	return s
 }
 
 // Now returns the current virtual time.
@@ -182,39 +168,59 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // ProcessedBy returns a copy of the per-handler event counts. Events
 // scheduled without a label (At/After) count under "other".
 func (e *Engine) ProcessedBy() map[string]uint64 {
-	out := make(map[string]uint64, len(e.labelNames))
-	for i, name := range e.labelNames {
-		if c := e.labelCounts[i]; c > 0 {
-			out[name] = c
-		}
-	}
+	out := make(map[string]uint64)
+	countsByName(e.labelCounts, out)
 	return out
 }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is a
-// programming error and panics: it would silently reorder causality.
-func (e *Engine) At(t Time, fn EventFunc) { e.AtNamed(t, "", fn) }
-
-// AtNamed is At with a handler label for the ProcessedBy breakdown.
-func (e *Engine) AtNamed(t Time, label string, fn EventFunc) {
-	if fn == nil {
-		panic("sim: nil event function")
+// Schedule runs h at absolute time t under label l: the engine's one
+// scheduling primitive, which every other form wraps. Scheduling in the
+// past is a programming error and panics: it would silently reorder
+// causality.
+func (e *Engine) Schedule(t Time, l Label, h Handler) {
+	if h == nil {
+		panic("sim: nil event handler")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
 	e.ensure()
+	for int(l.id) >= len(e.labelCounts) {
+		e.labelCounts = append(e.labelCounts, 0)
+	}
 	e.seq++
 	i := e.pool.get()
 	n := &e.pool.nodes[i]
-	n.at, n.seq, n.fn, n.label = t, e.seq, fn, e.labelSlot(label)
+	n.at, n.seq, n.h, n.label = t, e.seq, h, l
 	e.q.push(i)
+}
+
+// ScheduleAfter is Schedule d nanoseconds from now. Negative d panics.
+func (e *Engine) ScheduleAfter(d Time, l Label, h Handler) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %d", d))
+	}
+	e.Schedule(e.now+d, l, h)
+}
+
+// At schedules fn to run at absolute time t, counted under "other".
+func (e *Engine) At(t Time, fn EventFunc) { e.AtNamed(t, "", fn) }
+
+// AtNamed is At with a handler label given by name, resolved through the
+// label registry on every call. Simulation packages declare a Label with
+// NewLabel and call Schedule instead; this form serves callers outside
+// them, such as benchmarks.
+func (e *Engine) AtNamed(t Time, label string, fn EventFunc) {
+	if fn == nil {
+		panic("sim: nil event function")
+	}
+	e.Schedule(t, labelFor(label), fn)
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
 func (e *Engine) After(d Time, fn EventFunc) { e.AfterNamed(d, "", fn) }
 
-// AfterNamed is After with a handler label for the ProcessedBy breakdown.
+// AfterNamed is After with a handler label given by name (see AtNamed).
 func (e *Engine) AfterNamed(d Time, label string, fn EventFunc) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
@@ -274,15 +280,15 @@ func (e *Engine) Step() bool {
 	}
 	i := e.q.pop()
 	n := &e.pool.nodes[i]
-	at, label, fn := n.at, n.label, n.fn
-	// Recycle before running: the freed slot holds no reference to fn, and
-	// the callback may immediately schedule new events into this node.
+	at, label, h := n.at, n.label, n.h
+	// Recycle before running: the freed slot holds no reference to h, and
+	// the handler may immediately schedule new events into this node.
 	e.pool.put(i)
 	e.fireTicks(at)
 	e.now = at
 	e.processed++
-	e.labelCounts[label]++
-	fn(e.now)
+	e.labelCounts[label.id]++
+	h.Fire(e.now)
 	return true
 }
 

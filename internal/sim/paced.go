@@ -28,6 +28,9 @@ type PacedBandwidth struct {
 	pumping bool
 }
 
+// labelPacedWake counts the wakeups that retry the head admission.
+var labelPacedWake = NewLabel("paced.wake")
+
 type pacedGrant struct {
 	bytes int64
 	grant func(now Time)
@@ -103,12 +106,11 @@ func (p *PacedBandwidth) Consume(deltaBytes int64) {
 }
 
 // Transfer admits bytes through the token gate and then moves them over
-// the underlying link, calling done(start, end) when the last byte
-// clears it (done may be nil). The returned times are unknowable before
-// admission, so unlike Bandwidth.Transfer it reports them only through
-// the callback.
-func (p *PacedBandwidth) Transfer(bytes int64, done func(start, end Time)) {
-	p.Admit(bytes, func(Time) { p.link.Transfer(bytes, done) })
+// the underlying link, firing done (which may be nil) when the last byte
+// clears it. The transfer window is unknowable before admission, so
+// unlike Bandwidth.Reserve it returns nothing; done fires at its end.
+func (p *PacedBandwidth) Transfer(bytes int64, done Handler) {
+	p.Admit(bytes, func(Time) { p.link.Reserve(bytes, done) })
 }
 
 // refill matures tokens up to now at the current rate, capped at burst.
@@ -147,11 +149,11 @@ func (p *PacedBandwidth) pump() {
 			wait := Time((need-p.tokens)/p.rate*float64(Second)) + 1
 			p.wake++
 			gen := p.wake
-			p.eng.AfterNamed(wait, "paced.wake", func(Time) {
+			p.eng.ScheduleAfter(wait, labelPacedWake, EventFunc(func(Time) {
 				if gen == p.wake {
 					p.pump()
 				}
-			})
+			}))
 			return
 		}
 		p.tokens -= float64(head.bytes)

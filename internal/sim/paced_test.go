@@ -145,7 +145,7 @@ func TestPacedTransferSharesLink(t *testing.T) {
 	p := NewPacedBandwidth(eng, link, 1e9, 1e6)
 
 	var pacedEnd, fgEnd Time
-	p.Transfer(1000, func(_, end Time) { pacedEnd = end })
+	p.Transfer(1000, EventFunc(func(end Time) { pacedEnd = end }))
 	link.Transfer(1000, func(_, end Time) { fgEnd = end }) // foreground, direct
 	eng.Run()
 	if pacedEnd != Millisecond {

@@ -2,13 +2,13 @@ package sim
 
 // Resource models a serial device (a flash channel, a NIC, a switch port):
 // at most one operation is in service at a time and waiters are served in
-// FIFO order of Acquire calls.
+// FIFO order of Reserve calls.
 //
-// Acquire reserves the resource for dur nanoseconds starting at the earliest
-// instant the resource is free, and schedules done(start, end) at end.
+// Reserve books the resource for dur nanoseconds starting at the earliest
+// instant the resource is free, and schedules done at the end.
 // This "reservation" style keeps queueing implicit and cheap; components
 // that need reorderable queues (the storage I/O schedulers) keep their own
-// explicit queues and only Acquire at dispatch time.
+// explicit queues and only Reserve at dispatch time.
 type Resource struct {
 	eng       *Engine
 	busyUntil Time
@@ -52,9 +52,13 @@ func (r *Resource) Utilization() float64 {
 // Ops returns the number of completed or reserved operations.
 func (r *Resource) Ops() uint64 { return r.ops }
 
-// Acquire reserves the resource for dur and calls done(start, end) at end.
-// done may be nil when only the reservation matters.
-func (r *Resource) Acquire(dur Time, done func(start, end Time)) (start, end Time) {
+// labelResource counts the completions Reserve schedules.
+var labelResource = NewLabel("resource")
+
+// Reserve reserves the resource for dur, returns the reservation window,
+// and fires done at its end. done may be nil when only the reservation
+// matters.
+func (r *Resource) Reserve(dur Time, done Handler) (start, end Time) {
 	if dur < 0 {
 		panic("sim: negative duration")
 	}
@@ -64,10 +68,31 @@ func (r *Resource) Acquire(dur Time, done func(start, end Time)) (start, end Tim
 	r.busy += dur
 	r.ops++
 	if done != nil {
-		r.eng.AtNamed(end, "resource", func(Time) { done(start, end) })
+		r.eng.Schedule(end, labelResource, done)
 	}
 	return start, end
 }
+
+// Acquire is Reserve with a callback that receives the reservation
+// window: done(start, end) runs at end. done may be nil. The adapter
+// costs one allocation per call; hot paths pass a pooled Handler to
+// Reserve instead.
+func (r *Resource) Acquire(dur Time, done func(start, end Time)) (start, end Time) {
+	if done == nil {
+		return r.Reserve(dur, nil)
+	}
+	w := &window{done: done}
+	w.start, w.end = r.Reserve(dur, w)
+	return w.start, w.end
+}
+
+// window hands a reservation window to an Acquire or Transfer callback.
+type window struct {
+	start, end Time
+	done       func(start, end Time)
+}
+
+func (w *window) Fire(Time) { w.done(w.start, w.end) }
 
 // Block extends the busy period through at least t, without an operation.
 // Used to model garbage collection occupying a channel.

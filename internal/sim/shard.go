@@ -26,7 +26,7 @@ import (
 // Shard 0 is the coordinator: the spine/cluster layer (shared bandwidth
 // metering, the scenario driver) lives there, shards 1..n are the racks.
 // During a window a shard's events may touch only that shard's state;
-// every cross-shard interaction goes through Send. Nothing enforces the
+// every cross-shard interaction goes through Post. Nothing enforces the
 // ownership discipline at runtime — the rackvet goroutinediscipline
 // analyzer pins where concurrency may be introduced, and the
 // sharded-vs-sequential differential tests are the behavioral gate.
@@ -35,9 +35,9 @@ import (
 type mailItem struct {
 	at    Time
 	src   int
-	seq   uint64 // per-edge send sequence, assigned in Send-call order
-	label string
-	fn    EventFunc
+	seq   uint64 // per-edge send sequence, assigned in Post-call order
+	label Label
+	h     Handler
 }
 
 // ShardGroup owns a coordinator engine plus one engine per rack and runs
@@ -95,20 +95,20 @@ func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
 // Coordinator returns the spine/cluster shard's engine.
 func (g *ShardGroup) Coordinator() *Engine { return g.engines[0] }
 
-// Send schedules fn on shard dst at absolute time at, from code running
-// on shard src. The lookahead contract is enforced: at must be at least
-// src's current time plus the group lookahead, because the destination
-// may already have advanced that far into the window. Delivery happens
-// at the next window barrier; events from all sources headed for one
-// shard are merged in canonical (time, source shard, send sequence)
-// order, so the destination's schedule does not depend on which
-// goroutine ran first.
-func (g *ShardGroup) Send(src, dst int, at Time, label string, fn EventFunc) {
-	if fn == nil {
-		panic("sim: nil cross-shard event function")
+// Post schedules h under label l on shard dst at absolute time at, from
+// code running on shard src. The lookahead contract is enforced: at must
+// be at least src's current time plus the group lookahead, because the
+// destination may already have advanced that far into the window.
+// Delivery happens at the next window barrier; events from all sources
+// headed for one shard are merged in canonical (time, source shard, send
+// sequence) order, so the destination's schedule does not depend on
+// which goroutine ran first.
+func (g *ShardGroup) Post(src, dst int, at Time, l Label, h Handler) {
+	if h == nil {
+		panic("sim: nil cross-shard event handler")
 	}
 	if src == dst {
-		panic(fmt.Sprintf("sim: cross-shard Send from shard %d to itself; schedule locally", src))
+		panic(fmt.Sprintf("sim: cross-shard Post from shard %d to itself; schedule locally", src))
 	}
 	if min := g.engines[src].Now() + g.lookahead; at < min {
 		panic(fmt.Sprintf(
@@ -117,7 +117,22 @@ func (g *ShardGroup) Send(src, dst int, at Time, label string, fn EventFunc) {
 	}
 	g.sendSeq[src][dst]++
 	g.mail[src][dst] = append(g.mail[src][dst],
-		mailItem{at: at, src: src, seq: g.sendSeq[src][dst], label: label, fn: fn})
+		mailItem{at: at, src: src, seq: g.sendSeq[src][dst], label: l, h: h})
+}
+
+// PostAfter is Post with a source-relative delay; d must be at least the
+// group lookahead.
+func (g *ShardGroup) PostAfter(src, dst int, d Time, l Label, h Handler) {
+	g.Post(src, dst, g.engines[src].Now()+d, l, h)
+}
+
+// Send is Post with the label given by name and fn as the handler, for
+// callers outside the simulation packages (see Engine.AtNamed).
+func (g *ShardGroup) Send(src, dst int, at Time, label string, fn EventFunc) {
+	if fn == nil {
+		panic("sim: nil cross-shard event function")
+	}
+	g.Post(src, dst, at, labelFor(label), fn)
 }
 
 // SendAfter is Send with a source-relative delay; d must be at least the
@@ -154,8 +169,8 @@ func (g *ShardGroup) deliver() {
 		})
 		eng := g.engines[dst]
 		for i := range m {
-			eng.AtNamed(m[i].at, m[i].label, m[i].fn)
-			m[i].fn = nil // do not retain the closure in the scratch buffer
+			eng.Schedule(m[i].at, m[i].label, m[i].h)
+			m[i].h = nil // do not retain the handler in the scratch buffer
 		}
 	}
 }
@@ -308,11 +323,7 @@ func (g *ShardGroup) Processed() uint64 {
 func (g *ShardGroup) ProcessedBy() map[string]uint64 {
 	out := make(map[string]uint64)
 	for _, e := range g.engines {
-		for i, name := range e.labelNames {
-			if c := e.labelCounts[i]; c > 0 {
-				out[name] += c
-			}
-		}
+		countsByName(e.labelCounts, out)
 	}
 	return out
 }

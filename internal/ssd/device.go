@@ -52,15 +52,16 @@ func (d *Device) Channel(i int) *sim.Resource { return d.channels[i] }
 // ChannelFreeAt returns when channel i next becomes idle.
 func (d *Device) ChannelFreeAt(i int) sim.Time { return d.channels[i].FreeAt() }
 
-// TimeRead schedules the timing of a page read on the owning channel and
-// calls done(start, end) when it completes. State is not touched.
-func (d *Device) TimeRead(addr flash.Addr, done func(start, end sim.Time)) {
-	d.channels[addr.Channel].Acquire(d.arr.Profile.ReadPage, done)
+// TimeRead schedules the timing of a page read on the owning channel,
+// returns its window, and fires done (which may be nil) when it
+// completes. State is not touched.
+func (d *Device) TimeRead(addr flash.Addr, done sim.Handler) (start, end sim.Time) {
+	return d.channels[addr.Channel].Reserve(d.arr.Profile.ReadPage, done)
 }
 
-// TimeProgram schedules the timing of a page program.
-func (d *Device) TimeProgram(addr flash.Addr, done func(start, end sim.Time)) {
-	d.channels[addr.Channel].Acquire(d.arr.Profile.ProgramPage, done)
+// TimeProgram schedules the timing of a page program, like TimeRead.
+func (d *Device) TimeProgram(addr flash.Addr, done sim.Handler) (start, end sim.Time) {
+	return d.channels[addr.Channel].Reserve(d.arr.Profile.ProgramPage, done)
 }
 
 // OccupyChannel reserves channel ch for dur (garbage collection burst) and
@@ -69,7 +70,7 @@ func (d *Device) OccupyChannel(ch int, dur sim.Time) (start, end sim.Time) {
 	if ch < 0 || ch >= len(d.channels) {
 		panic(fmt.Sprintf("ssd: channel %d out of range", ch))
 	}
-	return d.channels[ch].Acquire(dur, nil)
+	return d.channels[ch].Reserve(dur, nil)
 }
 
 // ChipRef names one chip inside a device.

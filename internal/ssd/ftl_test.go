@@ -474,10 +474,13 @@ func TestDeviceTiming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var readEnd, progEnd sim.Time
-	d.TimeRead(flash.Addr{Channel: 1}, func(_, end sim.Time) { readEnd = end })
-	d.TimeProgram(flash.Addr{Channel: 1}, func(_, end sim.Time) { progEnd = end })
+	_, readWindowEnd := d.TimeRead(flash.Addr{Channel: 1}, sim.EventFunc(func(end sim.Time) { readEnd = end }))
+	d.TimeProgram(flash.Addr{Channel: 1}, sim.EventFunc(func(end sim.Time) { progEnd = end }))
 	eng.Run()
 	p := d.Profile()
+	if readWindowEnd != readEnd {
+		t.Fatalf("read window ends at %d, but done fired at %d", readWindowEnd, readEnd)
+	}
 	if readEnd != p.ReadPage {
 		t.Fatalf("read end = %d, want %d", readEnd, p.ReadPage)
 	}
@@ -493,8 +496,7 @@ func TestOccupyChannelBlocksIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.OccupyChannel(0, 10*sim.Millisecond)
-	var start sim.Time
-	d.TimeRead(flash.Addr{Channel: 0}, func(s, _ sim.Time) { start = s })
+	start, _ := d.TimeRead(flash.Addr{Channel: 0}, nil)
 	eng.Run()
 	if start != 10*sim.Millisecond {
 		t.Fatalf("read started at %d, want delayed to %d", start, 10*sim.Millisecond)

@@ -108,6 +108,7 @@ type Switch struct {
 	qdisc   Qdisc
 	forward Forwarder
 	stats   Stats
+	passes  sim.Pool[pass]
 
 	// PipelineLatency is the per-packet match-action latency (Tofino-class
 	// switches process in under a microsecond).
@@ -499,9 +500,28 @@ func (s *Switch) Process(pkt packet.Packet) {
 	if release < now {
 		release = now
 	}
-	s.eng.AtNamed(release, "switch.pipeline", func(at sim.Time) {
-		s.runPipeline(pkt, now, at)
-	})
+	p := s.passes.Get()
+	p.sw, p.pkt, p.arrived = s, pkt, now
+	s.eng.Schedule(release, labelPipeline, p)
+}
+
+// labelPipeline counts packets leaving the egress queue for the pipeline.
+var labelPipeline = sim.NewLabel("switch.pipeline")
+
+// pass is one packet between the egress queue and the match-action
+// pipeline: a pooled event record, so switching a packet allocates
+// nothing.
+type pass struct {
+	sw      *Switch
+	pkt     packet.Packet
+	arrived sim.Time
+}
+
+func (p *pass) Fire(now sim.Time) {
+	s, pkt, arrived := p.sw, p.pkt, p.arrived
+	*p = pass{}
+	s.passes.Put(p)
+	s.runPipeline(pkt, arrived, now)
 }
 
 // runPipeline applies Algorithm 1 after the packet clears the egress queue.

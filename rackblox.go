@@ -255,32 +255,53 @@
 // and a fuzzer plus the figure replay suite compare the two modes event
 // trace for event trace. Handlers obey a shard-ownership discipline: an
 // executing event touches only its own shard's state, and cross-shard
-// work carries only by-value data through ShardGroup.Send, whose
+// work carries only by-value data through ShardGroup.Post, whose
 // lookahead contract (deliveries at least one lookahead in the future)
 // is enforced at the call site.
+//
+// The datapath is allocation-free in steady state, and stays so by three
+// rules. Hot events are typed records: every hop of a request (client to
+// ToR, ToR pipeline, ToR to server, server back through the ToR, each
+// Hermes message, each flash completion) schedules a pooled,
+// pointer-typed record implementing sim.Handler instead of a capturing
+// closure, and per-pair or per-instance events are funcs bound once at
+// build time. Pooled state is re-resolved by seq: request states and
+// scheduler requests are recycled through free lists, so a record that
+// outlives an event carries the request's seq and looks the request up
+// in the rack's table when it fires; seq is never reused, so a recycled
+// struct can never pass for a live request. Labels are declared with
+// sim.NewLabel at package scope, so scheduling an event costs no string
+// lookup. TestRackSteadyStateAllocs gates it in CI at 4 heap allocations
+// per completed request.
 //
 // Every measurement above rests on five invariants that the cmd/rackvet
 // analysis suite (internal/analysis) machine-checks, so they hold by
 // construction rather than by review:
 //
 //   - simdeterminism: simulation packages (internal/sim, core, ec,
-//     switchsim, experiments) contain no order-sensitive map iteration —
-//     a map range whose body schedules events, writes exported result
-//     state, records trace/stats samples, or draws randomness must
-//     iterate sorted keys or carry a `//rackvet:commutative <rationale>`
-//     directive asserting the body commutes — and no global math/rand
-//     use or goroutine spawns (the shard runner's worker pool in
-//     internal/sim's shardrun.go is the one sanctioned exception).
-//     Same-seed runs replay byte-identically, parallel or sequential.
+//     switchsim, replication, ssd, sched, experiments) contain no
+//     order-sensitive map iteration — a map range whose body schedules
+//     events, writes exported result state, records trace/stats
+//     samples, draws randomness, or calls through a function value (a
+//     transport or callback, assumed to schedule) must iterate sorted
+//     keys or carry a `//rackvet:commutative <rationale>` directive
+//     asserting the body commutes — and no global math/rand use or
+//     goroutine spawns (the shard runner's worker pool in internal/sim's
+//     shardrun.go is the one sanctioned exception). Same-seed runs
+//     replay byte-identically, parallel or sequential.
 //   - simtime: no wall-clock reads (time.Now/Since/Until/Sleep/timers)
 //     anywhere simulation logic runs; the only clock is virtual
 //     sim.Time. _test.go files, cmd/, and examples/ are exempt, and
 //     internal/walltime is the single audited boundary for host-time
 //     measurement (benchmark soak timing).
 //   - eventlabel: every event scheduled in internal packages goes
-//     through Engine.AtNamed/AfterNamed with a stable, non-empty label,
-//     so Result.EventsByHandler accounts for every processed event; a
-//     deliberate exception carries `//rackvet:unlabeled <rationale>`.
+//     through Engine.Schedule/ScheduleAfter (ShardGroup.Post across
+//     shards) with a sim.Label declared by sim.NewLabel at package
+//     scope under a constant, non-empty name, so Result.EventsByHandler
+//     accounts for every processed event and no event pays a label
+//     lookup; the unlabeled At/After and the string-named
+//     AtNamed/AfterNamed/Send forms are for code outside the simulator.
+//     A deliberate exception carries `//rackvet:unlabeled <rationale>`.
 //   - observerpure: internal/trace and internal/stats never schedule
 //     events, call into simulation components, draw from sim.RNG, or
 //     write simulation-state fields — the static side of the

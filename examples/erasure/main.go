@@ -47,9 +47,8 @@ func run(red rackblox.RedundancySpec, failTwo bool) *rackblox.Result {
 	cfg.StorageServers = 6
 	cfg.Redundancy = red
 	if failTwo {
-		cfg.FailServerIndex = 0
-		cfg.FailServers = []int{1}
-		cfg.FailServerAt = cfg.Warmup + cfg.Duration/4
+		at := cfg.Warmup + cfg.Duration/4
+		cfg.Scenario = []rackblox.Event{rackblox.FailServer(0, at), rackblox.FailServer(1, at)}
 	}
 	res, err := rackblox.Run(cfg)
 	if err != nil {

@@ -55,8 +55,7 @@ func main() {
 
 	// Crash one server, measure after repair + re-integration.
 	cfg := cluster(healedBy)
-	cfg.FailServerIndex = 0
-	cfg.FailServerAt = failAt * 1_000_000
+	cfg.Scenario = []rackblox.Event{rackblox.FailServer(0, failAt*1_000_000)}
 	res := run(cfg)
 	fmt.Printf("server crash -> repair -> re-integrate:\n")
 	fmt.Printf("  degraded reads while rebuilding: %d\n", res.DegradedReads)
@@ -70,10 +69,10 @@ func main() {
 
 	// Darken a ToR, revive it mid-run, measure after revival.
 	cfg = cluster(healedBy)
-	cfg.FailToRIndex = 1
-	cfg.FailServerAt = failAt * 1_000_000
-	cfg.RecoverToRIndex = 1
-	cfg.RecoverToRAt = reviveAt * 1_000_000
+	cfg.Scenario = []rackblox.Event{
+		rackblox.FailToR(1, failAt*1_000_000),
+		rackblox.ReviveToR(1, reviveAt*1_000_000),
+	}
 	res = run(cfg)
 	fmt.Printf("tor outage -> revival (tables replayed from survivors):\n")
 	fmt.Printf("  degraded reads while dark:       %d\n", res.DegradedReads)

@@ -1,8 +1,7 @@
 // Scenario timelines: typed fault/recovery event schedules
-// (Config.Scenario) replace the flat Fail*/Recover* config fields, so
-// one run can stage sequences the old API could not express — here a
-// fail -> revive -> re-pair timeline under both redundancy backends,
-// then a repeated fail/heal cycle.
+// (Config.Scenario), each event at its own instant, so one run can
+// stage whole sequences — here a fail -> revive -> re-pair timeline
+// under both redundancy backends, then a repeated fail/heal cycle.
 //
 // Under replication, a crashed server's pairs fail over to their
 // survivors; when the server returns (blank), the survivors re-admit it

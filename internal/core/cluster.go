@@ -126,17 +126,19 @@ func (c *Cluster) failToR(rack int) {
 	c.tors[rack].SetDown(true)
 }
 
-// scheduleScenario arms the run's compiled timeline on the engine: one
-// crash callback per fail event at its instant, one heartbeat-detection
+// scheduleScenario arms the run's timeline on the engine: one crash
+// callback per fail event at its instant, one heartbeat-detection
 // callback three silent periods later, and one revival callback per
-// revive event. The timeline is walked in stable time order; revive
-// events are inserted first so a revival and a detection landing on the
-// same instant execute in the order the legacy one-shot hooks used
-// (revival first) — the legacy-equivalence regression test pins this.
-// Each detection callback is stamped with the crash epoch that armed it
-// and fires only while that epoch's outage persists: a server (or ToR)
-// that revived and crashed again inside the detection window is a new
-// outage whose own detector honors the full three missed heartbeats.
+// revive event. The timeline is walked in stable time order, and every
+// revive event is inserted before any fail event, so at one instant a
+// revival runs before a heartbeat detection: a ToR revived exactly when
+// its detector fires comes back without first being failed over. This
+// tie order, like list order among same-instant fail events, is part of
+// the Scenario semantics; changing it changes Results. Each detection
+// callback is stamped with the crash epoch that armed it and fires only
+// while that epoch's outage persists: a server (or ToR) that revived
+// and crashed again inside the detection window is a new outage whose
+// own detector honors the full three missed heartbeats.
 func (c *Cluster) scheduleScenario(events []Event) {
 	r := c.rack
 	order := append([]Event(nil), events...)
@@ -252,8 +254,8 @@ func (c *Cluster) ReviveServer(idx int) bool {
 	return true
 }
 
-// ReviveToR un-darkens a failed ToR (Config.RecoverToRIndex, or direct
-// calls from tests and tools): the switch comes back with blank SRAM, so
+// ReviveToR un-darkens a failed ToR (EventReviveToR, or direct calls
+// from tests and tools): the switch comes back with blank SRAM, so
 // the control plane replays its tables from surviving cluster state —
 // vSSD registrations, stripe members with any repaired replacements,
 // and failover/remote-dead marks for members that are still dead — and

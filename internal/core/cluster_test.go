@@ -70,8 +70,7 @@ func TestMultiRackClusterHealthyRun(t *testing.T) {
 
 func TestWholeRackFailureSpreadPlacementRecovers(t *testing.T) {
 	cfg := clusterConfig()
-	cfg.FailRackIndex = 1
-	cfg.FailServerAt = 120 * sim.Millisecond
+	cfg.Scenario = []Event{FailRack(1, 120*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +106,7 @@ func TestWholeRackFailureSpreadPlacementRecovers(t *testing.T) {
 func TestWholeRackFailureCompactPlacementLosesGroups(t *testing.T) {
 	cfg := clusterConfig()
 	cfg.Placement = PlacementCompact
-	cfg.FailRackIndex = 0
-	cfg.FailServerAt = 120 * sim.Millisecond
+	cfg.Scenario = []Event{FailRack(0, 120*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +122,7 @@ func TestWholeRackFailureCompactPlacementLosesGroups(t *testing.T) {
 
 func TestToRFailureServedByHandoff(t *testing.T) {
 	cfg := clusterConfig()
-	cfg.FailToRIndex = 2
-	cfg.FailServerAt = 120 * sim.Millisecond
+	cfg.Scenario = []Event{FailToR(2, 120*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +171,7 @@ func TestMultiRackReplicationPairsCrossRacks(t *testing.T) {
 	cfg.StorageServers = 3
 	cfg.Warmup = 50 * sim.Millisecond
 	cfg.Duration = 300 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServerAt = 120 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, 120*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -267,10 +267,10 @@ type Config struct {
 	// Scenario is the run's fault/recovery timeline: an ordered schedule
 	// of typed events (FailServer, FailRack, FailToR, ReviveServer,
 	// ReviveToR), each at its own instant, validated as a whole and
-	// executed by the cluster's event driver. Timelines express what the
-	// deprecated flat fields below cannot: independent event times,
-	// server revival with catch-up repair, and repeated fail/heal
-	// cycles. Mutually exclusive with the flat fields.
+	// executed by the cluster's event driver. It is the only way to
+	// inject faults: events carry independent times, so one run can mix
+	// server revival with catch-up repair, repeated fail/heal cycles and
+	// staggered rack and ToR outages. Empty means a fault-free run.
 	//
 	//	cfg.Scenario = []core.Event{
 	//		core.FailServer(0, 120*sim.Millisecond),
@@ -278,49 +278,6 @@ type Config struct {
 	//		core.FailServer(0, 650*sim.Millisecond),
 	//	}
 	Scenario []Event
-
-	// FailServerIndex injects a server crash at FailServerAt; -1 disables
-	// (the default). Heartbeats detect the failure and the rack fails
-	// traffic over to the surviving replicas (§3.7).
-	//
-	// Deprecated: use Scenario with FailServer(idx, at) instead; the
-	// field compiles to that event.
-	FailServerIndex int
-	// FailServerAt is the shared instant of every flat-field failure.
-	//
-	// Deprecated: Scenario events carry their own independent times.
-	FailServerAt sim.Time
-	// FailServers injects additional server crashes at FailServerAt, so
-	// erasure-coded racks can lose up to m chunk holders per stripe.
-	// Validate rejects duplicate or out-of-range entries with a
-	// *FailureSpecError.
-	//
-	// Deprecated: use Scenario with one FailServer(idx, at) per crash.
-	FailServers []int
-	// FailRackIndex crashes every server of one rack at FailServerAt
-	// (whole-rack power loss); -1 disables (the default).
-	//
-	// Deprecated: use Scenario with FailRack(idx, at) instead.
-	FailRackIndex int
-	// FailToRIndex fails one rack's ToR switch at FailServerAt: the
-	// rack's servers stay alive but unreachable, and surviving ToRs take
-	// over its stripe traffic via inter-switch handoff. -1 disables.
-	//
-	// Deprecated: use Scenario with FailToR(idx, at) instead.
-	FailToRIndex int
-	// RecoverToRIndex revives one rack's ToR at RecoverToRAt
-	// (Cluster.ReviveToR): the switch comes back with blank SRAM, the
-	// control plane replays its tables from survivors, and sibling ToRs
-	// drop their remote-dead and failover marks for the rack's
-	// now-reachable members. -1 disables (the default); reviving a ToR
-	// that never failed is a no-op.
-	//
-	// Deprecated: use Scenario with ReviveToR(idx, at) instead.
-	RecoverToRIndex int
-	// RecoverToRAt is the flat-field ToR revival instant.
-	//
-	// Deprecated: Scenario events carry their own independent times.
-	RecoverToRAt sim.Time
 }
 
 // DefaultConfig returns the paper's default setup scaled to simulation:
@@ -363,10 +320,6 @@ func DefaultConfig() Config {
 		Workload:            WorkloadSpec{Name: "YCSB", WriteFrac: 0.5, MeanGap: 200 * sim.Microsecond},
 		Warmup:              100 * sim.Millisecond,
 		Duration:            1000 * sim.Millisecond,
-		FailServerIndex:     -1,
-		FailRackIndex:       -1,
-		FailToRIndex:        -1,
-		RecoverToRIndex:     -1,
 	}
 }
 
@@ -418,9 +371,10 @@ func (c *Config) defaultQdisc() string {
 	return "None"
 }
 
-// FailureSpecError reports an invalid failure-injection configuration:
-// an out-of-range server or rack index, or a duplicate server entry that
-// would silently double-count one crash.
+// FailureSpecError reports an invalid fault or repair configuration: a
+// Scenario event with an out-of-range index, one that crashes something
+// already down, revives something that is up, or double-books a fault
+// domain; or a RepairSLO the cluster cannot honor.
 type FailureSpecError struct {
 	// Field names the offending configuration field.
 	Field string
@@ -432,75 +386,6 @@ type FailureSpecError struct {
 
 func (e *FailureSpecError) Error() string {
 	return fmt.Sprintf("core: %s: index %d %s", e.Field, e.Index, e.Reason)
-}
-
-// validateFailureSpec rejects duplicate and out-of-range failure
-// targets, including server entries already covered by a configured
-// whole-rack failure — any overlap would silently double-count one
-// crash against the redundancy budget.
-func (c *Config) validateFailureSpec() error {
-	total := c.totalServers()
-	if c.FailServerIndex < -1 || c.FailServerIndex >= total {
-		return &FailureSpecError{Field: "FailServerIndex", Index: c.FailServerIndex,
-			Reason: fmt.Sprintf("out of range [0,%d) (-1 disables)", total)}
-	}
-	if c.FailRackIndex < -1 || c.FailRackIndex >= c.racks() {
-		return &FailureSpecError{Field: "FailRackIndex", Index: c.FailRackIndex,
-			Reason: fmt.Sprintf("out of range [0,%d) (-1 disables)", c.racks())}
-	}
-	if c.FailToRIndex < -1 || c.FailToRIndex >= c.racks() {
-		return &FailureSpecError{Field: "FailToRIndex", Index: c.FailToRIndex,
-			Reason: fmt.Sprintf("out of range [0,%d) (-1 disables)", c.racks())}
-	}
-	if c.RecoverToRIndex < -1 || c.RecoverToRIndex >= c.racks() {
-		return &FailureSpecError{Field: "RecoverToRIndex", Index: c.RecoverToRIndex,
-			Reason: fmt.Sprintf("out of range [0,%d) (-1 disables)", c.racks())}
-	}
-	if c.RecoverToRIndex >= 0 && c.RecoverToRAt < 0 {
-		return &FailureSpecError{Field: "RecoverToRIndex", Index: c.RecoverToRIndex,
-			Reason: "needs a non-negative RecoverToRAt"}
-	}
-	if c.RecoverToRIndex >= 0 && c.RecoverToRIndex == c.FailToRIndex &&
-		c.RecoverToRAt <= c.FailServerAt {
-		// Reviving at or before the failure instant is a permanent
-		// no-op: the ToR is not down yet, then darkens forever.
-		return &FailureSpecError{Field: "RecoverToRIndex", Index: c.RecoverToRIndex,
-			Reason: "RecoverToRAt must be after FailServerAt to revive the failed ToR"}
-	}
-	if c.FailToRIndex >= 0 && c.FailToRIndex == c.FailRackIndex {
-		// Crashing a rack's servers and darkening its ToR at the same
-		// instant double-books one fault domain: the rack crash already
-		// makes every member unreachable and queues its chunks for
-		// repair, so the coincident ToR failure adds nothing but would
-		// double-count the domain against the redundancy budget.
-		return &FailureSpecError{Field: "FailToRIndex", Index: c.FailToRIndex,
-			Reason: "overlaps FailRackIndex; the rack crash already darkens the whole fault domain"}
-	}
-	seen := make(map[int]bool)
-	if j := c.FailRackIndex; j >= 0 {
-		for i := j * c.StorageServers; i < (j+1)*c.StorageServers; i++ {
-			seen[i] = true
-		}
-	}
-	if idx := c.FailServerIndex; idx >= 0 {
-		if seen[idx] {
-			return &FailureSpecError{Field: "FailServerIndex", Index: idx,
-				Reason: "already covered by FailRackIndex; each server can only crash once"}
-		}
-		seen[idx] = true
-	}
-	for _, idx := range c.FailServers {
-		if idx < 0 || idx >= total {
-			return &FailureSpecError{Field: "FailServers", Index: idx,
-				Reason: fmt.Sprintf("out of range [0,%d)", total)}
-		}
-		if seen[idx] {
-			return &FailureSpecError{Field: "FailServers", Index: idx,
-				Reason: "duplicated; each server can only crash once"}
-		}
-		seen[idx] = true
-	}
-	return nil
 }
 
 // Validate checks configuration invariants.
@@ -539,9 +424,6 @@ func (c *Config) Validate() error {
 		}
 	}
 	if err := c.RepairSLO.validate(c.racks(), c.CrossRackMBps); err != nil {
-		return err
-	}
-	if err := c.validateFailureSpec(); err != nil {
 		return err
 	}
 	if err := c.validateScenario(); err != nil {

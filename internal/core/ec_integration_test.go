@@ -82,9 +82,8 @@ func TestECDegradedReadsUnderGC(t *testing.T) {
 func TestECSurvivesMServerFailures(t *testing.T) {
 	cfg := ecConfig()
 	cfg.Duration = 500 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServers = []int{1}
-	cfg.FailServerAt = cfg.Warmup + 100*sim.Millisecond
+	at := cfg.Warmup + 100*sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +114,8 @@ func TestECSurvivesMServerFailures(t *testing.T) {
 func TestECMPlusOneFailuresSurfaceLoss(t *testing.T) {
 	cfg := ecConfig()
 	cfg.Duration = 400 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServers = []int{1, 2}
-	cfg.FailServerAt = cfg.Warmup + 50*sim.Millisecond
+	at := cfg.Warmup + 50*sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, at), FailServer(1, at), FailServer(2, at)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

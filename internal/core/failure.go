@@ -22,20 +22,18 @@ const missedHeartbeats = 3
 // declaring the request lost (it was in flight to a server that died).
 const clientTimeout = 100 * sim.Millisecond
 
-// scheduleFailure compiles the run's fault/recovery timeline —
-// Config.Scenario, or the deprecated flat fields reduced to their event
-// equivalent — and hands it to the cluster's event driver. Validate has
-// already accepted the timeline as a whole, so the driver schedules
-// without further checks.
+// scheduleFailure hands the run's fault/recovery timeline
+// (Config.Scenario) to the cluster's event driver. Validate has already
+// accepted the timeline as a whole, so the driver schedules without
+// further checks.
 func (r *Rack) scheduleFailure() {
-	events := r.cfg.compileScenario()
-	for _, ev := range events {
+	for _, ev := range r.cfg.Scenario {
 		if ev.Kind.fails() {
 			r.anyFailure = true
 			break
 		}
 	}
-	r.cluster.scheduleScenario(events)
+	r.cluster.scheduleScenario(r.cfg.Scenario)
 }
 
 // onServerDetectedDead performs the failover: every vSSD instance on the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"testing"
 
 	"rackblox/internal/sim"
@@ -14,8 +13,7 @@ func failConfig() Config {
 	cfg.System = RackBlox
 	cfg.Warmup = 50 * sim.Millisecond
 	cfg.Duration = 700 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServerAt = 250 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, 250*sim.Millisecond)}
 	return cfg
 }
 
@@ -90,84 +88,11 @@ func TestFailureUnderVDCKeepsRunning(t *testing.T) {
 	}
 }
 
-// TestFailServersRejectsBadSpecs is the regression test for the typed
-// failure-spec validation: duplicate server ids used to be silently
-// deduplicated (double-counting one crash against the redundancy
-// budget), and out-of-range indices were silently ignored.
-func TestFailServersRejectsBadSpecs(t *testing.T) {
-	cases := []struct {
-		name   string
-		mutate func(*Config)
-		field  string
-	}{
-		{"duplicate in FailServers", func(c *Config) {
-			c.FailServerIndex = -1
-			c.FailServers = []int{1, 2, 1}
-		}, "FailServers"},
-		{"duplicate of FailServerIndex", func(c *Config) {
-			c.FailServerIndex = 0
-			c.FailServers = []int{0}
-		}, "FailServers"},
-		{"out of range high", func(c *Config) {
-			c.FailServers = []int{99}
-		}, "FailServers"},
-		{"negative entry", func(c *Config) {
-			c.FailServers = []int{-3}
-		}, "FailServers"},
-		{"FailServerIndex out of range", func(c *Config) {
-			c.FailServerIndex = 64
-		}, "FailServerIndex"},
-		{"FailServerIndex negative but not -1", func(c *Config) {
-			c.FailServerIndex = -5
-		}, "FailServerIndex"},
-		{"FailServers overlaps failed rack", func(c *Config) {
-			c.FailRackIndex = 0
-			c.FailServers = []int{0}
-		}, "FailServers"},
-		{"FailServerIndex inside failed rack", func(c *Config) {
-			c.FailRackIndex = 0
-			c.FailServerIndex = 1
-		}, "FailServerIndex"},
-		{"FailRackIndex out of range", func(c *Config) {
-			c.FailRackIndex = 7
-		}, "FailRackIndex"},
-		{"FailToRIndex out of range", func(c *Config) {
-			c.FailToRIndex = 7
-		}, "FailToRIndex"},
-	}
-	for _, tc := range cases {
-		cfg := DefaultConfig()
-		tc.mutate(&cfg)
-		_, err := Run(cfg)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		var spec *FailureSpecError
-		if !errors.As(err, &spec) {
-			t.Errorf("%s: err = %v, want *FailureSpecError", tc.name, err)
-			continue
-		}
-		if spec.Field != tc.field {
-			t.Errorf("%s: field = %q, want %q", tc.name, spec.Field, tc.field)
-		}
-	}
-	// Distinct in-range entries stay accepted.
-	cfg := DefaultConfig()
-	cfg.Duration = 100 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServers = []int{1}
-	cfg.FailServerAt = 50 * sim.Millisecond
-	if _, err := Run(cfg); err != nil {
-		t.Fatalf("valid two-server spec rejected: %v", err)
-	}
-}
-
 func TestFailureOfReplicaServerOnly(t *testing.T) {
 	// Crash server 1, which hosts replicas of pair 0 and the primary of
 	// pair 2 (round-robin placement) — both directions must fail over.
 	cfg := failConfig()
-	cfg.FailServerIndex = 1
+	cfg.Scenario = []Event{FailServer(1, 250*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -25,10 +25,7 @@ func fuzzEvent(b []byte) Event {
 // arbitrary event lists — orderings, duplicates, revive-without-fail,
 // unknown kinds, negative times — and asserts it never panics and that
 // every rejection is a typed *FailureSpecError whose message formats
-// cleanly. A trailing partial record (1-3 leftover bytes) doubles as a
-// flag byte that sets deprecated flat Fail*/Recover* fields alongside
-// the timeline: that combination must always be rejected — the
-// precedence between the two forms is never resolved silently.
+// cleanly. A trailing partial record (1-3 leftover bytes) is ignored.
 func FuzzScenarioValidate(f *testing.F) {
 	// Seed corpus: the interesting accept/reject shapes.
 	f.Add([]byte{0, 0, 0, 100})                            // one server crash
@@ -43,45 +40,21 @@ func FuzzScenarioValidate(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 100})                            // unknown kind
 	f.Add([]byte{1, 0, 0, 100, 3, 2, 0, 200})              // rack crash, revive one member
 	f.Add([]byte{})                                        // empty timeline
-	f.Add([]byte{0, 0, 0, 100, 1})                         // scenario + legacy FailServerIndex
-	f.Add([]byte{0, 0, 0, 100, 2})                         // scenario + bare FailServerAt
-	f.Add([]byte{0, 0, 0, 100, 4})                         // scenario + bare RecoverToRAt
-	f.Add([]byte{0, 0, 0, 100, 8})                         // scenario + legacy FailToRIndex
-	f.Add([]byte{3})                                       // legacy flags, no scenario
+	f.Add([]byte{0, 1, 0, 100, 0, 1, 0, 100})              // same server twice at one instant
+	f.Add([]byte{1, 0, 0, 100, 0, 1, 0, 100})              // rack and its member at one instant
+	f.Add([]byte{2, 1, 0, 100, 4, 1, 0, 100})              // revive-tor at the fail-tor instant
+	f.Add([]byte{0, 253, 0, 100})                          // negative server index
+	f.Add([]byte{0, 0, 0, 100, 3})                         // trailing partial record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := DefaultConfig()
 		cfg.Racks = 2
 		cfg.StorageServers = 3
-		full := len(data) / 4 * 4
-		for i := 0; i+3 < full; i += 4 {
+		for i := 0; i+4 <= len(data); i += 4 {
 			cfg.Scenario = append(cfg.Scenario, fuzzEvent(data[i:i+4]))
-		}
-		legacy := false
-		if rest := data[full:]; len(rest) > 0 {
-			flags := rest[0]
-			if flags&1 != 0 {
-				cfg.FailServerIndex = 0
-				legacy = true
-			}
-			if flags&2 != 0 {
-				cfg.FailServerAt = 100 * sim.Millisecond
-				legacy = true
-			}
-			if flags&4 != 0 {
-				cfg.RecoverToRAt = 200 * sim.Millisecond
-				legacy = true
-			}
-			if flags&8 != 0 {
-				cfg.FailToRIndex = 1
-				legacy = true
-			}
 		}
 		err := cfg.Validate()
 		if err == nil {
-			if legacy && len(cfg.Scenario) > 0 {
-				t.Fatal("Validate accepted a Scenario combined with deprecated flat fields")
-			}
 			return
 		}
 		var spec *FailureSpecError

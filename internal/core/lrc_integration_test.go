@@ -73,8 +73,7 @@ func TestLRCValidation(t *testing.T) {
 func TestLRCSingleServerLossRepairsInRack(t *testing.T) {
 	cfg := lrcConfig()
 	cfg.Duration = 500 * sim.Millisecond
-	cfg.FailServerIndex = 0
-	cfg.FailServerAt = cfg.Warmup + 100*sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, cfg.Warmup+100*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +106,7 @@ func TestLRCSingleServerLossRepairsInRack(t *testing.T) {
 // rack rather than one per survivor.
 func TestLRCRackFailureAggregatesRepair(t *testing.T) {
 	cfg := lrcConfig()
-	cfg.FailRackIndex = 1
-	cfg.FailServerAt = 120 * sim.Millisecond
+	cfg.Scenario = []Event{FailRack(1, 120*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +136,8 @@ func TestLRCDurabilityCreditsLocallyRecoverableRacks(t *testing.T) {
 	cfg.Duration = 400 * sim.Millisecond
 	// Group 0 places its globals on servers 0 and 1 of each rack; kill
 	// server 0 of every rack (global indexes stride StorageServers).
-	cfg.FailServerIndex = 0
-	cfg.FailServers = []int{6, 12}
-	cfg.FailServerAt = cfg.Warmup + 100*sim.Millisecond
+	at := cfg.Warmup + 100*sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, at), FailServer(6, at), FailServer(12, at)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"rackblox/internal/flash"
@@ -35,8 +35,7 @@ func recoveryConfig() Config {
 // re-integration pays the degraded cost for an unreachable home.
 func TestServerCrashReintegrates(t *testing.T) {
 	cfg := recoveryConfig()
-	cfg.FailServerIndex = 0
-	cfg.FailServerAt = 100 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, 100*sim.Millisecond)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -63,19 +62,19 @@ func TestServerCrashReintegrates(t *testing.T) {
 }
 
 // TestToRRevivalClearsSiblingState is the regression for the stale
-// remote-dead bug: before revival existed, FailToRIndex left every
+// remote-dead bug: before revival existed, a FailToR outage left every
 // sibling ToR's MarkRemoteDead entries (and the failover rewrites for
 // the darkened members) in place forever. The first half captures that
 // stale-state behavior; the second asserts revival clears it everywhere.
 func TestToRRevivalClearsSiblingState(t *testing.T) {
 	darkRack := 1
+	darkAt := 100 * sim.Millisecond
 	base := recoveryConfig()
-	base.FailToRIndex = darkRack
-	base.FailServerAt = 100 * sim.Millisecond
+	base.Scenario = []Event{FailToR(darkRack, darkAt)}
 
 	// Without revival: sibling ToRs keep the dark rack's members marked
 	// remote-dead and failed-over long after the run ends — the stale
-	// state this PR's revival path exists to clear.
+	// state the revival path exists to clear.
 	r, err := NewRack(base)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +109,7 @@ func TestToRRevivalClearsSiblingState(t *testing.T) {
 	// With revival: every sibling mark is cleared and the revived ToR
 	// serves its rack directly again.
 	cfg := base
-	cfg.RecoverToRIndex = darkRack
-	cfg.RecoverToRAt = 250 * sim.Millisecond
+	cfg.Scenario = []Event{FailToR(darkRack, darkAt), ReviveToR(darkRack, 250*sim.Millisecond)}
 	r2, err := NewRack(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -169,34 +167,6 @@ func TestReviveToRNoFailureIsNoOp(t *testing.T) {
 	}
 }
 
-// TestRecoverToRValidation rejects revival specs that can never fire:
-// an out-of-range index, or a revival instant at or before the ToR
-// failure it is meant to undo (a silent permanent no-op otherwise).
-func TestRecoverToRValidation(t *testing.T) {
-	cfg := recoveryConfig()
-	cfg.RecoverToRIndex = 99
-	if err := cfg.Validate(); err == nil {
-		t.Error("out-of-range RecoverToRIndex accepted")
-	}
-	cfg = recoveryConfig()
-	cfg.FailToRIndex = 1
-	cfg.FailServerAt = 300 * sim.Millisecond
-	cfg.RecoverToRIndex = 1
-	cfg.RecoverToRAt = 120 * sim.Millisecond
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("revival at or before the ToR failure instant accepted")
-	}
-	var spec *FailureSpecError
-	if !errors.As(err, &spec) {
-		t.Errorf("error %v is not a *FailureSpecError", err)
-	}
-	cfg.RecoverToRAt = 400 * sim.Millisecond
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("valid revival spec rejected: %v", err)
-	}
-}
-
 // TestRecoveryLifecycleProperty is the randomized acceptance property:
 // for any within-budget failure spec (up to m server crashes, or a
 // whole-rack crash under spread placement), a full run ends with every
@@ -210,6 +180,7 @@ func TestRecoveryLifecycleProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple end-to-end runs")
 	}
+	const failAt = 100 * sim.Millisecond
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
 		cfg := recoveryConfig()
@@ -225,7 +196,7 @@ func TestRecoveryLifecycleProperty(t *testing.T) {
 			// Spread placement keeps every rack at <= m chunks, so one
 			// rack crash stays within the redundancy budget.
 			cfg.Placement = PlacementSpread
-			cfg.FailRackIndex = rng.Intn(cfg.Racks)
+			cfg.Scenario = []Event{FailRack(rng.Intn(cfg.Racks), failAt)}
 		} else {
 			if !spreadOK || rng.Intn(2) == 0 {
 				cfg.Placement = PlacementCompact
@@ -238,17 +209,17 @@ func TestRecoveryLifecycleProperty(t *testing.T) {
 			for len(seen) < crashes {
 				seen[rng.Intn(total)] = true
 			}
-			first := true
+			// Sorted, so same-instant crashes enter the engine in one
+			// order on every run and a failing trial replays exactly.
+			idxs := make([]int, 0, len(seen))
 			for idx := range seen {
-				if first {
-					cfg.FailServerIndex = idx
-					first = false
-				} else {
-					cfg.FailServers = append(cfg.FailServers, idx)
-				}
+				idxs = append(idxs, idx)
+			}
+			sort.Ints(idxs)
+			for _, idx := range idxs {
+				cfg.Scenario = append(cfg.Scenario, FailServer(idx, failAt))
 			}
 		}
-		cfg.FailServerAt = 100 * sim.Millisecond
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("trial %d (k=%d m=%d rack=%v): %v", trial, k, m, wholeRack, err)

@@ -8,15 +8,12 @@ import (
 	"rackblox/internal/sim"
 )
 
-// Scenario timeline API: the failure-injection surface of a run is a
-// typed, ordered event schedule (Config.Scenario) instead of the seven
-// flat Fail*/Recover* fields it replaces. Each event carries its own
-// instant, so a single run can express sequences the flat fields never
-// could — server revival with catch-up repair, repeated fail/heal
-// cycles, staggered rack and ToR outages. The flat fields survive as
-// deprecated shims that compile down to an equivalent timeline
-// (compileScenario), and one driver (Cluster.scheduleScenario) executes
-// both forms, so legacy configs produce byte-identical Results.
+// Scenario timeline API: the failure-injection surface of a run is one
+// typed, ordered event schedule (Config.Scenario). Each event carries
+// its own instant, so a single run can express server revival with
+// catch-up repair, repeated fail/heal cycles, and staggered rack and ToR
+// outages. validateScenario checks the timeline as a whole and one
+// driver (Cluster.scheduleScenario) executes it.
 
 // EventKind enumerates the typed scenario events.
 type EventKind int
@@ -104,79 +101,18 @@ func ReviveToR(idx int, at sim.Time) Event {
 	return Event{Kind: EventReviveToR, Index: idx, At: at}
 }
 
-// legacyFailureConfigured reports whether any deprecated flat
-// failure-injection field selects a target (and so would compile to at
-// least one event).
-func (c *Config) legacyFailureConfigured() bool {
-	return c.FailServerIndex >= 0 || len(c.FailServers) > 0 ||
-		c.FailRackIndex >= 0 || c.FailToRIndex >= 0 || c.RecoverToRIndex >= 0
-}
-
-// legacyFailureTouched additionally catches the shared flat time fields
-// set on their own (FailServerAt/RecoverToRAt with every index at -1).
-// Alone they inject nothing, but combined with a Scenario they signal a
-// half-migrated config whose author expected the flat instant to matter
-// — silently preferring the timeline would drop their intent, so the
-// validator rejects the mix.
-func (c *Config) legacyFailureTouched() bool {
-	return c.legacyFailureConfigured() || c.FailServerAt != 0 || c.RecoverToRAt != 0
-}
-
-// legacyEvents compiles the deprecated flat fields into their timeline
-// equivalent, in the order the one-shot hooks used to apply them:
-// FailServerIndex, FailServers, FailRackIndex, FailToRIndex — all at
-// FailServerAt — then the ToR revival. A RecoverToRIndex naming a ToR
-// that never fails was a documented runtime no-op; the compiler drops
-// it so the strict timeline validator (revive-before-fail is an error)
-// accepts every legacy form the old validator accepted.
-func (c *Config) legacyEvents() []Event {
-	var out []Event
-	if c.FailServerIndex >= 0 {
-		out = append(out, FailServer(c.FailServerIndex, c.FailServerAt))
-	}
-	for _, idx := range c.FailServers {
-		out = append(out, FailServer(idx, c.FailServerAt))
-	}
-	if c.FailRackIndex >= 0 {
-		out = append(out, FailRack(c.FailRackIndex, c.FailServerAt))
-	}
-	if c.FailToRIndex >= 0 {
-		out = append(out, FailToR(c.FailToRIndex, c.FailServerAt))
-	}
-	if c.RecoverToRIndex >= 0 && c.RecoverToRIndex == c.FailToRIndex {
-		out = append(out, ReviveToR(c.RecoverToRIndex, c.RecoverToRAt))
-	}
-	return out
-}
-
-// compileScenario returns the run's effective timeline: Config.Scenario
-// when set, else the deprecated flat fields compiled to events.
-// Validate rejects configs that set both.
-func (c *Config) compileScenario() []Event {
-	if len(c.Scenario) > 0 {
-		return append([]Event(nil), c.Scenario...)
-	}
-	return c.legacyEvents()
-}
-
-// validateScenario checks the effective timeline as a whole, walking
-// the events in time order with the cluster state they would produce:
-// indices must be in range, a down server or ToR cannot fail again
-// before it is revived, a revival must name something that is down and
-// come strictly after its failure, and crashing a rack's servers while
-// darkening the same rack's ToR at one instant — double-booking one
-// fault domain — is rejected (the validateFailureSpec gap). Every
-// rejection is a typed *FailureSpecError.
+// validateScenario checks the timeline as a whole, walking the events
+// in time order with the cluster state they would produce: indices must
+// be in range, a down server or ToR cannot fail again before it is
+// revived, a revival must name something that is down and come strictly
+// after its failure, and crashing a rack's servers while darkening the
+// same rack's ToR at one instant — double-booking one fault domain — is
+// rejected. Every rejection is a typed *FailureSpecError.
 func (c *Config) validateScenario() error {
-	if len(c.Scenario) > 0 && c.legacyFailureTouched() {
-		return &FailureSpecError{Field: "Scenario", Index: len(c.Scenario),
-			Reason: "cannot be combined with the deprecated Fail*/Recover* fields (indices or the FailServerAt/RecoverToRAt instants); express the whole timeline as events"}
-	}
-	events := c.compileScenario()
-	if len(events) == 0 {
+	if len(c.Scenario) == 0 {
 		return nil
 	}
-	order := append([]Event(nil), events...)
+	order := append([]Event(nil), c.Scenario...)
 	sort.SliceStable(order, func(i, j int) bool { return order[i].At < order[j].At })
 
 	total := c.totalServers()

@@ -1,119 +1,17 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"testing"
 
 	"rackblox/internal/sim"
-	"rackblox/internal/stats"
 )
-
-// fingerprint serializes everything observable about a run except the
-// configuration that produced it: every raw sample plus every counter.
-// Two configs are behaviorally identical iff their fingerprints match
-// byte for byte.
-func fingerprint(t *testing.T, res *Result) string {
-	t.Helper()
-	flat := *res
-	flat.Config = Config{}
-	flat.Recorder = nil
-	b, err := json.Marshal(struct {
-		Result  Result
-		Samples []stats.Sample
-	}{flat, stats.RawSamples(res.Recorder)})
-	if err != nil {
-		t.Fatalf("marshal result: %v", err)
-	}
-	return string(b)
-}
-
-// TestLegacyFieldsCompileToEquivalentScenario is the API-redesign
-// regression: every deprecated flat-field failure form must produce a
-// Result byte-identical to the explicit Config.Scenario timeline it
-// compiles down to, because both run through the same validator and
-// event driver.
-func TestLegacyFieldsCompileToEquivalentScenario(t *testing.T) {
-	type form struct {
-		name     string
-		legacy   func(*Config)
-		scenario func(*Config)
-	}
-	at := 100 * sim.Millisecond
-	reviveAt := 250 * sim.Millisecond
-	forms := []form{
-		{"single server crash",
-			func(c *Config) {
-				c.FailServerIndex = 0
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailServer(0, at)}
-			}},
-		{"multi server crash",
-			func(c *Config) {
-				c.FailServerIndex = 0
-				c.FailServers = []int{1}
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
-			}},
-		{"whole rack crash",
-			func(c *Config) {
-				c.FailRackIndex = 1
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailRack(1, at)}
-			}},
-		{"tor outage",
-			func(c *Config) {
-				c.FailToRIndex = 1
-				c.FailServerAt = at
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailToR(1, at)}
-			}},
-		{"tor outage and revival",
-			func(c *Config) {
-				c.FailToRIndex = 1
-				c.FailServerAt = at
-				c.RecoverToRIndex = 1
-				c.RecoverToRAt = reviveAt
-			},
-			func(c *Config) {
-				c.Scenario = []Event{FailToR(1, at), ReviveToR(1, reviveAt)}
-			}},
-	}
-	for _, f := range forms {
-		base := recoveryConfig()
-		base.Duration = 300 * sim.Millisecond
-
-		legacy := base
-		f.legacy(&legacy)
-		lres, err := Run(legacy)
-		if err != nil {
-			t.Fatalf("%s: legacy run: %v", f.name, err)
-		}
-		timeline := base
-		f.scenario(&timeline)
-		sres, err := Run(timeline)
-		if err != nil {
-			t.Fatalf("%s: scenario run: %v", f.name, err)
-		}
-		if lf, sf := fingerprint(t, lres), fingerprint(t, sres); lf != sf {
-			t.Errorf("%s: legacy and scenario runs diverged\nlegacy:   %.220s\nscenario: %.220s",
-				f.name, lf, sf)
-		}
-	}
-}
 
 // TestScenarioValidation walks the timeline validator's rejection rules:
 // every rejection is a typed *FailureSpecError naming the Scenario
-// field, and the rules catch what the flat fields never could express —
-// double crashes, revive-before-fail, and same-instant fault-domain
-// double-booking.
+// field — out-of-range indices, double crashes, revive-before-fail, and
+// same-instant fault-domain double-booking — and well-formed timelines
+// are accepted.
 func TestScenarioValidation(t *testing.T) {
 	at := 100 * sim.Millisecond
 	later := 200 * sim.Millisecond
@@ -133,43 +31,35 @@ func TestScenarioValidation(t *testing.T) {
 		{"valid revive one server of a crashed rack", func(c *Config) {
 			c.Scenario = []Event{FailRack(0, at), ReviveServer(2, later)}
 		}, ""},
-		{"mixed with legacy fields", func(c *Config) {
-			c.FailServerIndex = 0
-			c.Scenario = []Event{FailServer(1, at)}
-		}, "Scenario"},
-		{"mixed with legacy FailServers list", func(c *Config) {
-			c.FailServers = []int{1}
-			c.Scenario = []Event{FailServer(0, at)}
-		}, "Scenario"},
-		{"mixed with legacy recover fields", func(c *Config) {
-			c.FailToRIndex = 1
-			c.RecoverToRIndex = 1
-			c.RecoverToRAt = later
-			c.Scenario = []Event{FailServer(0, at)}
-		}, "Scenario"},
-		{"mixed with bare legacy FailServerAt", func(c *Config) {
-			// The flat instant alone injects nothing, but with a Scenario
-			// it signals a half-migrated config: silently preferring the
-			// timeline would drop the author's intent (the old precedence
-			// bug), so the mix is rejected like any other combination.
-			c.FailServerAt = at
-			c.Scenario = []Event{FailServer(0, later)}
-		}, "Scenario"},
-		{"mixed with bare legacy RecoverToRAt", func(c *Config) {
-			c.RecoverToRAt = later
-			c.Scenario = []Event{FailToR(1, at), ReviveToR(1, later)}
-		}, "Scenario"},
-		{"bare legacy FailServerAt without scenario still accepted", func(c *Config) {
-			c.FailServerAt = at // documented no-op: no index selects a target
-		}, ""},
 		{"fail-server out of range", func(c *Config) {
 			c.Scenario = []Event{FailServer(99, at)}
+		}, "Scenario"},
+		{"fail-server negative index", func(c *Config) {
+			c.Scenario = []Event{FailServer(-3, at)}
+		}, "Scenario"},
+		{"fail-rack out of range", func(c *Config) {
+			c.Scenario = []Event{FailRack(7, at)}
+		}, "Scenario"},
+		{"fail-tor out of range", func(c *Config) {
+			c.Scenario = []Event{FailToR(7, at)}
+		}, "Scenario"},
+		{"revive-tor out of range", func(c *Config) {
+			c.Scenario = []Event{ReviveToR(7, at)}
 		}, "Scenario"},
 		{"negative event time", func(c *Config) {
 			c.Scenario = []Event{FailServer(0, -1)}
 		}, "Scenario"},
 		{"double crash without revive", func(c *Config) {
 			c.Scenario = []Event{FailServer(0, at), FailServer(0, later)}
+		}, "Scenario"},
+		{"valid two servers crashed at one instant", func(c *Config) {
+			c.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
+		}, ""},
+		{"same server crashed twice at one instant", func(c *Config) {
+			c.Scenario = []Event{FailServer(1, at), FailServer(1, at)}
+		}, "Scenario"},
+		{"server inside a rack crashed at the same instant", func(c *Config) {
+			c.Scenario = []Event{FailRack(0, at), FailServer(1, at)}
 		}, "Scenario"},
 		{"rack crash covers downed server", func(c *Config) {
 			c.Scenario = []Event{FailServer(0, at), FailRack(0, later)}
@@ -183,6 +73,15 @@ func TestScenarioValidation(t *testing.T) {
 		{"revive-tor of a healthy tor", func(c *Config) {
 			c.Scenario = []Event{ReviveToR(0, at)}
 		}, "Scenario"},
+		{"revive-tor before its fail-tor", func(c *Config) {
+			c.Scenario = []Event{FailToR(1, later), ReviveToR(1, at)}
+		}, "Scenario"},
+		{"revive-tor at the fail-tor instant", func(c *Config) {
+			c.Scenario = []Event{FailToR(1, at), ReviveToR(1, at)}
+		}, "Scenario"},
+		{"valid tor outage then revival", func(c *Config) {
+			c.Scenario = []Event{FailToR(1, at), ReviveToR(1, later)}
+		}, ""},
 		{"tor fails twice while dark", func(c *Config) {
 			c.Scenario = []Event{FailToR(0, at), FailToR(0, later)}
 		}, "Scenario"},
@@ -195,11 +94,6 @@ func TestScenarioValidation(t *testing.T) {
 		{"unknown event kind", func(c *Config) {
 			c.Scenario = []Event{{Kind: EventKind(42), Index: 0, At: at}}
 		}, "Scenario"},
-		{"legacy tor overlaps legacy rack", func(c *Config) {
-			c.FailRackIndex = 1
-			c.FailToRIndex = 1
-			c.FailServerAt = at
-		}, "FailToRIndex"},
 		{"valid repair SLO on a multi-rack cluster", func(c *Config) {
 			c.RepairSLO = RepairSLO{TargetP99: 5 * sim.Millisecond}
 		}, ""},
@@ -251,8 +145,8 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestServerRevivalCatchUpRestores is the new capability the flat
-// fields could not express: a crashed server returns empty mid-run, its
+// TestServerRevivalCatchUpRestores: a crashed server returns empty
+// mid-run, its
 // lost chunk holder catches up via the metered reconstructor, and the
 // holder is re-registered under its own id — after which no read pays
 // the degraded cost.

@@ -10,8 +10,8 @@ import (
 // TestRepairReintegrationByteIdentity is the data-plane half of the
 // recovery-lifecycle property (its simulator half lives in
 // internal/core TestRecoveryLifecycleProperty): randomized over seeds,
-// RS parameters, and placement modes, a FailServers/FailRackIndex-style
-// failure followed by full chunk repair and re-integration leaves every
+// RS parameters, and placement modes, a set of server crashes or a
+// whole-rack crash (the FailServer/FailRack scenario events) followed by full chunk repair and re-integration leaves every
 // stripe readable without reconstruction — the post-repair holder map
 // has a live chunk for each position — and byte-identical to the
 // original payload.

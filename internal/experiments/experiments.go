@@ -665,9 +665,8 @@ func FigECWith(scale Scale, opt Options) *Table {
 			cfg.Redundancy = red
 			cfg.Workload = sc.workload
 			if sc.failTwo {
-				cfg.FailServerIndex = 0
-				cfg.FailServers = []int{1}
-				cfg.FailServerAt = cfg.Warmup + cfg.Duration/4
+				at := cfg.Warmup + cfg.Duration/4
+				cfg.Scenario = []core.Event{core.FailServer(0, at), core.FailServer(1, at)}
 			}
 			opt.instrument(&cfg)
 			res, err := core.Run(cfg)
@@ -776,8 +775,7 @@ func FigMR(scale Scale, opt Options) *Table {
 			cfg.Placement = pl.mode
 			cfg.CrossRackMBps = crossBW
 			if sc.failRack {
-				cfg.FailRackIndex = 0
-				cfg.FailServerAt = cfg.Warmup + cfg.Duration/4
+				cfg.Scenario = []core.Event{core.FailRack(0, cfg.Warmup+cfg.Duration/4)}
 			}
 			opt.instrument(&cfg)
 			res, err := core.Run(cfg)
@@ -866,23 +864,13 @@ func FigRL(scale Scale, opt Options) *Table {
 	type phase struct {
 		series, x string
 		measure   sim.Time // measured window start (Warmup)
-		mutate    func(*core.Config)
+		events    []core.Event
 	}
-	crash := func(cfg *core.Config) {
-		cfg.FailServerIndex = 0
-		cfg.FailServerAt = rlFailAt
-	}
-	darken := func(cfg *core.Config) {
-		cfg.FailToRIndex = 1
-		cfg.FailServerAt = rlFailAt
-	}
-	revive := func(cfg *core.Config) {
-		darken(cfg)
-		cfg.RecoverToRIndex = 1
-		cfg.RecoverToRAt = rlReviveAt
-	}
+	crash := []core.Event{core.FailServer(0, rlFailAt)}
+	darken := []core.Event{core.FailToR(1, rlFailAt)}
+	revive := []core.Event{core.FailToR(1, rlFailAt), core.ReviveToR(1, rlReviveAt)}
 	phases := []phase{
-		{"healthy", "baseline", rlHealedBy, func(*core.Config) {}},
+		{"healthy", "baseline", rlHealedBy, nil},
 		{"server crash", "degraded", rlFailAt, crash},
 		{"server crash", "post-repair", rlHealedBy, crash},
 		{"tor outage", "dark", rlFailAt, darken},
@@ -893,7 +881,7 @@ func FigRL(scale Scale, opt Options) *Table {
 		cfg := rlConfig(scale, opt)
 		cfg.Warmup = ph.measure
 		cfg.Duration = window
-		ph.mutate(&cfg)
+		cfg.Scenario = ph.events
 		opt.instrument(&cfg)
 		res, err := core.Run(cfg)
 		if err != nil {
@@ -944,8 +932,8 @@ const (
 	scHealed2By = 1050 * sim.Millisecond
 )
 
-// FigSC sweeps a scenario timeline the flat failure fields could never
-// express: fail -> revive-server -> catch-up -> fail-again. A storage
+// FigSC sweeps a scenario timeline with a server revival in it:
+// fail -> revive-server -> catch-up -> fail-again. A storage
 // server crashes, returns blank mid-run (core.ReviveServer), catches up
 // via the metered reconstructor, and is re-registered under its own id
 // (switchsim.RestoreStripeMember) — degraded_post_repair is 0 and read

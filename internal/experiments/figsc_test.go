@@ -7,9 +7,7 @@ import "testing"
 // cycle the revived holder serves directly again
 // (degraded_post_repair == 0, restored_holders > 0) with read latency
 // within 1.1x of the healthy baseline, and a second crash of the same
-// server heals just as cleanly through adopter re-integration — the
-// repeated fail/heal capability the flat config fields could not
-// express.
+// server heals just as cleanly through adopter re-integration.
 func TestFigSCCycleHealsTwice(t *testing.T) {
 	tb := FigSC(1.0, Options{})
 	if len(tb.Rows) != 5 {

@@ -46,11 +46,11 @@
 // rack-local-first and spill onto the metered spine only when a rack
 // cannot supply k survivors; reads whose entire home rack is dark are
 // handed between ToR switches (per-rack stripe tables with inter-switch
-// handoff). Failures inject at three scopes: Config.FailServers
-// (validated against duplicates and out-of-range indices with a typed
-// *core.FailureSpecError), Config.FailRackIndex (a whole-rack crash),
-// and Config.FailToRIndex (a dark switch: servers alive, rack
-// unreachable, no data lost). The compact-vs-spread comparison under
+// handoff). Failures inject at three scopes, each a Config.Scenario
+// event: FailServer (one storage server), FailRack (a whole-rack crash),
+// and FailToR (a dark switch: servers alive, rack unreachable, no data
+// lost); duplicate or out-of-range targets are rejected with a typed
+// *core.FailureSpecError. The compact-vs-spread comparison under
 // rack failure is Experiment("figmr", ...), also reachable as
 // rackbench -exp figmr with -racks and -crossbw flags.
 //
@@ -96,11 +96,9 @@
 //		rackblox.FailServer(0, 650_000_000),   // crash again at 650ms
 //	}
 //
-// Timelines express what the deprecated flat fields (FailServerIndex,
-// FailServers, FailRackIndex, FailToRIndex, RecoverToRIndex — all
-// sharing the single FailServerAt/RecoverToRAt instant) never could:
-// independent event times, repeated fail/heal cycles, and server
-// revival. A revived server returns with blank DRAM and flash, so the
+// Scenario is the only failure-injection surface. Because every event
+// carries its own instant, one timeline can hold repeated fail/heal
+// cycles and server revival. A revived server returns with blank DRAM and flash, so the
 // recovery is earned: every erasure-coded chunk holder it hosted is
 // rebuilt from scratch by the metered reconstructor (catch-up repair,
 // contending for the same spine bandwidth as any other repair) and
@@ -108,19 +106,7 @@
 // (switchsim.RestoreStripeMember); under replication the survivor
 // re-admits the returned peer to its Hermes group (AddPeer), restoring
 // the full write quorum. Result.ServerRevivals and
-// Result.RestoredHolders count the lifecycle. The flat fields remain as
-// deprecated shims that compile down to an equivalent timeline through
-// the same validator and driver, so legacy configs produce byte-
-// identical results; migrate by replacing, e.g.,
-//
-//	cfg.FailServerIndex = 3            // deprecated
-//	cfg.FailServerAt = 250 * ms        //
-//
-// with
-//
-//	cfg.Scenario = []rackblox.Event{rackblox.FailServer(3, 250*ms)}
-//
-// The fail -> revive -> catch-up -> fail-again cycle is
+// Result.RestoredHolders count the lifecycle. The fail -> revive -> catch-up -> fail-again cycle is
 // Experiment("figsc", ...), also reachable as rackbench -exp figsc, and
 // rackbench -scenario "failrack:0@300ms,revive-server:2@600ms" runs a
 // one-off custom timeline.
@@ -428,11 +414,11 @@ const (
 	PlacementSpread  = core.PlacementSpread
 )
 
-// FailureSpecError is the typed validation error for failure-injection
+// FailureSpecError is the typed validation error for fault and repair
 // configuration: malformed Config.Scenario timelines (out-of-range
 // indices, double crashes, revive-before-fail, same-instant fault-
-// domain double-booking), invalid legacy flat fields, mixing a Scenario
-// with any deprecated flat field, and contradictory RepairSLO settings.
+// domain double-booking) and contradictory RepairSLO settings. Field
+// names the rejected setting, "Scenario" or "RepairSLO".
 type FailureSpecError = core.FailureSpecError
 
 // RepairSLO configures the latency-SLO-aware repair rate controller

@@ -91,9 +91,8 @@ func TestPublicECRun(t *testing.T) {
 	cfg.StorageServers = 6
 	cfg.Redundancy = RedundancyEC(4, 2)
 	cfg.Duration = 400 * time.Millisecond.Nanoseconds()
-	cfg.FailServerIndex = 0
-	cfg.FailServers = []int{1}
-	cfg.FailServerAt = cfg.Warmup + 100*time.Millisecond.Nanoseconds()
+	at := cfg.Warmup + 100*time.Millisecond.Nanoseconds()
+	cfg.Scenario = []Event{FailServer(0, at), FailServer(1, at)}
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,30 +9,21 @@
 //	rackbench -redundancy rs4,2 -scale 0.5
 //	rackbench -exp figec -json auto
 //	rackbench -exp figmr -racks 4 -crossbw 100 -json auto
-//	rackbench -exp figrl -json auto
-//	rackbench -exp figsc -json auto
-//	rackbench -exp figslo -repair-slo 5ms
-//	rackbench -exp figra -json auto
-//	rackbench -exp figsh
-//	rackbench -redundancy lrc4,2
+//	rackbench -exp figslo -repair-slo 5ms -trace trace.json -metrics metrics.csv
 //	rackbench -scenario "failrack:0@300ms,revive-server:2@600ms"
 //	rackbench -scenario "fail-server:0@120ms" -repair-slo 4ms
 //
-// Scale < 1 shrinks the measured window proportionally (useful for quick
-// looks); 1.0 reproduces the full-length runs recorded in EXPERIMENTS.md.
+// -list prints every experiment id with a one-line description of what
+// it measures. Scale < 1 shrinks the measured window proportionally
+// (useful for quick looks); 1.0 reproduces the full-length runs.
 //
 // -redundancy runs a single YCSB 50/50 summary with the chosen backend
 // ("replication", "rsK,M" like rs4,2, or "lrcK,M" like lrc4,2 — the
 // local-parity family, which runs on a three-rack spread cluster)
 // instead of a paper experiment.
-// -racks and -crossbw tune the cluster-shaped experiments (figmr, figrl,
-// figsc): the rack fault-domain count and the spine bandwidth in MB/s
-// that cross-rack repair and foreground traffic are metered on. figrl
-// sweeps the recovery lifecycle — fail, repair, re-integrate, revive —
-// and reports each phase's read latency against the healthy baseline
-// (vs_healthy), with foreground spine bytes (fg_cross_mb) separate from
-// repair bytes (repair_cross_mb). figsc sweeps a scenario-timeline cycle
-// — fail, revive-server, catch-up, fail-again — on the same cluster.
+// -racks and -crossbw tune the cluster-shaped experiments: the rack
+// fault-domain count and the spine bandwidth in MB/s that cross-rack
+// repair and foreground traffic are metered on.
 //
 // -scenario runs one lifecycle cluster under a custom fault/recovery
 // timeline (core.Config.Scenario) instead of a paper experiment: comma-
@@ -41,29 +32,18 @@
 // invalid timelines (revive-before-fail, double crashes) exit with a
 // usage error.
 // -repair-slo sets the foreground read p99 target of the SLO-aware
-// repair pacer (core.Config.RepairSLO): figslo uses it in place of its
-// auto-derived target, and -scenario runs gain a paced repair lane; the
-// figslo experiment compares pacing off vs on on the figsc repeated-
-// fault timeline and reports the repair-time vs foreground-latency
-// trade-off. figra compares code families at fixed durability on the
-// same scarce spine — RS(4,2) against LRC(4,2), which adds one local
-// parity chunk per rack: single-server losses repair inside the rack
-// with zero spine bytes, and multi-loss repair ships one aggregated
-// chunk per remote rack instead of k raw chunks, finishing sooner under
-// the same -repair-slo target. figsh benchmarks the sharded simulation
-// runner itself: the soak model at 1..16 rack shards, sequential oracle
-// vs parallel shards, reporting wall-clock speedup and a per-row
-// identical flag confirming byte-identical results (its wall_* and
-// speedup columns are host measurements, not simulation output).
+// repair pacer (core.Config.RepairSLO): figslo and figra use it in place
+// of their auto-derived target, and -scenario runs gain a paced repair
+// lane.
 // -json FILE writes every produced table as machine-readable JSON
 // ("auto" derives a BENCH_<exp>.json name), so successive runs can be
 // diffed to track the performance trajectory. The report carries a
-// schema_version and, for the cluster experiments, one record per run
-// with the engine's per-handler event counters, the repair-rate
-// timeline, sampled metrics, and the p99 tail attribution.
+// schema_version and one record per simulated run with the engine's
+// per-handler event counters, the repair-rate timeline, sampled metrics,
+// and the p99 tail attribution.
 //
-// -trace FILE turns on the flight recorder and writes the last
-// instrumented run's spans as Chrome trace-event JSON, loadable in
+// -trace FILE turns on the flight recorder for every simulated run and
+// writes the last run's spans as Chrome trace-event JSON, loadable in
 // Perfetto (ui.perfetto.dev) or chrome://tracing; -trace-sample N keeps
 // one request in N by key hash (the slowest reads are always kept).
 // -metrics FILE samples time-series metrics (spine utilization, repair
@@ -121,7 +101,7 @@ func main() {
 	var (
 		exp         = flag.String("exp", "all", "experiment id (see -list) or 'all'")
 		scale       = flag.Float64("scale", 1.0, "measured-window scale in (0,1]")
-		list        = flag.Bool("list", false, "list experiment ids and exit")
+		list        = flag.Bool("list", false, "list experiment ids and titles, then exit")
 		redundancy  = flag.String("redundancy", "", "run one YCSB summary with this backend: 'replication', 'rsK,M' (e.g. rs4,2), or 'lrcK,M' (e.g. lrc4,2)")
 		scenario    = flag.String("scenario", "", "run one lifecycle cluster under this fault/recovery timeline: comma-separated <kind>:<index>@<time> events (e.g. 'failrack:0@300ms,revive-server:2@600ms')")
 		jsonOut     = flag.String("json", "", "write results as JSON to this file ('auto' derives BENCH_<exp>.json)")
@@ -167,21 +147,21 @@ func main() {
 
 	if *list {
 		fmt.Println("experiments:")
-		for _, id := range experiments.All() {
-			fmt.Println("  " + id)
+		for _, e := range experiments.All() {
+			fmt.Printf("  %-10s %s\n", e.ID, e.Title)
 		}
 		return
 	}
 
 	var tables []*experiments.Table
-	var ids []string
+	ids, name := parseExp(*exp)
 	if *scenario != "" {
 		events, err := parseScenario(*scenario)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rackbench:", err)
 			os.Exit(2)
 		}
-		ids = []string{"scenario"}
+		ids, name = []string{"scenario"}, "scenario"
 		t, err := experiments.ScenarioSummary(events, experiments.Scale(*scale), opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rackbench:", err)
@@ -195,8 +175,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "rackbench:", err)
 			os.Exit(1)
 		}
-		ids = []string{"redundancy"}
-		t, err := experiments.RedundancySummary(spec, experiments.Scale(*scale))
+		ids, name = []string{"redundancy"}, "redundancy"
+		t, err := experiments.RedundancySummary(spec, experiments.Scale(*scale), opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rackbench:", err)
 			os.Exit(1)
@@ -204,13 +184,9 @@ func main() {
 		tables = append(tables, t)
 		fmt.Println(t.Format())
 	} else {
-		ids = experiments.All()
-		if *exp != "all" {
-			ids = strings.Split(*exp, ",")
-		}
 		for _, id := range ids {
 			start := time.Now()
-			ts, err := experiments.ByIDWith(strings.TrimSpace(id), experiments.Scale(*scale), opt)
+			ts, err := experiments.ByID(id, experiments.Scale(*scale), opt)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "rackbench:", err)
 				os.Exit(1)
@@ -226,14 +202,7 @@ func main() {
 	if *jsonOut != "" {
 		path := *jsonOut
 		if path == "auto" {
-			name := *exp
-			if *redundancy != "" {
-				name = "redundancy"
-			}
-			if *scenario != "" {
-				name = "scenario"
-			}
-			path = fmt.Sprintf("BENCH_%s.json", strings.ReplaceAll(name, ",", "_"))
+			path = "BENCH_" + name + ".json"
 		}
 		if err := writeJSON(path, benchReport{
 			SchemaVersion: benchSchemaVersion,
@@ -252,7 +221,7 @@ func main() {
 
 	if *traceOut != "" {
 		if lastTrace == nil {
-			fmt.Fprintln(os.Stderr, "rackbench: -trace: no instrumented run produced a trace (the flight recorder covers the cluster experiments: figec, figmr, figrl, figsc, figslo, -scenario)")
+			fmt.Fprintln(os.Stderr, "rackbench: -trace: no run produced a trace (the selected experiments simulate no rack)")
 			os.Exit(1)
 		}
 		if err := writeArtifact(*traceOut, lastTrace.WriteChromeTrace); err != nil {
@@ -263,7 +232,7 @@ func main() {
 	}
 	if *metricsOut != "" {
 		if lastMetrics == nil {
-			fmt.Fprintln(os.Stderr, "rackbench: -metrics: no instrumented run sampled metrics (the sampler covers the cluster experiments: figec, figmr, figrl, figsc, figslo, -scenario)")
+			fmt.Fprintln(os.Stderr, "rackbench: -metrics: no run sampled metrics (the selected experiments simulate no rack)")
 			os.Exit(1)
 		}
 		if err := writeArtifact(*metricsOut, lastMetrics.WriteCSV); err != nil {
@@ -272,6 +241,21 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", *metricsOut)
 	}
+}
+
+// parseExp expands -exp into experiment ids, each trimmed once here, and
+// the name -json auto files them under: "all" is the whole registry.
+func parseExp(exp string) (ids []string, name string) {
+	if exp == "all" {
+		for _, e := range experiments.All() {
+			ids = append(ids, e.ID)
+		}
+		return ids, "all"
+	}
+	for _, id := range strings.Split(exp, ",") {
+		ids = append(ids, strings.TrimSpace(id))
+	}
+	return ids, strings.Join(ids, "_")
 }
 
 // writeArtifact streams one exporter's output to a file.

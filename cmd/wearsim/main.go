@@ -30,7 +30,7 @@ func main() {
 	flag.Parse()
 
 	if *exp != "" {
-		tables, err := experiments.ByID(*exp, 1)
+		tables, err := experiments.ByID(*exp, 1, experiments.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wearsim:", err)
 			os.Exit(1)

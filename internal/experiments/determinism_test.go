@@ -9,87 +9,40 @@ import (
 // the same encoding cmd/rackbench -json writes.
 func replayJSON(t *testing.T, id string) []byte {
 	t.Helper()
-	tables, err := ByID(id, tiny)
-	if err != nil {
-		t.Fatalf("ByID(%q): %v", id, err)
-	}
-	b, err := json.Marshal(tables)
+	b, err := json.Marshal(mustTables(t, id, tiny))
 	if err != nil {
 		t.Fatalf("marshal %q: %v", id, err)
 	}
 	return b
 }
 
-// TestDeterministicReplay runs figec, figmr, figrl, figsc, and figslo
-// twice with the same seed and asserts byte-identical JSON results. This
-// pins the engine's (time, insertion-order) event ordering and the
+// TestDeterministicReplay runs every registry entry marked replay twice
+// with the same seed and asserts byte-identical JSON results. This pins
+// the engine's (time, insertion-order) event ordering and the
 // per-component RNG fork discipline (internal/sim/rng.go): any refactor
 // that lets map iteration or wall-clock state leak into the event loop
-// shows up here as a diff. figrl covers the recovery-lifecycle paths —
-// chunk repair, switch re-integration, ToR revival with table replay —
-// figsc the scenario event driver with server revival and catch-up
-// repair, figslo the SLO repair pacer, whose feedback loop (latency
-// window, AIMD ticks, token-lane wakeups) is a rich source of ordering
-// hazards, and figra the LRC code family — local-parity placement,
+// shows up here as a diff. The replayed cluster experiments cover the
+// recovery-lifecycle paths (chunk repair, switch re-integration, ToR
+// revival with table replay), the scenario event driver with server
+// revival and catch-up repair, the SLO repair pacer, whose feedback loop
+// (latency window, AIMD ticks, token-lane wakeups) is a rich source of
+// ordering hazards, and the LRC code family — local-parity placement,
 // rack-local XOR repair, and per-rack aggregated spine batches.
 func TestDeterministicReplay(t *testing.T) {
-	for _, id := range []string{"figec", "figmr", "figrl", "figsc", "figslo", "figra"} {
-		first := replayJSON(t, id)
-		second := replayJSON(t, id)
+	replayed := 0
+	for _, e := range registry {
+		if !e.replay {
+			continue
+		}
+		replayed++
+		first := replayJSON(t, e.ID)
+		second := replayJSON(t, e.ID)
 		if string(first) != string(second) {
 			t.Errorf("%s: two same-seed runs produced different JSON\nfirst:  %.200s\nsecond: %.200s",
-				id, first, second)
+				e.ID, first, second)
 		}
 	}
-}
-
-// TestFigMRPlacementSurvivesRackFailure checks the experiment's headline
-// claim: under a whole-rack crash, spread placement loses no reads and
-// no stripes while paying nonzero metered cross-rack repair bandwidth;
-// compact placement loses whole stripe groups.
-func TestFigMRPlacementSurvivesRackFailure(t *testing.T) {
-	tb := FigMR(tiny, Options{})
-	if len(tb.Rows) != 4 { // 2 scenarios x 2 placements
-		t.Fatalf("rows = %d, want 4", len(tb.Rows))
-	}
-	spread, ok := findRow(tb, "multi-rack (spread)", "rack 0 crash")
-	if !ok {
-		t.Fatal("missing spread crash row")
-	}
-	if spread.Values["lost_reads"] != 0 || spread.Values["unrecov_stripes"] != 0 {
-		t.Errorf("spread placement lost data under rack failure: %+v", spread.Values)
-	}
-	if spread.Values["degraded"] <= 0 {
-		t.Errorf("spread placement served no degraded reads: %+v", spread.Values)
-	}
-	if spread.Values["cross_repair_mb"] <= 0 {
-		t.Errorf("rack failure moved no cross-rack repair bytes: %+v", spread.Values)
-	}
-	if u := spread.Values["spine_util"]; u <= 0 || u > 1 {
-		t.Errorf("spine utilization %v outside (0,1]", u)
-	}
-	compact, ok := findRow(tb, "single-rack (compact)", "rack 0 crash")
-	if !ok {
-		t.Fatal("missing compact crash row")
-	}
-	if compact.Values["unrecov_stripes"] <= 0 {
-		t.Errorf("compact placement reported no data loss under rack failure: %+v", compact.Values)
-	}
-	if compact.Values["cross_repair_mb"] != 0 {
-		t.Errorf("compact placement moved cross-rack repair bytes: %+v", compact.Values)
-	}
-	for _, x := range []string{"healthy"} {
-		for _, series := range []string{"single-rack (compact)", "multi-rack (spread)"} {
-			r, ok := findRow(tb, series, x)
-			if !ok {
-				t.Fatalf("missing row %s / %s", series, x)
-			}
-			if r.Values["lost_reads"] != 0 || r.Values["unrecov_stripes"] != 0 {
-				t.Errorf("%s / %s lost data without a failure: %+v", series, x, r.Values)
-			}
-		}
-	}
-	if _, err := ByID("figmr", tiny); err != nil {
-		t.Fatalf("ByID(figmr): %v", err)
+	if replayed == 0 {
+		t.Fatal("no registry entry is marked for replay")
 	}
 }

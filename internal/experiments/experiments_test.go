@@ -8,6 +8,16 @@ import (
 // tiny runs experiments at the smallest scale for test speed.
 const tiny = Scale(0.1)
 
+// mustTables runs a registered experiment and fails the test on error.
+func mustTables(t *testing.T, id string, scale Scale) []*Table {
+	t.Helper()
+	tables, err := ByID(id, scale, Options{})
+	if err != nil {
+		t.Fatalf("ByID(%q): %v", id, err)
+	}
+	return tables
+}
+
 func findRow(t *Table, series, x string) (Row, bool) {
 	for _, r := range t.Rows {
 		if r.Series == series && (x == "" || r.X == x) {
@@ -33,7 +43,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestFig9ShapeRackBloxWins(t *testing.T) {
-	tb := Fig9a(tiny)
+	tb := mustTables(t, "fig9", tiny)[0]
 	// At the write-heavy 20/80 mix RackBlox must beat VDC on P99.9 reads.
 	vdc, ok1 := findRow(tb, "VDC", "20/80")
 	rb, ok2 := findRow(tb, "RackBlox", "20/80")
@@ -50,7 +60,7 @@ func TestFig9ShapeRackBloxWins(t *testing.T) {
 }
 
 func TestFig12ThroughputPopulated(t *testing.T) {
-	tb := Fig12(tiny)
+	tb := mustTables(t, "fig12", tiny)[0]
 	if len(tb.Rows) != len(mixes)*4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -62,7 +72,7 @@ func TestFig12ThroughputPopulated(t *testing.T) {
 }
 
 func TestFig15StorageLEQTotal(t *testing.T) {
-	tb := Fig15a(tiny)
+	tb := mustTables(t, "fig15", tiny)[0]
 	for _, r := range tb.Rows {
 		if r.Values["storage"] > r.Values["total"]+0.001 {
 			t.Fatalf("storage %.3f > total %.3f in %s/%s",
@@ -72,7 +82,7 @@ func TestFig15StorageLEQTotal(t *testing.T) {
 }
 
 func TestFig16CDFMonotone(t *testing.T) {
-	tb := Fig16(tiny)
+	tb := mustTables(t, "fig16", tiny)[0]
 	for _, r := range tb.Rows {
 		if !(r.Values["p98.5"] <= r.Values["p99"] &&
 			r.Values["p99"] <= r.Values["p99.5"] &&
@@ -83,9 +93,10 @@ func TestFig16CDFMonotone(t *testing.T) {
 }
 
 func TestFig17CoordinationHelpsEachScheduler(t *testing.T) {
-	tb := Fig17(tiny)
-	// Every coordinated variant should be no worse than ~1.5x its base
-	// (runs are short; exact speedups need full scale).
+	tb := mustTables(t, "fig17", tiny)[0]
+	// Coordination must not collapse any scheduler: every coordinated
+	// variant keeps at least half its base's speed (runs are short; exact
+	// speedups need full scale).
 	for _, base := range []string{"FIFO", "Deadline", "Kyber"} {
 		r, ok := findRow(tb, "RackBlox ("+base+")", "50/50")
 		if !ok {
@@ -133,17 +144,21 @@ func TestPredictorAccuracyTable(t *testing.T) {
 }
 
 func TestByIDAll(t *testing.T) {
-	// Every listed id must resolve; run the cheap ones.
-	for _, id := range All() {
-		switch id {
+	// Every entry is complete and unique; run the cheap ones.
+	seen := map[string]bool{}
+	for _, e := range All() {
+		if e.ID == "" || e.Title == "" || e.Headline == "" || e.tables == nil || seen[e.ID] {
+			t.Errorf("bad registry entry %+v", e)
+		}
+		seen[e.ID] = true
+		switch e.ID {
 		case "table2", "fig22", "fig23", "predictor":
-			tables, err := ByID(id, tiny)
-			if err != nil || len(tables) == 0 {
-				t.Errorf("ByID(%q) = %v", id, err)
+			if len(mustTables(t, e.ID, tiny)) == 0 {
+				t.Errorf("ByID(%q) returned no tables", e.ID)
 			}
 		}
 	}
-	if _, err := ByID("nope", tiny); err == nil {
+	if _, err := ByID("nope", tiny, Options{}); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
@@ -170,7 +185,7 @@ func TestScaleDuration(t *testing.T) {
 }
 
 func TestGCAblation(t *testing.T) {
-	tb := GCAblation(Scale(0.4))
+	tb := mustTables(t, "gcablation", 0.4)[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -185,7 +200,7 @@ func TestGCAblation(t *testing.T) {
 }
 
 func TestFigECComparesBackends(t *testing.T) {
-	tb := FigEC(tiny)
+	tb := mustTables(t, "figec", tiny)[0]
 	if len(tb.Rows) != 6 { // 3 scenarios x 2 redundancy schemes
 		t.Fatalf("rows = %d, want 6", len(tb.Rows))
 	}
@@ -207,8 +222,5 @@ func TestFigECComparesBackends(t *testing.T) {
 	}
 	if r.Values["lost_reads"] != 0 {
 		t.Errorf("EC crash scenario lost %v reads", r.Values["lost_reads"])
-	}
-	if _, err := ByID("figec", tiny); err != nil {
-		t.Fatalf("ByID(figec): %v", err)
 	}
 }

@@ -1,38 +1,18 @@
 package experiments
 
 import (
-	"fmt"
-
 	"rackblox/internal/core"
 	"rackblox/internal/sim"
 )
 
-// raConfig is the figra cluster: the recovery-lifecycle topology (three
-// racks of six, spread placement, Optane devices) on figslo's scarce
-// 80 MB/s spine with its halved client load, parameterized by code
-// family — RS(4,2) or LRC(4,2). Both tolerate any m=2 global losses, so
-// the comparison runs at equal-or-better durability (the LRC side also
-// rides out one extra loss per rack); what changes is what repair costs
-// the spine.
-func raConfig(scale Scale, opt Options, spec core.RedundancySpec) core.Config {
-	if opt.CrossBWMBps <= 0 {
-		opt.CrossBWMBps = sloCrossBWMBps
-	}
-	cfg := rlConfig(scale, opt)
-	cfg.Redundancy = spec
-	cfg.Workload.MeanGap *= 2
-	// Measure from the crash until well past the expected heal, so
-	// RepairCompletionTime and the byte counters cover the whole repair.
-	cfg.Warmup = scFailAt
-	cfg.Duration = scale.duration(scHealed2By - scFailAt)
-	return cfg
-}
-
-// FigRA compares repair traffic across code families at fixed
+// figRA compares repair traffic across code families at fixed
 // durability on a scarce spine: RS(4,2) against LRC(4,2) — the same
 // global code plus one local parity chunk per rack — under a
 // single-server crash and a whole-rack crash, both SLO-paced with one
-// shared target so completion times are comparable. The rack-aware
+// shared target so completion times are comparable. Both families
+// tolerate any m=2 global losses, so the comparison runs at
+// equal-or-better durability (the LRC side also rides out one extra loss
+// per rack); what changes is what repair costs the spine. The rack-aware
 // claims are three columns: cross_repair_mb is zero for LRC under a
 // single-server loss (the rack-local XOR plan never touches the spine,
 // where RS must fetch k chunks per stripe, most from remote racks);
@@ -42,85 +22,44 @@ func raConfig(scale Scale, opt Options, spec core.RedundancySpec) core.Config {
 // token-free local batches and smaller spine batches drain the queue
 // sooner. unrecov_stripes is zero everywhere: neither scenario exceeds
 // either family's durability.
-func FigRA(scale Scale, opt Options) *Table {
-	t := &Table{ID: "FigRA",
-		Title: "Repair-efficient rack-aware codes: spine bytes and completion vs code family",
-		Cols: []string{"read_p99_ms", "slo_target_ms", "repair_done_ms", "repaired",
-			"pending", "cross_repair_mb", "cross_chunks_per_stripe", "local_repair",
-			"agg_repair", "local_degraded", "degraded", "lost_reads", "unrecov_stripes"}}
-
-	families := []core.RedundancySpec{
-		core.ErasureCode(4, 2),
-		core.LocalParityCode(4, 2),
-	}
-	run := func(spec core.RedundancySpec, series string, slo core.RepairSLO,
-		mutate func(*core.Config)) *core.Result {
-		cfg := raConfig(scale, opt, spec)
+func figRA(scale Scale, opt Options) []*Table {
+	code := func(spec core.RedundancySpec, x string, slo core.RepairSLO, events ...core.Event) cell {
+		cfg := sloConfig(scale, opt)
+		cfg.Redundancy = spec
 		cfg.RepairSLO = slo
-		mutate(&cfg)
-		opt.instrument(&cfg)
-		res, err := core.Run(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %s/%s: %v", spec, series, err))
-		}
-		opt.notify("figra", spec.String()+"/"+series, res)
-		return res
+		cfg.Scenario = events
+		return cell{series: spec.String(), x: x, cfg: cfg}
 	}
-
 	// One shared SLO target for every paced run, derived from the RS
 	// healthy baseline unless the caller fixed one: completion times are
 	// only comparable under the same foreground-latency budget.
-	target := opt.RepairSLOTarget
-	if target <= 0 {
-		healthy := run(families[0], "healthy", core.RepairSLO{}, func(*core.Config) {})
-		target = sim.Time(float64(healthy.Recorder.Reads().P99()) * sloTargetFactor)
+	slo := core.RepairSLO{TargetP99: opt.RepairSLOTarget}
+	if slo.TargetP99 <= 0 {
+		healthy := sweep("figra", opt, code(core.ErasureCode(4, 2), "healthy", core.RepairSLO{}))[0]
+		slo.TargetP99 = sim.Time(float64(healthy.reads.P99()) * sloTargetFactor)
 	}
-	slo := core.RepairSLO{TargetP99: target}
-
-	scenarios := []struct {
-		x      string
-		mutate func(*core.Config)
-	}{
-		{"server 0 crash", func(cfg *core.Config) {
-			cfg.Scenario = []core.Event{core.FailServer(0, scFailAt)}
-		}},
-		{"rack 0 crash", func(cfg *core.Config) {
-			cfg.Scenario = []core.Event{core.FailRack(0, scFailAt)}
-		}},
+	var cells []cell
+	for _, spec := range []core.RedundancySpec{core.ErasureCode(4, 2), core.LocalParityCode(4, 2)} {
+		cells = append(cells,
+			code(spec, "server 0 crash", slo, core.FailServer(0, scFailAt)),
+			code(spec, "rack 0 crash", slo, core.FailRack(0, scFailAt)))
 	}
-	pageMB := 0.0
-	for _, spec := range families {
-		for _, sc := range scenarios {
-			res := run(spec, sc.x, slo, sc.mutate)
-			if pageMB == 0 {
-				pageMB = float64(res.Config.Geometry.PageSize) / 1e6
-			}
+	return []*Table{tabulate("FigRA",
+		"Repair-efficient rack-aware codes: spine bytes and completion vs code family",
+		sweep("figra", opt, cells...), map[string]extractor{
+			"slo_target_ms": func(*run) float64 { return ms(slo.TargetP99) },
 			// Spine chunks shipped per repaired stripe: the per-stripe
 			// cross-rack cost of rebuilding one lost chunk (RS fetches
 			// most of its k sources remotely; aggregation caps the count
 			// at the remote rack count).
-			perStripe := 0.0
-			if res.RepairedStripes > 0 {
-				perStripe = float64(res.CrossRackRepairBytes) / 1e6 /
-					(pageMB * float64(res.RepairedStripes))
-			}
-			t.Rows = append(t.Rows, Row{Series: spec.String(), X: sc.x,
-				Values: map[string]float64{
-					"read_p99_ms":             ms(res.Recorder.Reads().P99()),
-					"slo_target_ms":           ms(int64(target)),
-					"repair_done_ms":          ms(res.RepairCompletionTime),
-					"repaired":                float64(res.RepairedStripes),
-					"pending":                 float64(res.RepairPending),
-					"cross_repair_mb":         float64(res.CrossRackRepairBytes) / 1e6,
-					"cross_chunks_per_stripe": perStripe,
-					"local_repair":            float64(res.LocalRepairStripes),
-					"agg_repair":              float64(res.AggregatedRepairStripes),
-					"local_degraded":          float64(res.LocalDegradedReads),
-					"degraded":                float64(res.DegradedReads),
-					"lost_reads":              float64(res.LostReads),
-					"unrecov_stripes":         float64(res.UnrecoverableStripes),
-				}})
-		}
-	}
-	return t
+			"cross_chunks_per_stripe": func(r *run) float64 {
+				if r.RepairedStripes <= 0 {
+					return 0
+				}
+				pageMB := float64(r.Config.Geometry.PageSize) / 1e6
+				return mb(r.CrossRackRepairBytes) / (pageMB * float64(r.RepairedStripes))
+			},
+		}, "read_p99_ms", "slo_target_ms", "repair_done_ms", "repaired", "pending", "cross_repair_mb",
+		"cross_chunks_per_stripe", "local_repair", "agg_repair", "local_degraded", "degraded",
+		"lost_reads", "unrecov_stripes")}
 }

@@ -11,7 +11,7 @@ import "testing"
 // completes sooner than RS under the same RepairSLO on the scarce
 // spine. No scenario exceeds either family's durability.
 func TestFigRARackAwareCodesCutRepairTraffic(t *testing.T) {
-	tb := FigRA(1.0, Options{})
+	tb := mustTables(t, "figra", 1.0)[0]
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tb.Rows))
 	}
@@ -85,7 +85,4 @@ func TestFigRARackAwareCodesCutRepairTraffic(t *testing.T) {
 		}
 	}
 
-	if _, err := ByID("figra", tiny); err != nil {
-		t.Fatalf("ByID(figra): %v", err)
-	}
 }

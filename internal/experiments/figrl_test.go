@@ -9,7 +9,7 @@ import "testing"
 // latency is within 1.1x of the healthy baseline on the sim clock, and
 // foreground cross-rack bytes are reported separately from repair bytes.
 func TestFigRLLifecycleClosesLoop(t *testing.T) {
-	tb := FigRL(1.0, Options{})
+	tb := mustTables(t, "figrl", 1.0)[0]
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tb.Rows))
 	}

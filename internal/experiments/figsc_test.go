@@ -9,7 +9,7 @@ import "testing"
 // within 1.1x of the healthy baseline, and a second crash of the same
 // server heals just as cleanly through adopter re-integration.
 func TestFigSCCycleHealsTwice(t *testing.T) {
-	tb := FigSC(1.0, Options{})
+	tb := mustTables(t, "figsc", 1.0)[0]
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tb.Rows))
 	}
@@ -68,8 +68,5 @@ func TestFigSCCycleHealsTwice(t *testing.T) {
 	post, _ := findRow(tb, "fail-again", "post-heal")
 	if post.Values["reintegrated_stripes"] <= 0 {
 		t.Error("second heal re-integrated no stripes")
-	}
-	if _, err := ByID("figsc", tiny); err != nil {
-		t.Fatalf("ByID(figsc): %v", err)
 	}
 }

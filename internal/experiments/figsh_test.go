@@ -43,15 +43,15 @@ func TestFigSHShardedMatchesOracle(t *testing.T) {
 // rackbench -exp figsh resolves.
 func TestFigSHRegistered(t *testing.T) {
 	found := false
-	for _, id := range All() {
-		if id == "figsh" {
+	for _, e := range All() {
+		if e.ID == "figsh" {
 			found = true
 		}
 	}
 	if !found {
 		t.Fatal("figsh missing from All()")
 	}
-	tabs, err := ByID("figsh", 0.05)
+	tabs, err := ByID("figsh", 0.05, Options{})
 	if err != nil {
 		t.Fatalf("ByID(figsh): %v", err)
 	}

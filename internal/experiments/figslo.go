@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"rackblox/internal/core"
 	"rackblox/internal/sim"
 )
@@ -24,9 +22,9 @@ const sloCrossBWMBps = 80
 // top, which is what blows the unpaced run far past this ceiling.
 const sloTargetFactor = 2.5
 
-// sloConfig is the figslo cluster: the recovery-lifecycle cluster on a
-// scarce spine, replaying the figsc repeated-fault timeline
-// (fail -> revive -> catch-up -> fail-again).
+// sloConfig is the scarce-spine cluster of figslo and figra: the
+// recovery-lifecycle cluster on an 80 MB/s spine, measured from the first
+// crash of the repeated-fault timeline until well past its second heal.
 func sloConfig(scale Scale, opt Options) core.Config {
 	if opt.CrossBWMBps <= 0 {
 		opt.CrossBWMBps = sloCrossBWMBps
@@ -44,7 +42,7 @@ func sloConfig(scale Scale, opt Options) core.Config {
 	return cfg
 }
 
-// FigSLO measures the repair-rate vs foreground-latency trade-off the
+// figSLO measures the repair-rate vs foreground-latency trade-off the
 // pacer closes: the figsc repeated-fault timeline replayed three ways —
 // a healthy baseline (no failure, defines the SLO target when none is
 // given), unpaced repair (admitted whenever GC idle windows allow, the
@@ -56,59 +54,30 @@ func sloConfig(scale Scale, opt Options) core.Config {
 // (repair_done_ms finite, pending 0 — the no-starvation floor). The
 // byte columns reconcile delivered against offered spine traffic: equal
 // here because a completed run drains every in-flight transfer.
-func FigSLO(scale Scale, opt Options) *Table {
-	t := &Table{ID: "FigSLO",
-		Title: "SLO-aware repair pacing: foreground p99 vs repair completion",
-		Cols: []string{"p99_ms", "slo_target_ms", "viol_frac", "repair_done_ms",
-			"repaired", "pending", "repair_mb", "repair_mb_offered", "fg_mb",
-			"final_rate_mbps", "lost_reads"}}
-
-	run := func(series string, events []core.Event, slo core.RepairSLO) *core.Result {
+func figSLO(scale Scale, opt Options) []*Table {
+	timeline := func(series, x string, slo core.RepairSLO, events ...core.Event) cell {
 		cfg := sloConfig(scale, opt)
 		cfg.Scenario = events
 		cfg.RepairSLO = slo
-		opt.instrument(&cfg)
-		res, err := core.Run(cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", series, err))
-		}
-		opt.notify("figslo", series, res)
-		return res
+		return cell{series: series, x: x, label: series, cfg: cfg}
 	}
-	cycle := []core.Event{
-		core.FailServer(0, scFailAt),
-		core.ReviveServer(0, scReviveAt),
-		core.FailServer(0, scFail2At),
+	runs := sweep("figslo", opt, timeline("healthy", "no failure", core.RepairSLO{}))
+	slo := core.RepairSLO{TargetP99: opt.RepairSLOTarget}
+	if slo.TargetP99 <= 0 {
+		slo.TargetP99 = sim.Time(float64(runs[0].reads.P99()) * sloTargetFactor)
 	}
-
-	healthy := run("healthy", nil, core.RepairSLO{})
-	target := opt.RepairSLOTarget
-	if target <= 0 {
-		target = sim.Time(float64(healthy.Recorder.Reads().P99()) * sloTargetFactor)
-	}
-	slo := core.RepairSLO{TargetP99: target}
-
-	row := func(series, x string, res *core.Result) {
-		finalRate := 0.0
-		if n := len(res.RepairRateTimeline); n > 0 {
-			finalRate = res.RepairRateTimeline[n-1].MBps
-		}
-		t.Rows = append(t.Rows, Row{Series: series, X: x, Values: map[string]float64{
-			"p99_ms":            ms(res.Recorder.Reads().P99()),
-			"slo_target_ms":     ms(int64(target)),
-			"viol_frac":         res.SLOViolationFraction,
-			"repair_done_ms":    ms(res.RepairCompletionTime),
-			"repaired":          float64(res.RepairedStripes),
-			"pending":           float64(res.RepairPending),
-			"repair_mb":         float64(res.CrossRackRepairBytes) / 1e6,
-			"repair_mb_offered": float64(res.CrossRackRepairBytesOffered) / 1e6,
-			"fg_mb":             float64(res.ForegroundCrossRackBytes) / 1e6,
-			"final_rate_mbps":   finalRate,
-			"lost_reads":        float64(res.LostReads),
-		}})
-	}
-	row("healthy", "no failure", healthy)
-	row("unpaced", "fail/revive/fail", run("unpaced", cycle, core.RepairSLO{}))
-	row("paced", "fail/revive/fail", run("paced", cycle, slo))
-	return t
+	runs = append(runs, sweep("figslo", opt,
+		timeline("unpaced", "fail/revive/fail", core.RepairSLO{}, failReviveFail...),
+		timeline("paced", "fail/revive/fail", slo, failReviveFail...))...)
+	return []*Table{tabulate("FigSLO", "SLO-aware repair pacing: foreground p99 vs repair completion", runs,
+		map[string]extractor{
+			"slo_target_ms": func(*run) float64 { return ms(slo.TargetP99) },
+			"final_rate_mbps": func(r *run) float64 {
+				if n := len(r.RepairRateTimeline); n > 0 {
+					return r.RepairRateTimeline[n-1].MBps
+				}
+				return 0
+			},
+		}, "p99_ms", "slo_target_ms", "viol_frac", "repair_done_ms", "repaired", "pending",
+		"repair_mb", "repair_mb_offered", "fg_mb", "final_rate_mbps", "lost_reads")}
 }

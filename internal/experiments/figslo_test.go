@@ -11,7 +11,7 @@ import "testing"
 // equals offered on every row, because a completed run drains all
 // in-flight transfers.
 func TestFigSLOPacingHoldsSLO(t *testing.T) {
-	tb := FigSLO(1.0, Options{})
+	tb := mustTables(t, "figslo", 1.0)[0]
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(tb.Rows))
 	}
@@ -82,7 +82,4 @@ func TestFigSLOPacingHoldsSLO(t *testing.T) {
 		}
 	}
 
-	if _, err := ByID("figslo", tiny); err != nil {
-		t.Fatalf("ByID(figslo): %v", err)
-	}
 }

@@ -52,7 +52,7 @@ func TestCheckedInBenchTables(t *testing.T) {
 		if tb.ID == "FigSH" {
 			continue
 		}
-		tables, err := ByIDWith(strings.ToLower(tb.ID), Scale(want.Scale), opt)
+		tables, err := ByID(strings.ToLower(tb.ID), Scale(want.Scale), opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,11 +39,27 @@ func TestSpineBytesSelfConsistent(t *testing.T) {
 					id, series, delivered, res.SimulatedTime, capacity, res.Config.CrossRackMBps)
 			}
 		}}
-		if _, err := ByIDWith(id, tiny, opt); err != nil {
-			t.Fatalf("ByIDWith(%q): %v", id, err)
+		if _, err := ByID(id, tiny, opt); err != nil {
+			t.Fatalf("ByID(%q): %v", id, err)
 		}
 		if runs == 0 {
 			t.Fatalf("%s: OnResult saw no runs", id)
 		}
+	}
+}
+
+// TestRedundancySummaryIsInstrumented pins that the one-off -redundancy
+// summary goes through the same runner as the figures: OnResult sees its
+// single run, so rackbench -trace/-metrics/-json cover it.
+func TestRedundancySummaryIsInstrumented(t *testing.T) {
+	var labels []string
+	opt := Options{OnResult: func(id, series string, res *core.Result) {
+		labels = append(labels, id+": "+series)
+	}}
+	if _, err := RedundancySummary(core.ErasureCode(4, 2), tiny, opt); err != nil {
+		t.Fatal(err)
+	}
+	if len(labels) != 1 {
+		t.Fatalf("OnResult saw %d runs (%q), want exactly 1", len(labels), labels)
 	}
 }

@@ -526,17 +526,26 @@ const (
 // Workloads lists the five BenchBase applications of Table 2.
 func Workloads() []string { return workload.Names() }
 
-// ExperimentIDs lists every reproducible table/figure id.
-func ExperimentIDs() []string { return experiments.All() }
+// ExperimentIDs lists the id of every experiment in the registry, the
+// same list rackbench -list prints: the paper's tables and figures in
+// order, then the experiments beyond the paper.
+func ExperimentIDs() []string {
+	var ids []string
+	for _, e := range experiments.All() {
+		ids = append(ids, e.ID)
+	}
+	return ids
+}
 
 // ExperimentTable is a printable experiment result.
 type ExperimentTable = experiments.Table
 
-// Experiment regenerates one of the paper's tables or figures by id
-// (e.g. "fig9", "table2"). scale in (0,1] shrinks the measured window;
-// use 1.0 to reproduce at full length.
+// Experiment runs one registry entry by id (e.g. "fig9", "table2") with
+// default options and returns its tables; every simulated cell runs once,
+// so figures sharing a grid (Fig. 9a and 9b) share its runs. scale in
+// (0,1] shrinks the measured window; use 1.0 to reproduce at full length.
 func Experiment(id string, scale float64) ([]*ExperimentTable, error) {
-	return experiments.ByID(id, experiments.Scale(scale))
+	return experiments.ByID(id, experiments.Scale(scale), experiments.Options{})
 }
 
 // WearConfig parameterizes the rack-scale wear-leveling simulation.

@@ -22,8 +22,8 @@
 // line they appear on or the line directly below (so both end-of-line
 // and own-line placement work):
 //
-//	//rackvet:commutative per-channel occupancy is independent; max commutes
-//	for ch, dur := range burst.PerChannel { ... }
+//	//rackvet:commutative per-vSSD reservations are independent; max commutes
+//	for id, dur := range busyByVSSD { ... }
 //
 // The rationale text is free-form but REQUIRED: the directive asserts a
 // human checked an invariant the machine cannot, and the rationale is

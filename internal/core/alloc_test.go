@@ -4,39 +4,87 @@ import (
 	"runtime"
 	"testing"
 
+	"rackblox/internal/flash"
 	"rackblox/internal/sim"
 )
 
+// ecRepairAllocConfig is a scaled-down ec-repair cluster — 3 racks x 6
+// servers, RS(4,2) spread, the SLO repair pacer — run for d with one
+// server fail/revive cycle per simulated second, so a longer run adds
+// degraded reads, repair batches and pacer ticks in proportion to its
+// requests.
+func ecRepairAllocConfig(d sim.Time) Config {
+	cfg := DefaultConfig()
+	cfg.Racks = 3
+	cfg.StorageServers = 6
+	cfg.VSSDPairs = 3
+	cfg.Redundancy = ErasureCode(4, 2)
+	cfg.Placement = PlacementSpread
+	cfg.CrossRackMBps = 80
+	cfg.Device = flash.ProfileOptane()
+	cfg.Workload.WriteFrac = 0.2
+	cfg.Workload.MeanGap = 400 * sim.Microsecond
+	cfg.KeyspaceFrac = 0.25
+	cfg.MaxClientInflight = 256
+	cfg.RepairSLO = RepairSLO{TargetP99: 6 * sim.Millisecond}
+	cfg.Warmup = 50 * sim.Millisecond
+	cfg.Duration = d
+	for at := 120 * sim.Millisecond; at < d; at += sim.Second {
+		server := int(at/sim.Second) * 7 % 18
+		cfg.Scenario = append(cfg.Scenario, FailServer(server, at), ReviveServer(server, at+200*sim.Millisecond))
+	}
+	return cfg
+}
+
 // TestRackSteadyStateAllocs is the datapath's allocation gate: once the
-// pools have grown to the number of requests in flight, a request crosses
-// client, ToR, server, flash and Hermes without heap allocations. Two
-// runs of DefaultConfig that differ only in length share set-up, warm-up
-// and the final Result, so the difference in their heap allocations per
+// pools and per-key tables have grown, a request crosses client, ToR,
+// server, flash, Hermes, the erasure-coded fan-out, degraded reads and
+// the repair pipeline without heap allocations. Two runs of one
+// configuration that differ only in length share set-up, warm-up and the
+// final Result, so the difference in their heap allocations per
 // difference in completed requests is the steady-state cost of one
 // request. Allocation counts are deterministic, unlike timings.
 func TestRackSteadyStateAllocs(t *testing.T) {
-	run := func(d sim.Time) (mallocs uint64, requests int64) {
-		cfg := DefaultConfig()
-		cfg.Warmup = 50 * sim.Millisecond
-		cfg.Duration = d
-		r, err := NewRack(cfg)
-		if err != nil {
-			t.Fatalf("NewRack: %v", err)
-		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		r.Run()
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs, r.completedReads + r.completedWrites
-	}
-	shortMallocs, shortReqs := run(100 * sim.Millisecond)
-	longMallocs, longReqs := run(400 * sim.Millisecond)
-	if longReqs <= shortReqs {
-		t.Fatalf("the longer run completed %d requests, the shorter %d", longReqs, shortReqs)
-	}
-	perReq := float64(longMallocs-shortMallocs) / float64(longReqs-shortReqs)
-	t.Logf("%.3f heap allocations per completed request (%d more requests)", perReq, longReqs-shortReqs)
-	if perReq > 4 {
-		t.Errorf("steady state allocates %.2f objects per completed request, want at most 4", perReq)
+	for _, tc := range []struct {
+		name        string
+		cfg         func(d sim.Time) Config
+		short, long sim.Time
+	}{
+		{"replicated", func(d sim.Time) Config {
+			cfg := DefaultConfig()
+			cfg.Warmup = 50 * sim.Millisecond
+			cfg.Duration = d
+			return cfg
+		}, 100 * sim.Millisecond, 400 * sim.Millisecond},
+		{"ec-repair", ecRepairAllocConfig, 2 * sim.Second, 6 * sim.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(d sim.Time) (mallocs uint64, requests int64, res *Result) {
+				r, err := NewRack(tc.cfg(d))
+				if err != nil {
+					t.Fatalf("NewRack: %v", err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				res = r.Run()
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs, r.completedReads + r.completedWrites, res
+			}
+			shortMallocs, shortReqs, short := run(tc.short)
+			longMallocs, longReqs, long := run(tc.long)
+			if longReqs <= shortReqs {
+				t.Fatalf("the longer run completed %d requests, the shorter %d", longReqs, shortReqs)
+			}
+			if len(long.Config.Scenario) > 0 && (long.DegradedReads <= short.DegradedReads ||
+				long.RepairedStripes <= short.RepairedStripes) {
+				t.Fatalf("the longer run added no degraded reads (%d vs %d) or repairs (%d vs %d) to measure",
+					long.DegradedReads, short.DegradedReads, long.RepairedStripes, short.RepairedStripes)
+			}
+			perReq := (float64(longMallocs) - float64(shortMallocs)) / float64(longReqs-shortReqs)
+			t.Logf("%.3f heap allocations per completed request (%d more requests)", perReq, longReqs-shortReqs)
+			if perReq > 0.1 {
+				t.Errorf("steady state allocates %.3f objects per completed request, want at most 0.1", perReq)
+			}
+		})
 	}
 }

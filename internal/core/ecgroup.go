@@ -52,6 +52,14 @@ type ecGroup struct {
 	recon          *ec.Reconstructor
 	repairArmed    bool
 	repairInFlight bool
+	// pumpEv is the group's repair pump, bound once.
+	pumpEv sim.EventFunc
+
+	// parity, targets and sources are scratch buffers of writeHolders
+	// and the source pickers, valid until the next call.
+	parity  []int
+	targets []*instance
+	sources []*instance
 
 	// Re-integration state: once the reconstructor finishes a lost
 	// holder, the adopting member that received the rebuilt chunks is
@@ -62,17 +70,18 @@ type ecGroup struct {
 	// holders with a rebuild outstanding right now, so repeated
 	// fail/heal cycles keep the cumulative failedHolders and
 	// reintegratedHolders counts balanced; reintegratedAt is when the
-	// last outstanding holder completed.
-	replacement map[int]*instance
-	crashed     map[int]bool
-	repairing   map[int]bool
+	// last outstanding holder completed. These tables are indexed by
+	// holder.
+	replacement []*instance
+	crashed     []bool
+	repairing   []bool
 	// adopterFor pins each lost holder's adopter for the whole repair:
 	// every batch programs onto it and re-integration registers it, so
 	// a reachability change mid-repair cannot desynchronize where the
 	// chunks landed from where reads are steered afterwards. A catch-up
 	// repair after server revival pins the original holder itself — the
 	// returning box is blank, so the rebuild targets it directly.
-	adopterFor          map[int]*instance
+	adopterFor          []*instance
 	failedHolders       int
 	reintegratedHolders int
 	reintegratedAt      sim.Time
@@ -158,15 +167,12 @@ func (r *Rack) buildGroups() error {
 
 	for gidx := 0; gidx < cfg.VSSDPairs; gidx++ {
 		g := &ecGroup{
-			idx:         gidx,
-			spec:        spec,
-			striper:     ec.Striper{Spec: spec},
-			recon:       ec.NewReconstructor(),
-			replacement: make(map[int]*instance),
-			crashed:     make(map[int]bool),
-			repairing:   make(map[int]bool),
-			adopterFor:  make(map[int]*instance),
+			idx:     gidx,
+			spec:    spec,
+			striper: ec.Striper{Spec: spec},
+			recon:   ec.NewReconstructor(),
 		}
+		g.pumpEv = func(sim.Time) { r.repairPump(g) }
 		servers := placer.Place(gidx)
 		if cfg.Redundancy.localParity() {
 			// The LRC family appends one local parity holder per occupied
@@ -174,6 +180,10 @@ func (r *Rack) buildGroups() error {
 			servers = append(servers, placer.LocalParityServers(gidx, servers)...)
 		}
 		total := len(servers)
+		g.replacement = make([]*instance, total)
+		g.crashed = make([]bool, total)
+		g.repairing = make([]bool, total)
+		g.adopterFor = make([]*instance, total)
 		for i, sIdx := range servers {
 			srv := r.servers[sIdx]
 			id := uint32(100 + gidx*total + i)
@@ -246,22 +256,31 @@ func (g *ecGroup) sameRackNeighbor(i int) *instance {
 // placed — the client's volume map never changes; the ToR rewrites
 // traffic for failed-over or re-integrated members.
 func (g *ecGroup) writeHolders(stripe, pos int) []*instance {
-	out := []*instance{g.insts[g.striper.DataHolder(stripe, pos)]}
-	for _, h := range g.striper.ParityHolders(stripe) {
+	out := append(g.targets[:0], g.insts[g.striper.DataHolder(stripe, pos)])
+	g.parity = g.striper.ParityHolders(g.parity[:0], stripe)
+	for _, h := range g.parity {
 		out = append(out, g.insts[h])
 	}
 	if g.hasLocalParity() {
-		seen := make(map[int]bool)
-		for _, m := range out {
-			seen[m.server.rackIdx] = true
-		}
+		chunks := len(out)
 		for _, lp := range g.insts[g.spec.Width():] {
-			if seen[lp.server.rackIdx] {
+			if inRack(out[:chunks], lp.server.rackIdx) {
 				out = append(out, lp)
 			}
 		}
 	}
+	g.targets = out
 	return out
+}
+
+// inRack reports whether any of members lives in rack.
+func inRack(members []*instance, rack int) bool {
+	for _, m := range members {
+		if m.server.rackIdx == rack {
+			return true
+		}
+	}
+	return false
 }
 
 // adopter picks the surviving member that absorbs a dead holder's
@@ -303,26 +322,32 @@ func (g *ecGroup) adopter(holder int) *instance {
 // global coordinator) qualify.
 func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
 	width := g.spec.Width()
-	out := make([]*instance, 0, width)
+	out := g.sources[:0]
 	if ci, ok := g.memberIndex(coord); ok && ci < width {
 		out = append(out, coord)
 	}
-	var remote, busy []*instance
-	for i, m := range g.insts[:width] {
-		if m == coord || !m.server.reachable() || g.repairing[i] {
-			continue
-		}
-		switch {
-		case m.v.InGC(now):
-			busy = append(busy, m)
-		case m.server.rackIdx != coord.server.rackIdx:
-			remote = append(remote, m)
-		default:
-			out = append(out, m)
+	// One pass per class keeps each class in group order: idle
+	// rack-local survivors, idle remote ones, collecting ones.
+	const local, remote, busy = 0, 1, 2
+	for class := local; class <= busy; class++ {
+		for i, m := range g.insts[:width] {
+			if m == coord || !m.server.reachable() || g.repairing[i] {
+				continue
+			}
+			c := local
+			switch {
+			case m.v.InGC(now):
+				c = busy
+			case m.server.rackIdx != coord.server.rackIdx:
+				c = remote
+			}
+			if c == class {
+				out = append(out, m)
+			}
 		}
 	}
-	out = append(out, remote...)
-	return append(out, busy...)
+	g.sources = out
+	return out
 }
 
 // degradedSources picks the reconstruction plan for a degraded read at
@@ -339,7 +364,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 		if hIdx, ok := g.holderIndex(homeID); ok &&
 			g.insts[hIdx] != coord && g.insts[hIdx].server.rackIdx == coord.server.rackIdx {
 			rack := coord.server.rackIdx
-			local := []*instance{coord}
+			local := append(g.sources[:0], coord)
 			complete := true
 			for j, m := range g.insts {
 				if m.server.rackIdx != rack || m == coord || j == hIdx {
@@ -351,6 +376,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 				}
 				local = append(local, m)
 			}
+			g.sources = local
 			if complete {
 				return local, len(local), true
 			}
@@ -371,7 +397,7 @@ func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) 
 func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, bool) {
 	if g.hasLocalParity() && adopter.server.rackIdx == g.insts[holder].server.rackIdx {
 		rack := adopter.server.rackIdx
-		var local []*instance
+		local := g.sources[:0]
 		complete := true
 		for j, m := range g.insts {
 			if m.server.rackIdx != rack || j == holder {
@@ -383,12 +409,13 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 			}
 			local = append(local, m)
 		}
+		g.sources = local
 		if complete {
 			return local, true
 		}
 	}
 	width := g.spec.Width()
-	var sources []*instance
+	sources := g.sources[:0]
 	if ai, ok := g.memberIndex(adopter); ok && ai < width && adopter != g.insts[holder] {
 		sources = append(sources, adopter)
 	}
@@ -408,6 +435,7 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 			sources = append(sources, m)
 		}
 	}
+	g.sources = sources
 	return sources, false
 }
 
@@ -532,7 +560,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		// the library-level twin of this path).
 		r.unrecoverableReads++
 		if len(sources) == 0 {
-			sources = []*instance{inst}
+			sources = append(sources, inst)
 		} else {
 			sources = sources[:1]
 		}
@@ -541,19 +569,9 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	}
 	// Under the LRC family a global fallback decode still ships
 	// aggregates: each remote rack folds its survivors into one partial
-	// sum locally, and only the rack's designated shipper pays the spine
-	// for one chunk.
-	var shipper map[int]*instance
-	if g.hasLocalParity() && !localPlan {
-		shipper = make(map[int]*instance)
-		for _, src := range sources {
-			if src.server.rackIdx != inst.server.rackIdx {
-				if _, ok := shipper[src.server.rackIdx]; !ok {
-					shipper[src.server.rackIdx] = src
-				}
-			}
-		}
-	}
+	// sum locally, and only the rack's designated shipper — its first
+	// source — pays the spine for one chunk.
+	aggregate := g.hasLocalParity() && !localPlan
 
 	var recSpan *trace.Span
 	if st.span != nil {
@@ -568,69 +586,146 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 			recSpan.Annotate(trace.String("plan", plan))
 		}
 	}
-	remaining := len(sources)
-	finish := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		r.eng.ScheduleAfter(ecDecodeTime, labelECDecode, sim.EventFunc(func(tnow sim.Time) {
-			recSpan.EndAt(tnow)
-			s.completeRead(inst, req)
-		}))
-	}
-	chunkBytes := int64(r.cfg.Geometry.PageSize)
-	for _, src := range sources {
-		src := src
-		cross := src.server.rackIdx != inst.server.rackIdx
-		readChunk := func(sim.Time) {
-			addr, err := src.v.FTL.Read(stripe)
-			if err != nil {
-				// Chunk outside the preconditioned range still costs one
-				// device read on the source's first channel.
-				addr = flash.Addr{Channel: src.v.Channels()[0]}
-			}
-			src.server.dev.TimeRead(addr, sim.EventFunc(func(sim.Time) {
-				if src == inst {
-					finish()
-					return
-				}
-				if cross {
-					if shipper != nil && shipper[src.server.rackIdx] != src {
-						// This survivor only feeds its rack's partial sum:
-						// a rack-local hop to the shipper, no spine bytes.
-						back := r.net.PathLatency(r.eng.Now(), 2)
-						r.eng.ScheduleAfter(back, labelECChunkBack, sim.EventFunc(func(sim.Time) { finish() }))
-						return
-					}
-					// The chunk ships back over the metered spine link,
-					// then the remote-rack edge hops.
-					fs, fe := r.cluster.spine.CrossFetch(chunkBytes, sim.EventFunc(func(sim.Time) {
-						back := r.cluster.spine.Propagation() + r.net.PathLatency(r.eng.Now(), 2)
-						r.eng.ScheduleAfter(back, labelECChunkBack, sim.EventFunc(func(sim.Time) { finish() }))
-					}))
-					if recSpan != nil {
-						if tnow := r.eng.Now(); fs > tnow {
-							recSpan.Child("spine_wait", tnow).EndAt(fs)
-						}
-						recSpan.Child("spine_xfer", fs).EndAt(fe)
-					}
-					return
-				}
-				back := r.net.PathLatency(r.eng.Now(), 2)
-				r.eng.ScheduleAfter(back, labelECChunkBack, sim.EventFunc(func(sim.Time) { finish() }))
-			}))
-		}
+	rd := r.degraded.Get()
+	rd.s, rd.inst, rd.req, rd.span, rd.stripe, rd.remaining = s, inst, req, recSpan, stripe, len(sources)
+	for i, src := range sources {
+		f := r.fetches.Get()
+		f.rd, f.src = rd, src
+		f.cross = src.server.rackIdx != inst.server.rackIdx
+		f.ships = !aggregate || firstOfRack(sources, i)
 		if src == inst {
-			readChunk(now)
-		} else {
-			out := r.net.PathLatency(now, 2)
-			if cross {
-				out += r.cluster.spine.Propagation()
-			}
-			r.eng.ScheduleAfter(out, labelECChunkRead, sim.EventFunc(readChunk))
+			f.read()
+			continue
 		}
+		out := r.net.PathLatency(now, 2)
+		if f.cross {
+			out += r.cluster.spine.Propagation()
+		}
+		f.step = fetchRead
+		r.eng.ScheduleAfter(out, labelECChunkRead, f)
 	}
+}
+
+// firstOfRack reports whether srcs[i] is the first of srcs in its rack.
+func firstOfRack(srcs []*instance, i int) bool {
+	return !inRack(srcs[:i], srcs[i].server.rackIdx)
+}
+
+// degradedRead is one k-chunk reconstruction coordinated at inst: it
+// counts the chunk fetches still out and, once the last chunk is back,
+// decodes and completes the read.
+type degradedRead struct {
+	s         *server
+	inst      *instance
+	req       *sched.Request
+	span      *trace.Span
+	stripe    int
+	remaining int
+}
+
+// chunkArrived counts one fetched chunk in; the last one starts the
+// decode.
+func (d *degradedRead) chunkArrived() {
+	d.remaining--
+	if d.remaining == 0 {
+		d.s.rack.eng.ScheduleAfter(ecDecodeTime, labelECDecode, d)
+	}
+}
+
+// Fire completes the read once the decode is done.
+func (d *degradedRead) Fire(now sim.Time) {
+	s, inst, req, span := d.s, d.inst, d.req, d.span
+	*d = degradedRead{}
+	s.rack.degraded.Put(d)
+	span.EndAt(now)
+	s.completeRead(inst, req)
+}
+
+// fetchStep is the stage of a chunk fetch a chunkFetch resumes.
+type fetchStep uint8
+
+const (
+	// fetchRead reads the chunk once the request reached its source.
+	fetchRead fetchStep = iota
+	// fetchSend sends the chunk back once the source's flash read it.
+	fetchSend
+	// fetchShipped takes the remote rack's edge hops once the chunk
+	// crossed the spine.
+	fetchShipped
+	// fetchBack hands the chunk to the coordinator.
+	fetchBack
+)
+
+// chunkFetch is one source's part of a degraded read: the request to the
+// source, its flash read, and the chunk's trip back to the coordinator.
+type chunkFetch struct {
+	rd   *degradedRead
+	src  *instance
+	step fetchStep
+	// cross marks a source in another rack than the coordinator; ships
+	// marks one that pays the spine for its chunk (under LRC
+	// aggregation, only its rack's first source does).
+	cross, ships bool
+}
+
+func (f *chunkFetch) Fire(sim.Time) {
+	r := f.rd.s.rack
+	switch f.step {
+	case fetchRead:
+		f.read()
+	case fetchSend:
+		f.send()
+	case fetchShipped:
+		f.step = fetchBack
+		back := r.cluster.spine.Propagation() + r.net.PathLatency(r.eng.Now(), 2)
+		r.eng.ScheduleAfter(back, labelECChunkBack, f)
+	case fetchBack:
+		rd := f.rd
+		*f = chunkFetch{}
+		r.fetches.Put(f)
+		rd.chunkArrived()
+	}
+}
+
+// read charges the chunk's flash read on the source.
+func (f *chunkFetch) read() {
+	addr, err := f.src.v.FTL.Read(f.rd.stripe)
+	if err != nil {
+		// Chunk outside the preconditioned range still costs one device
+		// read on the source's first channel.
+		addr = flash.Addr{Channel: f.src.v.Channels()[0]}
+	}
+	f.step = fetchSend
+	f.src.server.dev.TimeRead(addr, f)
+}
+
+// send returns the read chunk to the coordinator: at once for its own
+// chunk, over the metered spine and then the remote-rack edge hops for a
+// shipping cross-rack source, and over two edge hops otherwise — which,
+// for a cross-rack survivor that only feeds its rack's partial sum, is
+// the rack-local hop to the shipper.
+func (f *chunkFetch) send() {
+	rd := f.rd
+	r := rd.s.rack
+	if f.src == rd.inst {
+		*f = chunkFetch{}
+		r.fetches.Put(f)
+		rd.chunkArrived()
+		return
+	}
+	if f.cross && f.ships {
+		f.step = fetchShipped
+		fs, fe := r.cluster.spine.CrossFetch(int64(r.cfg.Geometry.PageSize), f)
+		if rd.span != nil {
+			if tnow := r.eng.Now(); fs > tnow {
+				rd.span.Child("spine_wait", tnow).EndAt(fs)
+			}
+			rd.span.Child("spine_xfer", fs).EndAt(fe)
+		}
+		return
+	}
+	f.step = fetchBack
+	r.eng.ScheduleAfter(r.net.PathLatency(r.eng.Now(), 2), labelECChunkBack, f)
 }
 
 // scheduleRepair arms the group's repair pump one monitor period out.
@@ -639,7 +734,7 @@ func (r *Rack) scheduleRepair(g *ecGroup) {
 		return
 	}
 	g.repairArmed = true
-	r.eng.ScheduleAfter(r.cfg.GCCheckInterval, labelECRepairPump, sim.EventFunc(func(sim.Time) { r.repairPump(g) }))
+	r.eng.ScheduleAfter(r.cfg.GCCheckInterval, labelECRepairPump, g.pumpEv)
 }
 
 // repairPump admits background chunk reconstruction only in the
@@ -695,9 +790,25 @@ func (r *Rack) repairPump(g *ecGroup) {
 	// was checked at claim time and the grant re-validates liveness in
 	// runRepairTask, like any task that waited in a queue.
 	charge := int64(task.Stripes) * int64(r.cfg.Geometry.PageSize)
-	r.pacer.admit(charge, func() {
-		r.runRepairTask(g, task, charge)
-	})
+	grant := r.grants.Get()
+	grant.r, grant.g, grant.task, grant.charged = r, g, task, charge
+	r.pacer.admit(charge, grant)
+}
+
+// repairGrant runs one claimed repair batch once the pacer's token lane
+// admits it.
+type repairGrant struct {
+	r       *Rack
+	g       *ecGroup
+	task    ec.RepairTask
+	charged int64
+}
+
+func (a *repairGrant) Fire(sim.Time) {
+	r, g, task, charged := a.r, a.g, a.task, a.charged
+	*a = repairGrant{}
+	r.grants.Put(a)
+	r.runRepairTask(g, task, charged)
 }
 
 // runRepairTask rebuilds one batch of a lost holder's chunks: chunk
@@ -762,16 +873,14 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 	var end sim.Time
 	var crossBytes int64
 	readDur := sim.Time(task.Stripes) * r.cfg.Device.ReadPage
-	aggRacks := make(map[int]bool)
-	for _, src := range sources {
+	for i, src := range sources {
 		chs := src.v.Channels()
 		_, e := src.server.dev.OccupyChannel(chs[task.FirstStripe%len(chs)], readDur)
 		if src.server.rackIdx != adopter.server.rackIdx {
 			// The batch crosses the spine: meter it on the shared link.
 			// Under LRC the remote rack combines its survivors locally
 			// first and ships one aggregate per rack, not one per source.
-			if !g.hasLocalParity() || !aggRacks[src.server.rackIdx] {
-				aggRacks[src.server.rackIdx] = true
+			if !g.hasLocalParity() || firstOfRack(sources, i) {
 				crossBytes += batchBytes
 				if _, te := r.cluster.spine.CrossFetch(batchBytes, nil); te+r.cluster.spine.Propagation() > e {
 					e = te + r.cluster.spine.Propagation()
@@ -784,7 +893,7 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 	}
 	if localPlan {
 		r.localRepairStripes += int64(task.Stripes)
-	} else if g.hasLocalParity() && len(aggRacks) > 0 {
+	} else if g.hasLocalParity() && crossBytes > 0 {
 		r.aggRepairStripes += int64(task.Stripes)
 	}
 	if r.pacer != nil {
@@ -799,16 +908,33 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 		end = e
 	}
 	end += sim.Time(task.Stripes)*ecDecodeTime + r.net.PathLatency(now, 2)
-	r.eng.Schedule(end, labelECRepairDone, sim.EventFunc(func(now sim.Time) {
-		sp.Annotate(trace.Int("cross_bytes", crossBytes))
-		sp.Finish(now)
-		r.lastRepairDone = now
-		if g.recon.Done(task) {
-			r.reintegrate(g, task.Holder)
-		}
-		g.repairInFlight = false
-		r.scheduleRepair(g)
-	}))
+	done := r.repairsDone.Get()
+	done.r, done.g, done.task, done.span, done.crossBytes = r, g, task, sp, crossBytes
+	r.eng.Schedule(end, labelECRepairDone, done)
+}
+
+// repairDone lands one repair batch once its reads, decode and programs
+// are through, and re-arms the group's repair pump.
+type repairDone struct {
+	r          *Rack
+	g          *ecGroup
+	task       ec.RepairTask
+	span       *trace.Span
+	crossBytes int64
+}
+
+func (d *repairDone) Fire(now sim.Time) {
+	r, g, task, sp, crossBytes := d.r, d.g, d.task, d.span, d.crossBytes
+	*d = repairDone{}
+	r.repairsDone.Put(d)
+	sp.Annotate(trace.Int("cross_bytes", crossBytes))
+	sp.Finish(now)
+	r.lastRepairDone = now
+	if g.recon.Done(task) {
+		r.reintegrate(g, task.Holder)
+	}
+	g.repairInFlight = false
+	r.scheduleRepair(g)
 }
 
 // reintegrate closes the repair loop for one fully rebuilt holder: the

@@ -114,22 +114,39 @@ func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 	hop := r.net.HopLatency(r.eng.Now())
 	tor := r.torOf(inst.server)
 	r.toTor(hop, labelGCOp, tor, pkt)
-	r.eng.ScheduleAfter(hop+gcReplyTimeout, labelGCOpTimeout, sim.EventFunc(func(sim.Time) {
-		if !inst.gcRequestInFlight || inst.gcRetries != epoch {
-			return // reply arrived
-		}
-		if attempt+1 <= r.cfg.GCRetries {
-			r.gcOpRetries++
-			r.sendGCOp(inst, gcType, attempt+1)
-			return
-		}
-		// Retries exhausted (link or switch failure).
-		inst.gcRequestInFlight = false
-		if gcType == packet.GCRegular {
-			r.forcedGCs++
-			r.startGCBurst(inst, r.restoreTarget(gcType))
-		}
-	}))
+	t := r.gcTimers.Get()
+	t.r, t.inst, t.gcType, t.attempt, t.epoch = r, inst, gcType, attempt, epoch
+	r.eng.ScheduleAfter(hop+gcReplyTimeout, labelGCOpTimeout, t)
+}
+
+// gcOpTimer is the retransmission timer of one gc_op (sendGCOp); epoch
+// is the instance's reply count when it was sent.
+type gcOpTimer struct {
+	r       *Rack
+	inst    *instance
+	gcType  packet.GCField
+	attempt int
+	epoch   int
+}
+
+func (t *gcOpTimer) Fire(sim.Time) {
+	r, inst, gcType, attempt, epoch := t.r, t.inst, t.gcType, t.attempt, t.epoch
+	*t = gcOpTimer{}
+	r.gcTimers.Put(t)
+	if !inst.gcRequestInFlight || inst.gcRetries != epoch {
+		return // reply arrived
+	}
+	if attempt+1 <= r.cfg.GCRetries {
+		r.gcOpRetries++
+		r.sendGCOp(inst, gcType, attempt+1)
+		return
+	}
+	// Retries exhausted (link or switch failure).
+	inst.gcRequestInFlight = false
+	if gcType == packet.GCRegular {
+		r.forcedGCs++
+		r.startGCBurst(inst, r.restoreTarget(gcType))
+	}
 }
 
 // notifySwitchGC sends a fire-and-forget gc_op state update.
@@ -188,8 +205,10 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 	}
 	inst.gcEvents++
 	var end sim.Time
-	//rackvet:commutative per-channel reservations are independent and end is a max
 	for ch, dur := range burst.PerChannel {
+		if dur == ssd.Untouched {
+			continue
+		}
 		_, e := inst.server.dev.OccupyChannel(ch, dur)
 		if e > end {
 			end = e
@@ -200,28 +219,42 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 		r.TraceGC(inst.id, inst.lastGCType, r.eng.Now(), end, burst.Blocks)
 	}
 	r.tracer.RecordGC(inst.id, inst.lastGCType.String(), r.eng.Now(), end, burst.Blocks)
-	r.eng.Schedule(end, labelGCBurstEnd, sim.EventFunc(func(sim.Time) {
-		// A protected soft episode stays open — switch bit set, reads
-		// redirected — until the ratio is restored. Closing and
-		// immediately reopening would let reads slip into the gap and
-		// stall behind the next chunk's channel reservation.
-		if r.cfg.gcCoordinated() && inst.lastGCType == packet.GCSoft &&
-			r.freeRatio(inst) < r.cfg.SoftThreshold {
-			// Continue the protected episode chunk by chunk. Any read
-			// that slipped past the switch before the GC bit was set has
-			// already reserved the channel behind the finished chunk, so
-			// it drains before the next chunk's reservation: slip
-			// exposure is bounded by one chunk, not the whole train.
-			inst.server.flushPump(inst)
-			inst.server.pump(inst)
-			r.startGCBurst(inst, target)
-			return
-		}
-		inst.v.FinishGC()
-		r.finishGC(inst)
+	e := r.gcBursts.Get()
+	e.r, e.inst, e.target = r, inst, target
+	r.eng.Schedule(end, labelGCBurstEnd, e)
+}
+
+// gcBurstEnd closes one GC burst (startGCBurst) collecting toward target.
+type gcBurstEnd struct {
+	r      *Rack
+	inst   *instance
+	target float64
+}
+
+func (e *gcBurstEnd) Fire(sim.Time) {
+	r, inst, target := e.r, e.inst, e.target
+	*e = gcBurstEnd{}
+	r.gcBursts.Put(e)
+	// A protected soft episode stays open — switch bit set, reads
+	// redirected — until the ratio is restored. Closing and immediately
+	// reopening would let reads slip into the gap and stall behind the
+	// next chunk's channel reservation.
+	if r.cfg.gcCoordinated() && inst.lastGCType == packet.GCSoft &&
+		r.freeRatio(inst) < r.cfg.SoftThreshold {
+		// Continue the protected episode chunk by chunk. Any read that
+		// slipped past the switch before the GC bit was set has already
+		// reserved the channel behind the finished chunk, so it drains
+		// before the next chunk's reservation: slip exposure is bounded
+		// by one chunk, not the whole train.
 		inst.server.flushPump(inst)
 		inst.server.pump(inst)
-	}))
+		r.startGCBurst(inst, target)
+		return
+	}
+	inst.v.FinishGC()
+	r.finishGC(inst)
+	inst.server.flushPump(inst)
+	inst.server.pump(inst)
 }
 
 // finishGC clears coordination state after a burst completes.
@@ -295,33 +328,9 @@ func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
 	r := c.rack
 	inst.gcRequestInFlight = true
 	trip := r.net.PathLatency(r.eng.Now(), 2) + controllerProc
-	r.eng.ScheduleAfter(trip, labelGCCtrlRequest, sim.EventFunc(func(sim.Time) {
-		replicaBusy := c.inGC[c.replicas[inst.id]]
-		grant := gcType != packet.GCSoft || !replicaBusy
-		if grant {
-			c.inGC[inst.id] = true
-			// Tell the replica's server its peer is collecting so it
-			// stops redirecting toward it (stale by one trip, the
-			// software coordination cost).
-			if rep := r.insts[c.replicas[inst.id]]; rep != nil {
-				rep.replicaIdleHint = false
-			}
-		} else {
-			r.delayedByCtrl++
-		}
-		back := r.net.PathLatency(r.eng.Now(), 2)
-		r.eng.ScheduleAfter(back, labelGCCtrlReply, sim.EventFunc(func(sim.Time) {
-			inst.gcRequestInFlight = false
-			inst.replicaIdleHint = !replicaBusy
-			if grant {
-				if !inst.v.InGC(r.eng.Now()) {
-					r.startGCBurst(inst, r.restoreTarget(gcType))
-				}
-			} else {
-				inst.gcDelayed++
-			}
-		}))
-	}))
+	m := r.ctrlMsgs.Get()
+	m.c, m.inst, m.step, m.gcType = c, inst, ctrlRequest, gcType
+	r.eng.ScheduleAfter(trip, labelGCCtrlRequest, m)
 }
 
 // notify updates the controller's GC state (start of background GC or
@@ -329,10 +338,73 @@ func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
 func (c *controller) notify(inst *instance, started bool) {
 	r := c.rack
 	trip := r.net.PathLatency(r.eng.Now(), 2) + controllerProc
-	r.eng.ScheduleAfter(trip, labelGCCtrlNotify, sim.EventFunc(func(sim.Time) {
+	m := r.ctrlMsgs.Get()
+	m.c, m.inst, m.step, m.started = c, inst, ctrlNotify, started
+	r.eng.ScheduleAfter(trip, labelGCCtrlNotify, m)
+}
+
+// ctrlStep is the leg of a controller exchange a ctrlMsg is on.
+type ctrlStep uint8
+
+const (
+	// ctrlRequest is a GC request arriving at the controller.
+	ctrlRequest ctrlStep = iota
+	// ctrlReply is the controller's answer arriving back at the server;
+	// the request's record carries it.
+	ctrlReply
+	// ctrlNotify is a GC start or finish arriving at the controller.
+	ctrlNotify
+)
+
+// ctrlMsg is one message between a server and the controller.
+type ctrlMsg struct {
+	c      *controller
+	inst   *instance
+	step   ctrlStep
+	gcType packet.GCField
+	// grant and replicaBusy are the controller's answer to a request;
+	// started is the GC state a notification reports.
+	grant, replicaBusy, started bool
+}
+
+func (m *ctrlMsg) Fire(sim.Time) {
+	c, inst := m.c, m.inst
+	r := c.rack
+	if m.step == ctrlRequest {
+		m.replicaBusy = c.inGC[c.replicas[inst.id]]
+		m.grant = m.gcType != packet.GCSoft || !m.replicaBusy
+		if m.grant {
+			c.inGC[inst.id] = true
+			// Tell the replica's server its peer is collecting so it stops
+			// redirecting toward it (stale by one trip, the software
+			// coordination cost).
+			if rep := r.insts[c.replicas[inst.id]]; rep != nil {
+				rep.replicaIdleHint = false
+			}
+		} else {
+			r.delayedByCtrl++
+		}
+		m.step = ctrlReply
+		r.eng.ScheduleAfter(r.net.PathLatency(r.eng.Now(), 2), labelGCCtrlReply, m)
+		return
+	}
+	step, gcType, grant, replicaBusy, started := m.step, m.gcType, m.grant, m.replicaBusy, m.started
+	*m = ctrlMsg{}
+	r.ctrlMsgs.Put(m)
+	if step == ctrlNotify {
 		c.inGC[inst.id] = started
 		if rep := r.insts[c.replicas[inst.id]]; rep != nil {
 			rep.replicaIdleHint = !started
 		}
-	}))
+		return
+	}
+	inst.gcRequestInFlight = false
+	inst.replicaIdleHint = !replicaBusy
+	if grant {
+		if !inst.v.InGC(r.eng.Now()) {
+			r.startGCBurst(inst, r.restoreTarget(gcType))
+		}
+	} else {
+		inst.gcDelayed++
+	}
 }

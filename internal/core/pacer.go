@@ -123,6 +123,8 @@ type RepairPacer struct {
 	ticks    int
 	violated int
 	timeline []RatePoint
+	// tickEv is the controller's periodic tick, bound once.
+	tickEv sim.EventFunc
 }
 
 // newRepairPacer builds the controller and its token lane on the spine.
@@ -215,8 +217,8 @@ func (p *RepairPacer) batchStripes() int {
 
 // admit gates one claimed repair batch through the token lane; run fires
 // once the tokens mature (FIFO after earlier admissions).
-func (p *RepairPacer) admit(bytes int64, run func()) {
-	p.lane.Admit(bytes, func(sim.Time) { run() })
+func (p *RepairPacer) admit(bytes int64, run sim.Handler) {
+	p.lane.AdmitHandler(bytes, run)
 }
 
 // settle reconciles a granted batch's token charge against the spine
@@ -253,7 +255,7 @@ func (r *Rack) pacerTick() {
 			trace.Int("rate_kbps", int64(r.pacer.rateMBps*1000)))
 	}
 	if now < r.stopIssuing || active {
-		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, sim.EventFunc(func(sim.Time) { r.pacerTick() }))
+		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, r.pacer.tickEv)
 	}
 }
 

@@ -163,13 +163,21 @@ type Rack struct {
 	rng     *sim.RNG
 
 	// Pools of the datapath's per-request state and event records (see
-	// records.go). They grow lazily to the number in flight.
-	states   sim.Pool[reqState]
-	requests sim.Pool[sched.Request]
-	hops     sim.Pool[hop]
-	ops      sim.Pool[serverOp]
-	msgs     sim.Pool[hermesMsg]
-	timers   sim.Pool[lossTimer]
+	// records.go, and ecgroup.go and gc.go for the erasure-coding and GC
+	// control records). They grow lazily to the number in flight.
+	states      sim.Pool[reqState]
+	requests    sim.Pool[sched.Request]
+	hops        sim.Pool[hop]
+	ops         sim.Pool[serverOp]
+	msgs        sim.Pool[hermesMsg]
+	timers      sim.Pool[lossTimer]
+	degraded    sim.Pool[degradedRead]
+	fetches     sim.Pool[chunkFetch]
+	grants      sim.Pool[repairGrant]
+	repairsDone sim.Pool[repairDone]
+	gcTimers    sim.Pool[gcOpTimer]
+	gcBursts    sim.Pool[gcBurstEnd]
+	ctrlMsgs    sim.Pool[ctrlMsg]
 
 	clientIP uint32
 	// controller models the VDC controller server used by VDC and
@@ -265,6 +273,7 @@ func NewRack(cfg Config) (*Rack, error) {
 	if cfg.RepairSLO.Enabled() {
 		// Validate guarantees Racks > 1, so the spine exists.
 		r.pacer = newRepairPacer(r.eng, r.cluster.spine.Link(), &cfg)
+		r.pacer.tickEv = func(sim.Time) { r.pacerTick() }
 	}
 
 	// Servers, rack by rack: server i lives in rack i/StorageServers and

@@ -44,9 +44,7 @@ func runBytes(t *testing.T, cfg Config) []byte {
 // sits at the core layer so a determinism regression is caught next to
 // the code that introduced it. Together with rackvet's simdeterminism
 // check (which proves no map iteration order can reach the event loop
-// statically) it pins the invariant from both sides: the GC burst path
-// exercised here drives the //rackvet:commutative-annotated PerChannel
-// iteration in startGCBurst across every run.
+// statically) it pins the invariant from both sides.
 func TestReplayByteIdentical(t *testing.T) {
 	for _, sys := range []System{VDC, RackBlox} {
 		for _, seed := range []int64{1, 7, 42} {

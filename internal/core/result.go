@@ -159,7 +159,7 @@ func (r *Rack) Run() *Result {
 	r.startGCMonitors()
 	r.scheduleFailure()
 	if r.pacer != nil {
-		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, sim.EventFunc(func(sim.Time) { r.pacerTick() }))
+		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, r.pacer.tickEv)
 	}
 	r.eng.Run()
 

@@ -201,7 +201,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 		return
 	}
 
-	if inst.cache.Contains(inst.id, lpn) {
+	if inst.cache.Contains(lpn) {
 		r.cacheHits++
 		r.eng.ScheduleAfter(cacheHitTime, labelServerCacheHit, s.newOp(stepCompleteRead, inst, req))
 		return
@@ -271,7 +271,7 @@ func (s *server) startWrite(inst *instance, req *sched.Request) {
 	if st.dispatched == 0 {
 		st.dispatched = now
 	}
-	inst.cache.Insert(inst.id, st.lpn)
+	inst.cache.Insert(st.lpn)
 	// The write now owns a DRAM slot: its scheduler token returns
 	// immediately. Kyber's write depth gates admission into the storage
 	// stack, not the replication round trip, which is network time.
@@ -322,7 +322,7 @@ func (s *server) applyReplicaWrite(inst *instance, lpn uint32) {
 	// predictor believes a read-free replica is idle and fires
 	// background GC under full write load.
 	inst.idle.OnRequest(s.rack.eng.Now())
-	if !inst.cache.Insert(inst.id, lpn) {
+	if !inst.cache.Insert(lpn) {
 		// Follower DRAM full: write through to flash immediately.
 		if _, err := inst.v.FTL.Write(int(lpn)); err != nil {
 			s.forceGC(inst)
@@ -346,7 +346,7 @@ func (s *server) flushPump(inst *instance) {
 	// keeps GC traffic proportional to the *unique* write footprint.
 	hold := s.rack.cfg.CacheHoldPages
 	for inst.flushInflight < inst.maxFlushInflight && inst.cache.Len() > hold {
-		_, lpn, ok := inst.cache.NextFlush()
+		lpn, ok := inst.cache.NextFlush()
 		if !ok {
 			return
 		}

@@ -26,14 +26,14 @@ func (s Striper) DataHolder(stripe, pos int) int {
 	return (stripe + pos) % s.Spec.Width()
 }
 
-// ParityHolders returns the holder indices storing a stripe's m parity
-// chunks, in parity order.
-func (s Striper) ParityHolders(stripe int) []int {
-	out := make([]int, s.Spec.M)
+// ParityHolders appends the holder indices storing a stripe's m parity
+// chunks, in parity order, to dst and returns the extended slice, so a
+// caller that reuses its buffer allocates nothing.
+func (s Striper) ParityHolders(dst []int, stripe int) []int {
 	for j := 0; j < s.Spec.M; j++ {
-		out[j] = (stripe + s.Spec.K + j) % s.Spec.Width()
+		dst = append(dst, (stripe+s.Spec.K+j)%s.Spec.Width())
 	}
-	return out
+	return dst
 }
 
 // Holders returns every holder index of a stripe in chunk order: the k
@@ -44,7 +44,7 @@ func (s Striper) Holders(stripe int) []int {
 	for p := 0; p < s.Spec.K; p++ {
 		out = append(out, s.DataHolder(stripe, p))
 	}
-	return append(out, s.ParityHolders(stripe)...)
+	return s.ParityHolders(out, stripe)
 }
 
 // PlacementMode selects how a stripe group's chunk holders map onto the

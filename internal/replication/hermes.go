@@ -95,7 +95,7 @@ type Message struct {
 type Transport func(msg Message)
 
 // keyState is one key's replica state. Its zero value — valid, never
-// written — is the state of every key absent from Node.keys.
+// written — is the state of every key the node has not touched.
 type keyState struct {
 	st State
 	ts Timestamp
@@ -128,8 +128,11 @@ type Node struct {
 	id      int
 	peers   []int
 	version uint64
-	keys    map[uint32]keyState
-	pending map[uint32]*pendingWrite
+	// keys and pending are indexed by LPN, grown to the highest key the
+	// node has touched; pending holds nil for keys with no write in
+	// flight.
+	keys    []keyState
+	pending []*pendingWrite
 	free    sim.Pool[pendingWrite]
 	send    Transport
 }
@@ -150,42 +153,54 @@ func NewNode(id int, peers []int, send Transport) *Node {
 		panic(fmt.Sprintf("replication: node %d not in peer list %v", id, peers))
 	}
 	return &Node{
-		id:      id,
-		peers:   append([]int(nil), peers...),
-		keys:    make(map[uint32]keyState),
-		pending: make(map[uint32]*pendingWrite),
-		send:    send,
+		id:    id,
+		peers: append([]int(nil), peers...),
+		send:  send,
 	}
 }
 
 // ID returns the node id.
 func (n *Node) ID() int { return n.id }
 
+// key returns lpn's replica state; untouched keys are valid.
+func (n *Node) key(lpn uint32) keyState {
+	if int(lpn) < len(n.keys) {
+		return n.keys[lpn]
+	}
+	return keyState{}
+}
+
+// setKey records lpn's replica state, growing the per-key tables to cover
+// it.
+func (n *Node) setKey(lpn uint32, k keyState) {
+	if int(lpn) >= len(n.keys) {
+		size := max(int(lpn)+1, 2*len(n.keys))
+		n.keys = append(n.keys, make([]keyState, size-len(n.keys))...)
+		n.pending = append(n.pending, make([]*pendingWrite, size-len(n.pending))...)
+	}
+	n.keys[lpn] = k
+}
+
+// pendingAt returns lpn's in-flight coordinator write, nil when none.
+func (n *Node) pendingAt(lpn uint32) *pendingWrite {
+	if int(lpn) < len(n.pending) {
+		return n.pending[lpn]
+	}
+	return nil
+}
+
 // CanRead reports whether this replica may serve a local read of lpn.
 // Unwritten keys are trivially consistent.
-func (n *Node) CanRead(lpn uint32) bool { return n.keys[lpn].st == Valid }
+func (n *Node) CanRead(lpn uint32) bool { return n.key(lpn).st == Valid }
 
 // KeyState exposes the replica state of a key (tests, introspection).
-func (n *Node) KeyState(lpn uint32) State { return n.keys[lpn].st }
+func (n *Node) KeyState(lpn uint32) State { return n.key(lpn).st }
 
 // release returns a finished pending write to the free list, keeping its
 // awaiting slice's capacity for the next write.
 func (n *Node) release(pw *pendingWrite) {
 	pw.awaiting, pw.onCommit = pw.awaiting[:0], nil
 	n.free.Put(pw)
-}
-
-// pendingLPNs returns the keys with an in-flight write in ascending order:
-// callers that commit or release several writes do so in this order,
-// because each callback schedules events and draws randomness, and map
-// order would change the run from one execution to the next.
-func (n *Node) pendingLPNs() []uint32 {
-	lpns := make([]uint32, 0, len(n.pending))
-	for lpn := range n.pending {
-		lpns = append(lpns, lpn)
-	}
-	slices.Sort(lpns)
-	return lpns
 }
 
 // Write starts a coordinator write of lpn at this node. onCommit fires
@@ -196,9 +211,9 @@ func (n *Node) pendingLPNs() []uint32 {
 func (n *Node) Write(lpn uint32, onCommit func()) {
 	n.version++
 	ts := Timestamp{Version: n.version, NodeID: n.id}
-	n.keys[lpn] = keyState{st: Writing, ts: ts}
+	n.setKey(lpn, keyState{st: Writing, ts: ts})
 
-	if prev, ok := n.pending[lpn]; ok {
+	if prev := n.pending[lpn]; prev != nil {
 		if prev.onCommit != nil {
 			prev.onCommit()
 		}
@@ -220,7 +235,7 @@ func (n *Node) Write(lpn uint32, onCommit func()) {
 }
 
 func (n *Node) commit(lpn uint32, pw *pendingWrite) {
-	delete(n.pending, lpn)
+	n.pending[lpn] = nil
 	if k := n.keys[lpn]; k.ts == pw.ts {
 		n.keys[lpn] = keyState{st: Valid, ts: k.ts}
 		for _, p := range n.peers {
@@ -256,18 +271,21 @@ func (n *Node) Peers() []int { return append([]int(nil), n.peers...) }
 // Rejoin resets the node's per-key replica state and in-flight writes
 // while keeping its identity, peer list, and Lamport clock: the model
 // of a revived server whose DRAM and flash are gone rejoining the
-// group empty. Superseded in-flight writes release their callbacks, in
-// key order, so no client waits on a commit that can never happen.
+// group empty. Superseded in-flight writes release their callbacks in
+// key order — each callback schedules events and draws randomness — so
+// no client waits on a commit that can never happen.
 func (n *Node) Rejoin() {
-	for _, lpn := range n.pendingLPNs() {
-		pw := n.pending[lpn]
+	for lpn, pw := range n.pending {
+		if pw == nil {
+			continue
+		}
+		n.pending[lpn] = nil
 		if pw.onCommit != nil {
 			pw.onCommit()
 		}
 		n.release(pw)
 	}
-	n.keys = make(map[uint32]keyState)
-	n.pending = make(map[uint32]*pendingWrite)
+	clear(n.keys)
 }
 
 // RemovePeer degrades the group after peer death: in-flight writes stop
@@ -282,11 +300,11 @@ func (n *Node) RemovePeer(dead int) {
 		}
 	}
 	n.peers = kept
-	// Writes that no longer wait for anyone commit in key order.
-	for _, lpn := range n.pendingLPNs() {
-		pw := n.pending[lpn]
-		if pw.stopAwaiting(dead) && len(pw.awaiting) == 0 {
-			n.commit(lpn, pw)
+	// Writes that no longer wait for anyone commit in key order: each
+	// commit schedules events and draws randomness.
+	for lpn, pw := range n.pending {
+		if pw != nil && pw.stopAwaiting(dead) && len(pw.awaiting) == 0 {
+			n.commit(uint32(lpn), pw)
 		}
 	}
 }
@@ -303,13 +321,13 @@ func (n *Node) Handle(msg Message) {
 	}
 	switch msg.Type {
 	case MsgInv:
-		if n.keys[msg.LPN].ts.Less(msg.TS) {
-			n.keys[msg.LPN] = keyState{st: Invalid, ts: msg.TS}
+		if n.key(msg.LPN).ts.Less(msg.TS) {
+			n.setKey(msg.LPN, keyState{st: Invalid, ts: msg.TS})
 		}
 		n.send(Message{Type: MsgAck, From: n.id, To: msg.From, LPN: msg.LPN, TS: msg.TS})
 	case MsgAck:
-		pw, ok := n.pending[msg.LPN]
-		if !ok || pw.ts != msg.TS {
+		pw := n.pendingAt(msg.LPN)
+		if pw == nil || pw.ts != msg.TS {
 			return // ack for a superseded write
 		}
 		pw.stopAwaiting(msg.From)
@@ -317,7 +335,7 @@ func (n *Node) Handle(msg Message) {
 			n.commit(msg.LPN, pw)
 		}
 	case MsgVal:
-		if k := n.keys[msg.LPN]; k.ts == msg.TS && k.st == Invalid {
+		if k := n.key(msg.LPN); k.ts == msg.TS && k.st == Invalid {
 			n.keys[msg.LPN] = keyState{st: Valid, ts: k.ts}
 		}
 	}

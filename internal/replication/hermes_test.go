@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -290,5 +292,174 @@ func TestPendingWritesReleaseInKeyOrder(t *testing.T) {
 				t.Fatalf("%s released writes in order %v, want ascending keys", release.name, order)
 			}
 		}
+	}
+}
+
+// mapNode is the map-keyed Node the LPN-indexed one replaced, kept as
+// the reference model of TestNodeMatchesMapModel.
+type mapNode struct {
+	id      int
+	peers   []int
+	version uint64
+	keys    map[uint32]keyState
+	pending map[uint32]*pendingWrite
+	send    Transport
+}
+
+func newMapNode(id int, peers []int, send Transport) *mapNode {
+	return &mapNode{id: id, peers: append([]int(nil), peers...),
+		keys: map[uint32]keyState{}, pending: map[uint32]*pendingWrite{}, send: send}
+}
+
+func (n *mapNode) pendingLPNs() []uint32 {
+	var lpns []uint32
+	for lpn := range n.pending {
+		lpns = append(lpns, lpn)
+	}
+	slices.Sort(lpns)
+	return lpns
+}
+
+func (n *mapNode) Write(lpn uint32, onCommit func()) {
+	n.version++
+	ts := Timestamp{Version: n.version, NodeID: n.id}
+	n.keys[lpn] = keyState{st: Writing, ts: ts}
+	if prev, ok := n.pending[lpn]; ok && prev.onCommit != nil {
+		prev.onCommit()
+	}
+	pw := &pendingWrite{ts: ts, onCommit: onCommit}
+	for _, p := range n.peers {
+		if p != n.id {
+			pw.awaiting = append(pw.awaiting, p)
+			n.send(Message{Type: MsgInv, From: n.id, To: p, LPN: lpn, TS: ts})
+		}
+	}
+	n.pending[lpn] = pw
+	if len(pw.awaiting) == 0 {
+		n.commit(lpn, pw)
+	}
+}
+
+func (n *mapNode) commit(lpn uint32, pw *pendingWrite) {
+	delete(n.pending, lpn)
+	if k := n.keys[lpn]; k.ts == pw.ts {
+		n.keys[lpn] = keyState{st: Valid, ts: k.ts}
+		for _, p := range n.peers {
+			if p != n.id {
+				n.send(Message{Type: MsgVal, From: n.id, To: p, LPN: lpn, TS: pw.ts})
+			}
+		}
+	}
+	if pw.onCommit != nil {
+		pw.onCommit()
+	}
+}
+
+func (n *mapNode) Rejoin() {
+	for _, lpn := range n.pendingLPNs() {
+		if pw := n.pending[lpn]; pw.onCommit != nil {
+			pw.onCommit()
+		}
+	}
+	n.keys = map[uint32]keyState{}
+	n.pending = map[uint32]*pendingWrite{}
+}
+
+func (n *mapNode) RemovePeer(dead int) {
+	n.peers = slices.DeleteFunc(n.peers, func(p int) bool { return p == dead })
+	for _, lpn := range n.pendingLPNs() {
+		pw := n.pending[lpn]
+		if pw.stopAwaiting(dead) && len(pw.awaiting) == 0 {
+			n.commit(lpn, pw)
+		}
+	}
+}
+
+func (n *mapNode) Handle(msg Message) {
+	if msg.TS.Version > n.version {
+		n.version = msg.TS.Version
+	}
+	switch msg.Type {
+	case MsgInv:
+		if n.keys[msg.LPN].ts.Less(msg.TS) {
+			n.keys[msg.LPN] = keyState{st: Invalid, ts: msg.TS}
+		}
+		n.send(Message{Type: MsgAck, From: n.id, To: msg.From, LPN: msg.LPN, TS: msg.TS})
+	case MsgAck:
+		pw, ok := n.pending[msg.LPN]
+		if !ok || pw.ts != msg.TS {
+			return
+		}
+		pw.stopAwaiting(msg.From)
+		if len(pw.awaiting) == 0 {
+			n.commit(msg.LPN, pw)
+		}
+	case MsgVal:
+		if k := n.keys[msg.LPN]; k.ts == msg.TS && k.st == Invalid {
+			n.keys[msg.LPN] = keyState{st: Valid, ts: k.ts}
+		}
+	}
+}
+
+// Property: on any sequence of writes, message deliveries and losses,
+// peer removals and rejoins, a group of two or three LPN-indexed Nodes
+// sends the same messages, fires the same commit callbacks in the same
+// order, and holds the same KeyState for every key as a group of
+// map-keyed reference nodes driven identically.
+func TestNodeMatchesMapModel(t *testing.T) {
+	const keys = 24
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 2 + rng.Intn(2)
+		var queue, refQueue []Message
+		var commits, refCommits []int
+		var dense []*Node
+		var ref []*mapNode
+		peers := []int{0, 1, 2}[:nodes]
+		for i := 0; i < nodes; i++ {
+			dense = append(dense, NewNode(i, peers, func(m Message) { queue = append(queue, m) }))
+			ref = append(ref, newMapNode(i, peers, func(m Message) { refQueue = append(refQueue, m) }))
+		}
+		for w := 0; w < 400; w++ {
+			n := rng.Intn(nodes)
+			lpn := uint32(rng.Intn(keys))
+			switch op := rng.Intn(20); {
+			case op < 9:
+				dense[n].Write(lpn, func() { commits = append(commits, w) })
+				ref[n].Write(lpn, func() { refCommits = append(refCommits, w) })
+			case op < 17:
+				if len(queue) > 0 {
+					m := queue[0]
+					queue, refQueue = queue[1:], refQueue[1:]
+					dense[m.To].Handle(m)
+					ref[m.To].Handle(m)
+				}
+			case op == 17:
+				if len(queue) > 0 {
+					queue, refQueue = queue[1:], refQueue[1:] // lost
+				}
+			case op == 18:
+				dead := (n + 1 + rng.Intn(nodes-1)) % nodes
+				dense[n].RemovePeer(dead)
+				ref[n].RemovePeer(dead)
+			default:
+				dense[n].Rejoin()
+				ref[n].Rejoin()
+			}
+			if !slices.Equal(queue, refQueue) || !slices.Equal(commits, refCommits) {
+				return false
+			}
+			for i := range dense {
+				for k := uint32(0); k < keys+2; k++ {
+					if dense[i].KeyState(k) != ref[i].keys[k].st || dense[i].CanRead(k) != (ref[i].keys[k].st == Valid) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

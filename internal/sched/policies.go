@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"rackblox/internal/sim"
 )
@@ -159,14 +159,14 @@ func (k *kyber) Len() int { return k.reads.Len() + k.writes.Len() }
 // WriteBudget exposes the current throttle for tests.
 func (k *kyber) WriteBudget() int { return k.writeBudget }
 
+// percentile returns the p-th percentile of v, sorting v in place.
 func percentile(v []sim.Time, p float64) sim.Time {
-	c := append([]sim.Time(nil), v...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	idx := int(p / 100 * float64(len(c)))
-	if idx >= len(c) {
-		idx = len(c) - 1
+	slices.Sort(v)
+	idx := int(p / 100 * float64(len(v)))
+	if idx >= len(v) {
+		idx = len(v) - 1
 	}
-	return c[idx]
+	return v[idx]
 }
 
 // cfq alternates dispatch quanta between the read and write classes in

@@ -26,6 +26,7 @@ type PacedBandwidth struct {
 	// changes when the head admission's tokens mature.
 	wake    uint64
 	pumping bool
+	wakes   Pool[pacedWake]
 }
 
 // labelPacedWake counts the wakeups that retry the head admission.
@@ -33,7 +34,23 @@ var labelPacedWake = NewLabel("paced.wake")
 
 type pacedGrant struct {
 	bytes int64
-	grant func(now Time)
+	grant Handler
+}
+
+// pacedWake is the pooled wakeup of one refill wait; gen names the wait
+// it belongs to, so a wakeup a later SetRate superseded does nothing.
+type pacedWake struct {
+	p   *PacedBandwidth
+	gen uint64
+}
+
+func (w *pacedWake) Fire(Time) {
+	p, gen := w.p, w.gen
+	*w = pacedWake{}
+	p.wakes.Put(w)
+	if gen == p.wake {
+		p.pump()
+	}
 }
 
 // NewPacedBandwidth returns a paced lane over link with the given token
@@ -78,6 +95,17 @@ func (p *PacedBandwidth) SetRate(rateBytesPerSec float64) {
 // callback typically starts the actual link transfer (or device work)
 // the tokens gate.
 func (p *PacedBandwidth) Admit(bytes int64, grant func(now Time)) {
+	if grant == nil {
+		panic("sim: nil paced grant")
+	}
+	p.AdmitHandler(bytes, EventFunc(grant))
+}
+
+// AdmitHandler is Admit with the grant as a Handler, which a hot path
+// passes as a pooled record so an admission allocates nothing. The grant
+// fires inside the call that matures its tokens, not as a scheduled
+// event.
+func (p *PacedBandwidth) AdmitHandler(bytes int64, grant Handler) {
 	if grant == nil {
 		panic("sim: nil paced grant")
 	}
@@ -148,16 +176,17 @@ func (p *PacedBandwidth) pump() {
 		if p.tokens < need {
 			wait := Time((need-p.tokens)/p.rate*float64(Second)) + 1
 			p.wake++
-			gen := p.wake
-			p.eng.ScheduleAfter(wait, labelPacedWake, EventFunc(func(Time) {
-				if gen == p.wake {
-					p.pump()
-				}
-			}))
+			w := p.wakes.Get()
+			w.p, w.gen = p, p.wake
+			p.eng.ScheduleAfter(wait, labelPacedWake, w)
 			return
 		}
 		p.tokens -= float64(head.bytes)
-		p.queue = p.queue[1:]
-		head.grant(now)
+		// Pop by shifting down: the queue holds a few admissions at most,
+		// and its backing array is reused instead of sliding off.
+		n := copy(p.queue, p.queue[1:])
+		p.queue[n] = pacedGrant{}
+		p.queue = p.queue[:n]
+		head.grant.Fire(now)
 	}
 }

@@ -3,6 +3,8 @@ package ssd
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"rackblox/internal/flash"
 )
@@ -38,11 +40,17 @@ type chipAlloc struct {
 // §3.3). Chips are never shared between FTLs; software-isolated vSSDs
 // share channels, not chips.
 type FTL struct {
-	dev          *Device
-	chips        []*chipAlloc
-	mapping      []int       // LPN -> global PPN, -1 when unmapped
-	reverse      map[int]int // global PPN -> LPN
-	nextChip     int         // round-robin allocation cursor
+	dev     *Device
+	chips   []*chipAlloc
+	mapping []int // LPN -> global PPN, -1 when unmapped
+	// reverse maps every global PPN of the device to the LPN this FTL
+	// stored there, -1 for pages it does not map. It is private to the
+	// FTL, not an out-of-band field of the flash page: a lender's victim
+	// scan can land on a block it lent out, and there the lookup must
+	// fail rather than hand the lender the borrower's pages.
+	reverse      []int32
+	channels     []int // distinct channels of chips, in chip order
+	nextChip     int   // round-robin allocation cursor
 	logicalPages int
 
 	// Borrowed free blocks from collocated vSSDs in the same channel
@@ -66,10 +74,17 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 		return nil, fmt.Errorf("ssd: utilization %f outside (0,1)", utilization)
 	}
 	geo := dev.Geometry()
+	devicePages := geo.TotalPages()
+	if devicePages > math.MaxInt32 {
+		return nil, fmt.Errorf("ssd: %d device pages overflow the reverse map", devicePages)
+	}
 	f := &FTL{
 		dev:           dev,
-		reverse:       make(map[int]int),
+		reverse:       make([]int32, devicePages),
 		borrowedInUse: make(map[BlockRef]int),
+	}
+	for i := range f.reverse {
+		f.reverse[i] = -1
 	}
 	for _, c := range chips {
 		if c.Channel < 0 || c.Channel >= geo.Channels || c.Chip < 0 || c.Chip >= geo.ChipsPerChannel {
@@ -81,6 +96,9 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 			ca.isFree[b] = true
 		}
 		f.chips = append(f.chips, ca)
+		if !slices.Contains(f.channels, c.Channel) {
+			f.channels = append(f.channels, c.Channel)
+		}
 	}
 	raw := len(chips) * geo.BlocksPerChip * geo.PagesPerBlock
 	f.logicalPages = int(float64(raw) * utilization)
@@ -106,18 +124,10 @@ func (f *FTL) Chips() []ChipRef {
 	return refs
 }
 
-// Channels returns the distinct channels the FTL's chips live on.
-func (f *FTL) Channels() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range f.chips {
-		if !seen[c.ref.Channel] {
-			seen[c.ref.Channel] = true
-			out = append(out, c.ref.Channel)
-		}
-	}
-	return out
-}
+// Channels returns the distinct channels the FTL's chips live on, in
+// chip order. The slice is computed once and shared: callers must not
+// modify it.
+func (f *FTL) Channels() []int { return f.channels }
 
 // LogicalPages returns the exported logical page count.
 func (f *FTL) LogicalPages() int { return f.logicalPages }
@@ -195,11 +205,18 @@ func (f *FTL) commitMapping(lpn int, addr flash.Addr) {
 		if err := f.dev.Array().Invalidate(geo.AddrOf(old)); err != nil {
 			panic(fmt.Sprintf("ssd: corrupt mapping for lpn %d: %v", lpn, err))
 		}
-		delete(f.reverse, old)
+		f.reverse[old] = -1
 	}
 	ppn := geo.PPN(addr)
 	f.mapping[lpn] = ppn
-	f.reverse[ppn] = lpn
+	f.reverse[ppn] = int32(lpn)
+}
+
+// lpnAt returns the logical page this FTL stored at ppn, false when it
+// maps nothing there.
+func (f *FTL) lpnAt(ppn int) (int, bool) {
+	lpn := f.reverse[ppn]
+	return int(lpn), lpn >= 0
 }
 
 // allocPage returns the next free physical page, rotating across chips for

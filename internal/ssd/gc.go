@@ -26,8 +26,28 @@ type BurstResult struct {
 	Blocks   int
 	Moved    int
 	Duration sim.Time
-	// PerChannel is the blocked time per channel index.
-	PerChannel map[int]sim.Time
+	// PerChannel is the blocked time per channel index, one entry per
+	// device channel. A channel the burst never charged holds
+	// Untouched; a charged one holds its total, which may be zero.
+	PerChannel []sim.Time
+}
+
+// Untouched marks a PerChannel entry the burst never charged.
+const Untouched sim.Time = -1
+
+// NewBurstResult returns an empty burst result for a device of the given
+// channel count.
+func NewBurstResult(channels int) BurstResult {
+	out := BurstResult{PerChannel: make([]sim.Time, channels)}
+	for i := range out.PerChannel {
+		out.PerChannel[i] = Untouched
+	}
+	return out
+}
+
+// Charge adds d of blocked time to channel ch.
+func (b *BurstResult) Charge(ch int, d sim.Time) {
+	b.PerChannel[ch] = max(b.PerChannel[ch], 0) + d
 }
 
 // stepDuration prices one GC step from the device profile.
@@ -94,7 +114,7 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 		}
 		src := vaddr
 		src.Page = p
-		lpn, ok := f.reverse[geo.PPN(src)]
+		lpn, ok := f.lpnAt(geo.PPN(src))
 		if !ok {
 			return GCResult{}, fmt.Errorf("ssd: valid page %v has no reverse mapping", src)
 		}
@@ -129,7 +149,7 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 // later monitoring rounds. It aggregates per-channel blocked time so the
 // caller can occupy the channel resources for the right spans.
 func (f *FTL) CollectBurst(target float64, maxBlocks int) BurstResult {
-	out := BurstResult{PerChannel: map[int]sim.Time{}}
+	out := NewBurstResult(f.dev.Geometry().Channels)
 	for f.FreeRatio() < target {
 		if maxBlocks > 0 && out.Blocks >= maxBlocks {
 			break
@@ -141,7 +161,7 @@ func (f *FTL) CollectBurst(target float64, maxBlocks int) BurstResult {
 		out.Blocks++
 		out.Moved += res.Moved
 		out.Duration += res.Duration
-		out.PerChannel[res.Channel] += res.Duration
+		out.Charge(res.Channel, res.Duration)
 	}
 	return out
 }
@@ -181,7 +201,7 @@ func (f *FTL) VacateBorrowed() ([]BlockRef, sim.Time) {
 			}
 			src := vaddr
 			src.Page = p
-			lpn, ok := f.reverse[geo.PPN(src)]
+			lpn, ok := f.lpnAt(geo.PPN(src))
 			if !ok {
 				continue
 			}

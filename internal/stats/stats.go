@@ -6,7 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sample is one completed I/O request with its per-stage latencies,
@@ -32,10 +32,17 @@ type Sample struct {
 // the "Stor" series of Fig. 15.
 func (s Sample) Storage() int64 { return s.Queue + s.Device }
 
-// Recorder accumulates samples for one experiment run.
+// recorderChunk is how many samples one chunk of a Recorder holds.
+const recorderChunk = 16 << 10
+
+// Recorder accumulates samples for one experiment run. Samples live in
+// fixed chunks of recorderChunk, allocated as the run needs them and kept
+// across Reset, so recording never copies what is already recorded the
+// way regrowing one slice would.
 // It is not safe for concurrent use; the simulation is single-threaded.
 type Recorder struct {
-	samples []Sample
+	chunks []*[recorderChunk]Sample
+	n      int
 	// start/end bound the measurement window for throughput.
 	start, end int64
 	redirects  int
@@ -46,7 +53,7 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Add records one completed request finishing at virtual time now.
 func (r *Recorder) Add(s Sample, now int64) {
-	if len(r.samples) == 0 {
+	if r.n == 0 {
 		r.start = now
 	}
 	if now > r.end {
@@ -55,30 +62,45 @@ func (r *Recorder) Add(s Sample, now int64) {
 	if s.Redirected {
 		r.redirects++
 	}
-	r.samples = append(r.samples, s)
+	c := r.n / recorderChunk
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, new([recorderChunk]Sample))
+	}
+	r.chunks[c][r.n%recorderChunk] = s
+	r.n++
 }
 
+// chunk returns the recorded part of chunk c.
+func (r *Recorder) chunk(c int) []Sample {
+	return r.chunks[c][:min(recorderChunk, r.n-c*recorderChunk)]
+}
+
+// used returns how many chunks hold samples.
+func (r *Recorder) used() int { return (r.n + recorderChunk - 1) / recorderChunk }
+
 // Len returns the number of recorded samples.
-func (r *Recorder) Len() int { return len(r.samples) }
+func (r *Recorder) Len() int { return r.n }
 
 // Redirects returns how many samples were redirected by the switch.
 func (r *Recorder) Redirects() int { return r.redirects }
 
-// Reset clears all samples while keeping capacity.
+// Reset clears all samples while keeping the allocated chunks.
 func (r *Recorder) Reset() {
-	r.samples = r.samples[:0]
+	r.n = 0
 	r.start, r.end, r.redirects = 0, 0, 0
 }
 
 // filter returns latencies selected by keep and extracted by get, sorted.
 func (r *Recorder) filter(keep func(Sample) bool, get func(Sample) int64) []int64 {
-	out := make([]int64, 0, len(r.samples))
-	for _, s := range r.samples {
-		if keep == nil || keep(s) {
-			out = append(out, get(s))
+	out := make([]int64, 0, r.n)
+	for c := range r.used() {
+		for _, s := range r.chunk(c) {
+			if keep == nil || keep(s) {
+				out = append(out, get(s))
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -111,10 +133,10 @@ func (r *Recorder) WriteStorage() Dist {
 // Throughput returns completed requests per second of virtual time (IOPS).
 func (r *Recorder) Throughput() float64 {
 	dur := r.end - r.start
-	if dur <= 0 || len(r.samples) < 2 {
+	if dur <= 0 || r.n < 2 {
 		return 0
 	}
-	return float64(len(r.samples)-1) / (float64(dur) / 1e9)
+	return float64(r.n-1) / (float64(dur) / 1e9)
 }
 
 // Len returns the number of values in the distribution.
@@ -218,5 +240,12 @@ func Speedup(base, v int64) float64 {
 	return float64(base) / float64(v)
 }
 
-// RawSamples exposes the recorder's samples for diagnostic tooling.
-func RawSamples(r *Recorder) []Sample { return r.samples }
+// RawSamples returns a copy of the recorder's samples in recording order,
+// for diagnostic tooling.
+func RawSamples(r *Recorder) []Sample {
+	out := make([]Sample, 0, r.n)
+	for c := range r.used() {
+		out = append(out, r.chunk(c)...)
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,84 @@ func TestPercentileMembershipProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: a Recorder spanning at least three chunks answers exactly as
+// one sample slice does — Len, RawSamples order, every distribution's
+// percentiles and mean, Throughput and Redirects — and, after Reset,
+// refills its kept chunks the same way.
+func TestRecorderChunksMatchSliceModel(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRecorder()
+		chunks := 0
+		for _, n := range []int{3*recorderChunk + rng.Intn(recorderChunk), 1 + rng.Intn(2*recorderChunk)} {
+			r.Reset()
+			var model []Sample
+			redirects := 0
+			var start, last int64
+			for i := 0; i < n; i++ {
+				s := Sample{Total: int64(rng.Intn(1e6)), Queue: int64(rng.Intn(1e4)),
+					Device: int64(rng.Intn(1e5)), Write: rng.Intn(3) == 0, Redirected: rng.Intn(5) == 0}
+				last += int64(rng.Intn(1e4))
+				if i == 0 {
+					start = last
+				}
+				r.Add(s, last)
+				model = append(model, s)
+				if s.Redirected {
+					redirects++
+				}
+			}
+			if r.Len() != n || !slices.Equal(RawSamples(r), model) || r.Redirects() != redirects {
+				return false
+			}
+			if chunks == 0 {
+				chunks = len(r.chunks)
+			} else if len(r.chunks) != chunks {
+				return false // the refill after Reset allocated chunks
+			}
+			wantIOPS := 0.0
+			if dur := last - start; dur > 0 && n > 1 {
+				wantIOPS = float64(n-1) / (float64(dur) / 1e9)
+			}
+			if r.Throughput() != wantIOPS {
+				return false
+			}
+			for _, c := range []struct {
+				got  Dist
+				keep func(Sample) bool
+				get  func(Sample) int64
+			}{
+				{r.All(), func(Sample) bool { return true }, total},
+				{r.Reads(), isRead, total},
+				{r.Writes(), isWrite, total},
+				{r.ReadStorage(), isRead, Sample.Storage},
+				{r.WriteStorage(), isWrite, Sample.Storage},
+			} {
+				var want []int64
+				for _, s := range model {
+					if c.keep(s) {
+						want = append(want, c.get(s))
+					}
+				}
+				slices.Sort(want)
+				wantDist := Dist{want}
+				if c.got.Len() != len(want) || c.got.Mean() != wantDist.Mean() {
+					return false
+				}
+				for _, p := range []float64{1, 50, 95, 99, 99.9, 100} {
+					if c.got.Percentile(p) != wantDist.Percentile(p) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,7 +2,7 @@ package stats
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // WindowedQuantile tracks quantiles over a sliding window of the most
@@ -65,7 +65,7 @@ func (w *WindowedQuantile) Quantile(p float64) int64 {
 		return 0
 	}
 	w.scratch = append(w.scratch[:0], w.ring[:n]...)
-	sort.Slice(w.scratch, func(i, j int) bool { return w.scratch[i] < w.scratch[j] })
+	slices.Sort(w.scratch)
 	if p <= 0 {
 		return w.scratch[0]
 	}

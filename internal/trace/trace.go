@@ -23,6 +23,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"rackblox/internal/sim"
@@ -232,12 +233,14 @@ func (t *Tracer) StartSpan(name, kind string, key uint64, at sim.Time) *Span {
 	return &Span{Name: name, Kind: kind, Key: key, Start: at, End: at, tracer: t}
 }
 
-// Instant records a control-plane moment on the named track.
+// Instant records a control-plane moment on the named track. It keeps a
+// copy of attrs, so the caller's argument list does not escape and a call
+// on a nil tracer allocates nothing.
 func (t *Tracer) Instant(track, name string, at sim.Time, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.instants = append(t.instants, Instant{Track: track, Name: name, At: at, Attrs: attrs})
+	t.instants = append(t.instants, Instant{Track: track, Name: name, At: at, Attrs: slices.Clone(attrs)})
 }
 
 // RecordGC records one GC burst on vssd's channels over [start, end].

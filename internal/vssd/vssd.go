@@ -283,14 +283,16 @@ func (g *ChannelGroup) freestMember(excluding *VSSD) *VSSD {
 // combined per-channel busy time. maxBlocks caps each member's burst
 // (0 = unlimited).
 func (g *ChannelGroup) GroupCollect(target float64, maxBlocks int) ssd.BurstResult {
-	out := ssd.BurstResult{PerChannel: map[int]sim.Time{}}
+	out := ssd.NewBurstResult(g.Members[0].FTL.Device().Geometry().Channels)
 	for _, m := range g.Members {
 		res := m.FTL.CollectBurst(target, maxBlocks)
 		out.Blocks += res.Blocks
 		out.Moved += res.Moved
 		out.Duration += res.Duration
 		for ch, d := range res.PerChannel {
-			out.PerChannel[ch] += d
+			if d != ssd.Untouched {
+				out.Charge(ch, d)
+			}
 		}
 	}
 	// Return loans: borrowers vacate, lenders take the blocks back.
@@ -314,7 +316,7 @@ func (g *ChannelGroup) GroupCollect(target float64, maxBlocks int) ssd.BurstResu
 				if len(chs) > 0 {
 					per := dur / sim.Time(len(chs))
 					for _, ch := range chs {
-						out.PerChannel[ch] += per
+						out.Charge(ch, per)
 					}
 				}
 			}

@@ -245,20 +245,27 @@
 // lookahead contract (deliveries at least one lookahead in the future)
 // is enforced at the call site.
 //
-// The datapath is allocation-free in steady state, and stays so by three
+// The datapath is allocation-free in steady state, and stays so by four
 // rules. Hot events are typed records: every hop of a request (client to
 // ToR, ToR pipeline, ToR to server, server back through the ToR, each
-// Hermes message, each flash completion) schedules a pooled,
+// Hermes message, each flash completion, each chunk fetch of a degraded
+// read, each repair batch, each GC control message) schedules a pooled,
 // pointer-typed record implementing sim.Handler instead of a capturing
-// closure, and per-pair or per-instance events are funcs bound once at
-// build time. Pooled state is re-resolved by seq: request states and
+// closure, and per-pair, per-instance and per-group events (issue, pump,
+// GC monitor, repair pump, pacer tick) are funcs bound once at build
+// time. Pooled state is re-resolved by seq: request states and
 // scheduler requests are recycled through free lists, so a record that
 // outlives an event carries the request's seq and looks the request up
 // in the rack's table when it fires; seq is never reused, so a recycled
-// struct can never pass for a live request. Labels are declared with
-// sim.NewLabel at package scope, so scheduling an event costs no string
-// lookup. TestRackSteadyStateAllocs gates it in CI at 4 heap allocations
-// per completed request.
+// struct can never pass for a live request. Per-request state lives in
+// dense tables, not maps or growing slices: the FTL's reverse map, the
+// Hermes key and pending tables and the write cache are indexed by page
+// number, per-holder EC state by holder index, scratch lists are reused
+// buffers, and the latency recorder fills fixed chunks. Labels are
+// declared with sim.NewLabel at package scope, so scheduling an event
+// costs no string lookup. TestRackSteadyStateAllocs gates it in CI at
+// 0.1 heap allocations per completed request, for a replicated rack and
+// for an erasure-coded cluster through fail/revive cycles.
 //
 // Every measurement above rests on five invariants that the cmd/rackvet
 // analysis suite (internal/analysis) machine-checks, so they hold by

@@ -61,6 +61,8 @@ type FTL struct {
 	hostWrites int64 // pages written by the host
 	gcMoves    int64 // pages moved by garbage collection
 	gcErases   int64 // blocks erased by garbage collection
+
+	burst BurstResult // what CollectBurst returns, its buffer reused
 }
 
 // NewFTL builds an FTL over the given chips. utilization in (0,1) sets the

@@ -302,6 +302,47 @@ func TestCollectBurstReachesTarget(t *testing.T) {
 	}
 }
 
+// CollectBurst refills one PerChannel buffer owned by the FTL: a second
+// burst that charges fewer channels reports Untouched for the channels
+// only the first charged, and a burst allocates nothing.
+func TestCollectBurstReusesPerChannel(t *testing.T) {
+	d := newDev(t)
+	f := newFTL(t, d, d.AllChips())
+	churn := func() {
+		for i := 0; i < f.LogicalPages()/2; i++ {
+			if _, err := f.Write(i); err != nil {
+				f.CollectOnce()
+			}
+		}
+	}
+	for i := 0; i < f.LogicalPages(); i++ {
+		f.Write(i)
+	}
+	churn()
+	first := slices.Clone(f.CollectBurst(f.FreeRatio()+0.2, 0).PerChannel)
+	churn()
+	second := f.CollectBurst(1, 1)
+	if second.Blocks != 1 {
+		t.Fatalf("second burst reclaimed %d blocks, want 1", second.Blocks)
+	}
+	charged, onlyFirst := 0, 0
+	for ch, dur := range second.PerChannel {
+		switch {
+		case dur != Untouched:
+			charged++
+		case first[ch] != Untouched:
+			onlyFirst++
+		}
+	}
+	if charged != 1 || onlyFirst == 0 {
+		t.Fatalf("first burst %v, second %v: want the second to charge one channel and leave Untouched at least one the first charged",
+			first, second.PerChannel)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { f.CollectBurst(1, 1) }); allocs != 0 {
+		t.Errorf("a burst allocated %v times, want 0", allocs)
+	}
+}
+
 func TestGCDurationPricing(t *testing.T) {
 	d := newDev(t)
 	f := newFTL(t, d, d.ChannelChips(0))

@@ -2,6 +2,7 @@ package ssd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"rackblox/internal/flash"
@@ -21,7 +22,9 @@ type GCResult struct {
 }
 
 // BurstResult aggregates a GC burst (§3.5: one gc_op covers freeing enough
-// blocks to climb back above the threshold).
+// blocks to climb back above the threshold). The FTL or ChannelGroup that
+// returns one owns its PerChannel buffer and refills it on its next burst,
+// so a result is valid only until then: callers consume it at once.
 type BurstResult struct {
 	Blocks   int
 	Moved    int
@@ -35,14 +38,13 @@ type BurstResult struct {
 // Untouched marks a PerChannel entry the burst never charged.
 const Untouched sim.Time = -1
 
-// NewBurstResult returns an empty burst result for a device of the given
-// channel count.
-func NewBurstResult(channels int) BurstResult {
-	out := BurstResult{PerChannel: make([]sim.Time, channels)}
-	for i := range out.PerChannel {
-		out.PerChannel[i] = Untouched
+// Reset empties b for a burst on a device of the given channel count,
+// reusing its PerChannel buffer.
+func (b *BurstResult) Reset(channels int) {
+	*b = BurstResult{PerChannel: slices.Grow(b.PerChannel[:0], channels)[:channels]}
+	for i := range b.PerChannel {
+		b.PerChannel[i] = Untouched
 	}
-	return out
 }
 
 // Charge adds d of blocked time to channel ch.
@@ -147,9 +149,11 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 // GC event at "a few milliseconds" of channel time — the granularity the
 // paper's tail-latency numbers reflect — with further events following in
 // later monitoring rounds. It aggregates per-channel blocked time so the
-// caller can occupy the channel resources for the right spans.
+// caller can occupy the channel resources for the right spans. The result
+// is valid until f's next burst.
 func (f *FTL) CollectBurst(target float64, maxBlocks int) BurstResult {
-	out := NewBurstResult(f.dev.Geometry().Channels)
+	out := &f.burst
+	out.Reset(f.dev.Geometry().Channels)
 	for f.FreeRatio() < target {
 		if maxBlocks > 0 && out.Blocks >= maxBlocks {
 			break
@@ -163,7 +167,7 @@ func (f *FTL) CollectBurst(target float64, maxBlocks int) BurstResult {
 		out.Duration += res.Duration
 		out.Charge(res.Channel, res.Duration)
 	}
-	return out
+	return *out
 }
 
 // VacateBorrowed relocates any data left in borrowed blocks back onto the

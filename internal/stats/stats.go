@@ -1,6 +1,9 @@
 // Package stats collects latency samples and computes the summary
 // statistics reported throughout the RackBlox evaluation: percentiles
 // (P50..P99.9), means, throughput, and per-stage latency breakdowns.
+// A Recorder keeps every sample of a run, 21 bytes each, and every value
+// it records round-trips exactly, so each percentile is computed from all
+// the samples rather than estimated.
 package stats
 
 import (
@@ -35,14 +38,50 @@ func (s Sample) Storage() int64 { return s.Queue + s.Device }
 // recorderChunk is how many samples one chunk of a Recorder holds.
 const recorderChunk = 16 << 10
 
-// Recorder accumulates samples for one experiment run. Samples live in
-// fixed chunks of recorderChunk, allocated as the run needs them and kept
-// across Reset, so recording never copies what is already recorded the
-// way regrowing one slice would.
+// The latency fields of a Sample, in the order of a chunk's columns.
+const (
+	colTotal = iota
+	colNetIn
+	colQueue
+	colDevice
+	colNetOut
+	numCols
+)
+
+// escaped marks a column entry whose value lies outside [0, escaped-1]:
+// the exact value is the column's next entry in Recorder.wide.
+const escaped = math.MaxUint32
+
+// Bits of a chunk's flags column.
+const (
+	flagWrite uint8 = 1 << iota
+	flagRedirected
+)
+
+// chunk stores recorderChunk samples as columns, in one allocation of
+// 21 bytes per sample: each latency field as a uint32 of nanoseconds and
+// the two booleans as one flags byte.
+type chunk struct {
+	col   [numCols][recorderChunk]uint32
+	flags [recorderChunk]uint8
+}
+
+// Recorder accumulates samples for one experiment run. Every recorded
+// value round-trips exactly: RawSamples returns what Add was given, and
+// every Dist is the one a slice of those samples gives.
+//
+// Samples live in columnar chunks of recorderChunk, allocated as the run
+// needs them and kept across Reset, so recording never copies what is
+// already recorded. A sample costs 21 bytes as long as every latency lies
+// in [0, 2^32-2] ns, about 4.3 s; a field outside that range is stored as
+// escaped, with its value appended to an overflow list.
 // It is not safe for concurrent use; the simulation is single-threaded.
 type Recorder struct {
-	chunks []*[recorderChunk]Sample
+	chunks []*chunk
 	n      int
+	// wide holds, for each column in recording order, the values that
+	// column stores as escaped.
+	wide [numCols][]int64
 	// start/end bound the measurement window for throughput.
 	start, end int64
 	redirects  int
@@ -59,21 +98,50 @@ func (r *Recorder) Add(s Sample, now int64) {
 	if now > r.end {
 		r.end = now
 	}
+	c, i := r.n/recorderChunk, r.n%recorderChunk
+	if c == len(r.chunks) {
+		r.chunks = append(r.chunks, new(chunk))
+	}
+	ch := r.chunks[c]
+	ch.col[colTotal][i] = r.narrow(colTotal, s.Total)
+	ch.col[colNetIn][i] = r.narrow(colNetIn, s.NetIn)
+	ch.col[colQueue][i] = r.narrow(colQueue, s.Queue)
+	ch.col[colDevice][i] = r.narrow(colDevice, s.Device)
+	ch.col[colNetOut][i] = r.narrow(colNetOut, s.NetOut)
+	var flags uint8
+	if s.Write {
+		flags |= flagWrite
+	}
 	if s.Redirected {
+		flags |= flagRedirected
 		r.redirects++
 	}
-	c := r.n / recorderChunk
-	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, new([recorderChunk]Sample))
-	}
-	r.chunks[c][r.n%recorderChunk] = s
+	ch.flags[i] = flags
 	r.n++
 }
 
-// chunk returns the recorded part of chunk c.
-func (r *Recorder) chunk(c int) []Sample {
-	return r.chunks[c][:min(recorderChunk, r.n-c*recorderChunk)]
+// narrow returns v as column col stores it.
+func (r *Recorder) narrow(col int, v int64) uint32 {
+	if uint64(v) < escaped {
+		return uint32(v)
+	}
+	r.wide[col] = append(r.wide[col], v)
+	return escaped
 }
+
+// exact returns the value stored as v in column col, where next counts
+// the escaped entries of each column read so far in recording order.
+func (r *Recorder) exact(col int, v uint32, next *[numCols]int) int64 {
+	if v != escaped {
+		return int64(v)
+	}
+	w := r.wide[col][next[col]]
+	next[col]++
+	return w
+}
+
+// rows returns how many samples chunk c holds.
+func (r *Recorder) rows(c int) int { return min(recorderChunk, r.n-c*recorderChunk) }
 
 // used returns how many chunks hold samples.
 func (r *Recorder) used() int { return (r.n + recorderChunk - 1) / recorderChunk }
@@ -87,47 +155,52 @@ func (r *Recorder) Redirects() int { return r.redirects }
 // Reset clears all samples while keeping the allocated chunks.
 func (r *Recorder) Reset() {
 	r.n = 0
+	for col := range r.wide {
+		r.wide[col] = r.wide[col][:0]
+	}
 	r.start, r.end, r.redirects = 0, 0, 0
 }
 
-// filter returns latencies selected by keep and extracted by get, sorted.
-func (r *Recorder) filter(keep func(Sample) bool, get func(Sample) int64) []int64 {
+// dist returns the sorted distribution, over the samples whose flags
+// masked by mask equal want, of the sum of the given columns. It reads
+// only the flags and those columns.
+func (r *Recorder) dist(mask, want uint8, cols ...int) Dist {
 	out := make([]int64, 0, r.n)
+	var next [numCols]int
 	for c := range r.used() {
-		for _, s := range r.chunk(c) {
-			if keep == nil || keep(s) {
-				out = append(out, get(s))
+		ch := r.chunks[c]
+		for i, f := range ch.flags[:r.rows(c)] {
+			var v int64
+			for _, col := range cols {
+				v += r.exact(col, ch.col[col][i], &next)
+			}
+			if f&mask == want {
+				out = append(out, v)
 			}
 		}
 	}
 	slices.Sort(out)
-	return out
+	return Dist{out}
 }
-
-func isRead(s Sample) bool  { return !s.Write }
-func isWrite(s Sample) bool { return s.Write }
-func total(s Sample) int64  { return s.Total }
 
 // Dist is an immutable sorted latency distribution.
 type Dist struct{ v []int64 }
 
 // Reads returns the end-to-end latency distribution of reads.
-func (r *Recorder) Reads() Dist { return Dist{r.filter(isRead, total)} }
+func (r *Recorder) Reads() Dist { return r.dist(flagWrite, 0, colTotal) }
 
 // Writes returns the end-to-end latency distribution of writes.
-func (r *Recorder) Writes() Dist { return Dist{r.filter(isWrite, total)} }
+func (r *Recorder) Writes() Dist { return r.dist(flagWrite, flagWrite, colTotal) }
 
 // All returns the end-to-end latency distribution of all requests.
-func (r *Recorder) All() Dist { return Dist{r.filter(nil, total)} }
+func (r *Recorder) All() Dist { return r.dist(0, 0, colTotal) }
 
 // ReadStorage returns the storage-only latency distribution of reads.
-func (r *Recorder) ReadStorage() Dist {
-	return Dist{r.filter(isRead, func(s Sample) int64 { return s.Storage() })}
-}
+func (r *Recorder) ReadStorage() Dist { return r.dist(flagWrite, 0, colQueue, colDevice) }
 
 // WriteStorage returns the storage-only latency distribution of writes.
 func (r *Recorder) WriteStorage() Dist {
-	return Dist{r.filter(isWrite, func(s Sample) int64 { return s.Storage() })}
+	return r.dist(flagWrite, flagWrite, colQueue, colDevice)
 }
 
 // Throughput returns completed requests per second of virtual time (IOPS).
@@ -244,8 +317,20 @@ func Speedup(base, v int64) float64 {
 // for diagnostic tooling.
 func RawSamples(r *Recorder) []Sample {
 	out := make([]Sample, 0, r.n)
+	var next [numCols]int
 	for c := range r.used() {
-		out = append(out, r.chunk(c)...)
+		ch := r.chunks[c]
+		for i, f := range ch.flags[:r.rows(c)] {
+			out = append(out, Sample{
+				Total:      r.exact(colTotal, ch.col[colTotal][i], &next),
+				NetIn:      r.exact(colNetIn, ch.col[colNetIn][i], &next),
+				Queue:      r.exact(colQueue, ch.col[colQueue][i], &next),
+				Device:     r.exact(colDevice, ch.col[colDevice][i], &next),
+				NetOut:     r.exact(colNetOut, ch.col[colNetOut][i], &next),
+				Write:      f&flagWrite != 0,
+				Redirected: f&flagRedirected != 0,
+			})
+		}
 	}
 	return out
 }

@@ -1,7 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -239,80 +243,247 @@ func TestPercentileMembershipProperty(t *testing.T) {
 	}
 }
 
+// edges are the values at and beyond the bounds of a chunk's 32-bit
+// columns: 2^32-1 is the escape marker, and no int64 may be lost.
+var edges = []int64{math.MinInt64, -1 << 32, -1, 0, 1,
+	math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 1, math.MaxInt64}
+
+// modelReaders pairs each Recorder distribution with how a slice of
+// samples defines it.
+var modelReaders = []struct {
+	name string
+	dist func(*Recorder) Dist
+	keep func(Sample) bool
+	get  func(Sample) int64
+}{
+	{"All", (*Recorder).All, func(Sample) bool { return true }, total},
+	{"Reads", (*Recorder).Reads, isRead, total},
+	{"Writes", (*Recorder).Writes, isWrite, total},
+	{"ReadStorage", (*Recorder).ReadStorage, isRead, Sample.Storage},
+	{"WriteStorage", (*Recorder).WriteStorage, isWrite, Sample.Storage},
+}
+
+func isRead(s Sample) bool  { return !s.Write }
+func isWrite(s Sample) bool { return s.Write }
+func total(s Sample) int64  { return s.Total }
+
+// sliceModelMismatch describes how r differs from the slice model, the
+// samples it was given in order, of which the first finished at start and
+// the last at end; "" means Len, RawSamples, Redirects, Throughput and
+// every distribution's length, mean, extremes and percentiles agree
+// exactly.
+func sliceModelMismatch(r *Recorder, model []Sample, start, end int64) string {
+	if r.Len() != len(model) {
+		return fmt.Sprintf("Len %d, model %d", r.Len(), len(model))
+	}
+	if got := RawSamples(r); !slices.Equal(got, model) {
+		i := 0
+		for got[i] == model[i] {
+			i++
+		}
+		return fmt.Sprintf("RawSamples[%d] = %+v, model %+v", i, got[i], model[i])
+	}
+	redirects := 0
+	for _, s := range model {
+		if s.Redirected {
+			redirects++
+		}
+	}
+	if r.Redirects() != redirects {
+		return fmt.Sprintf("Redirects %d, model %d", r.Redirects(), redirects)
+	}
+	wantIOPS := 0.0
+	if dur := end - start; dur > 0 && len(model) > 1 {
+		wantIOPS = float64(len(model)-1) / (float64(dur) / 1e9)
+	}
+	if got := r.Throughput(); got != wantIOPS {
+		return fmt.Sprintf("Throughput %v, model %v", got, wantIOPS)
+	}
+	for _, c := range modelReaders {
+		var want []int64
+		for _, s := range model {
+			if c.keep(s) {
+				want = append(want, c.get(s))
+			}
+		}
+		slices.Sort(want)
+		got, wantDist := c.dist(r), Dist{want}
+		if got.Len() != len(want) || got.Mean() != wantDist.Mean() ||
+			got.Min() != wantDist.Min() || got.Max() != wantDist.Max() {
+			return fmt.Sprintf("%s: len/mean/min/max %d/%v/%d/%d, model %d/%v/%d/%d", c.name,
+				got.Len(), got.Mean(), got.Min(), got.Max(),
+				len(want), wantDist.Mean(), wantDist.Min(), wantDist.Max())
+		}
+		for _, p := range []float64{0, 1, 50, 95, 99, 99.9, 100} {
+			if got.Percentile(p) != wantDist.Percentile(p) {
+				return fmt.Sprintf("%s: P%v %d, model %d", c.name, p, got.Percentile(p), wantDist.Percentile(p))
+			}
+		}
+	}
+	return ""
+}
+
 // Property: a Recorder spanning at least three chunks answers exactly as
-// one sample slice does — Len, RawSamples order, every distribution's
-// percentiles and mean, Throughput and Redirects — and, after Reset,
-// refills its kept chunks the same way.
+// one sample slice does, with fields drawn across the 32-bit edges, and,
+// after Reset, refills its kept chunks the same way.
 func TestRecorderChunksMatchSliceModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		field := func(scale int) int64 {
+			switch rng.Intn(16) {
+			case 0:
+				return edges[rng.Intn(len(edges))]
+			case 1:
+				return rng.Int63() - rng.Int63()
+			default:
+				return int64(rng.Intn(scale))
+			}
+		}
 		r := NewRecorder()
 		chunks := 0
 		for _, n := range []int{3*recorderChunk + rng.Intn(recorderChunk), 1 + rng.Intn(2*recorderChunk)} {
 			r.Reset()
 			var model []Sample
-			redirects := 0
 			var start, last int64
 			for i := 0; i < n; i++ {
-				s := Sample{Total: int64(rng.Intn(1e6)), Queue: int64(rng.Intn(1e4)),
-					Device: int64(rng.Intn(1e5)), Write: rng.Intn(3) == 0, Redirected: rng.Intn(5) == 0}
+				s := Sample{Total: field(1e6), NetIn: field(1e4), Queue: field(1e4), Device: field(1e5),
+					NetOut: field(1e4), Write: rng.Intn(3) == 0, Redirected: rng.Intn(5) == 0}
 				last += int64(rng.Intn(1e4))
 				if i == 0 {
 					start = last
 				}
 				r.Add(s, last)
 				model = append(model, s)
-				if s.Redirected {
-					redirects++
-				}
 			}
-			if r.Len() != n || !slices.Equal(RawSamples(r), model) || r.Redirects() != redirects {
+			if msg := sliceModelMismatch(r, model, start, last); msg != "" {
+				t.Logf("seed %d, %d samples: %s", seed, n, msg)
 				return false
 			}
 			if chunks == 0 {
 				chunks = len(r.chunks)
 			} else if len(r.chunks) != chunks {
-				return false // the refill after Reset allocated chunks
-			}
-			wantIOPS := 0.0
-			if dur := last - start; dur > 0 && n > 1 {
-				wantIOPS = float64(n-1) / (float64(dur) / 1e9)
-			}
-			if r.Throughput() != wantIOPS {
+				t.Logf("seed %d: the refill after Reset allocated chunks", seed)
 				return false
-			}
-			for _, c := range []struct {
-				got  Dist
-				keep func(Sample) bool
-				get  func(Sample) int64
-			}{
-				{r.All(), func(Sample) bool { return true }, total},
-				{r.Reads(), isRead, total},
-				{r.Writes(), isWrite, total},
-				{r.ReadStorage(), isRead, Sample.Storage},
-				{r.WriteStorage(), isWrite, Sample.Storage},
-			} {
-				var want []int64
-				for _, s := range model {
-					if c.keep(s) {
-						want = append(want, c.get(s))
-					}
-				}
-				slices.Sort(want)
-				wantDist := Dist{want}
-				if c.got.Len() != len(want) || c.got.Mean() != wantDist.Mean() {
-					return false
-				}
-				for _, p := range []float64{1, 50, 95, 99, 99.9, 100} {
-					if c.got.Percentile(p) != wantDist.Percentile(p) {
-						return false
-					}
-				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
 		t.Error(err)
+	}
+}
+
+// maxFuzzSamples bounds one fuzz input's expansion to a little over three
+// chunks.
+const maxFuzzSamples = 3*recorderChunk + 100
+
+// decodeSamples reads fuzz input as records. A record's head byte holds
+// Write (bit 0), Redirected (bit 1) and k (bits 4-7): the sample repeats
+// 2^k times, so short inputs cross chunk boundaries. Five fields follow,
+// Total to NetOut, each a tag byte t and its payload: t%4 = 0 is the
+// value t/4, 1 is edges[t/4 % len(edges)], 2 a little-endian uint32 of
+// the next 4 bytes and 3 an int64 of the next 8. A truncated record ends
+// the input.
+func decodeSamples(data []byte) []Sample {
+	var out []Sample
+	for len(data) > 0 && len(out) < maxFuzzSamples {
+		head := data[0]
+		data = data[1:]
+		var fields [numCols]int64
+		for i := range fields {
+			if len(data) == 0 {
+				return out
+			}
+			t := data[0]
+			data = data[1:]
+			switch t % 4 {
+			case 0:
+				fields[i] = int64(t / 4)
+			case 1:
+				fields[i] = edges[int(t/4)%len(edges)]
+			case 2:
+				if len(data) < 4 {
+					return out
+				}
+				fields[i] = int64(binary.LittleEndian.Uint32(data))
+				data = data[4:]
+			case 3:
+				if len(data) < 8 {
+					return out
+				}
+				fields[i] = int64(binary.LittleEndian.Uint64(data))
+				data = data[8:]
+			}
+		}
+		s := Sample{Total: fields[colTotal], NetIn: fields[colNetIn], Queue: fields[colQueue],
+			Device: fields[colDevice], NetOut: fields[colNetOut], Write: head&1 != 0, Redirected: head&2 != 0}
+		for range min(1<<(head>>4), maxFuzzSamples-len(out)) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// FuzzRecorderRoundTrip: byte-decoded samples, recorded one per
+// nanosecond, give a Recorder that answers exactly as their slice does.
+func FuzzRecorderRoundTrip(f *testing.F) {
+	le32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	le64 := func(v int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(v)) }
+	f.Add([]byte{})
+	// One write: 40, MinInt64, 2^32-2, 2^32-1, MinInt64.
+	f.Add(slices.Concat([]byte{0x01, 40 << 2, 0x01, 0x02}, le32(math.MaxUint32-1), []byte{0x02},
+		le32(math.MaxUint32), []byte{0x03}, le64(math.MinInt64)))
+	// A redirected read with escaped fields (2^32-1, MaxInt64, -5, 0, -1)
+	// 2^15 times, across two chunk boundaries, then a read 1, 7, 2^32, 0, 0.
+	f.Add(slices.Concat([]byte{0xF2, 0x01 | 6<<2, 0x01 | 8<<2, 0x03}, le64(-5), []byte{0x00, 0x01 | 2<<2},
+		[]byte{0x00, 0x04, 0x02}, le32(7), []byte{0x01 | 7<<2, 0x00, 0x00}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		model := decodeSamples(data)
+		r := NewRecorder()
+		for i, s := range model {
+			r.Add(s, int64(i))
+		}
+		if msg := sliceModelMismatch(r, model, 0, int64(len(model)-1)); msg != "" {
+			t.Fatalf("%d samples: %s", len(model), msg)
+		}
+	})
+}
+
+// TestRecorderFootprint gates what recording costs: over four chunks of
+// in-range samples the live heap grows by at most 22 bytes per sample
+// (21 is the chunk layout), and each chunk is exactly one allocation.
+func TestRecorderFootprint(t *testing.T) {
+	const chunks = 4
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]Sample, 1000)
+	for i := range samples {
+		d := rng.Int63n(256_500_000) // the largest latency the benchmark workloads record
+		samples[i] = Sample{Total: d, NetIn: d / 8, Queue: d / 4, Device: d / 2, NetOut: d / 8,
+			Write: i%2 == 0, Redirected: i%5 == 0}
+	}
+	r := NewRecorder()
+	// Size the chunk index up front, so the counts below are the chunks'.
+	r.chunks = make([]*chunk, 0, chunks)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, recorded, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle frees what sync.Pools kept through the first
+	runtime.ReadMemStats(&before)
+	for i := range chunks * recorderChunk {
+		r.Add(samples[i%len(samples)], int64(i))
+	}
+	runtime.ReadMemStats(&recorded)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(r)
+	perSample := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(r.Len())
+	mallocs := recorded.Mallocs - before.Mallocs
+	t.Logf("%d samples: %.3f heap bytes per sample, %d allocations for %d chunks",
+		r.Len(), perSample, mallocs, chunks)
+	if perSample > 22 {
+		t.Errorf("live heap grew %.3f bytes per sample, want at most 22", perSample)
+	}
+	if mallocs != chunks {
+		t.Errorf("recording %d chunks made %d allocations, want one per chunk", chunks, mallocs)
 	}
 }

@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"slices"
-)
+import "slices"
 
 // WindowedQuantile tracks quantiles over a sliding window of the most
 // recent observations: a fixed-capacity ring buffer of latency samples
@@ -60,25 +57,9 @@ func (w *WindowedQuantile) Reset() {
 // Quantile returns the p-th percentile (0 < p <= 100) of the window by
 // nearest rank, matching Dist.Percentile. An empty window returns 0.
 func (w *WindowedQuantile) Quantile(p float64) int64 {
-	n := w.Len()
-	if n == 0 {
-		return 0
-	}
-	w.scratch = append(w.scratch[:0], w.ring[:n]...)
+	w.scratch = append(w.scratch[:0], w.ring[:w.Len()]...)
 	slices.Sort(w.scratch)
-	if p <= 0 {
-		return w.scratch[0]
-	}
-	if p >= 100 {
-		return w.scratch[n-1]
-	}
-	// Same epsilon as Dist.Percentile: keep ceil(99.9/100*1000) at rank
-	// 999 despite binary floating point rounding up.
-	rank := int(math.Ceil(p/100*float64(n) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	return w.scratch[rank-1]
+	return Dist{w.scratch}.Percentile(p)
 }
 
 // P99 is the quantile the repair pacer compares against its SLO target.

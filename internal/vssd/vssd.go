@@ -178,6 +178,8 @@ type ChannelGroup struct {
 	BorrowQuantum int
 	// loans tracks lender -> borrower -> blocks, so returns go home.
 	loans map[*VSSD]map[*VSSD][]ssd.BlockRef
+	// burst is what GroupCollect returns, its buffer reused.
+	burst ssd.BurstResult
 }
 
 // NewChannelGroup groups software-isolated vSSDs. All members must be
@@ -281,9 +283,10 @@ func (g *ChannelGroup) freestMember(excluding *VSSD) *VSSD {
 // perform GC ... then all vSSDs should perform GC to reduce GC
 // frequency"), vacates and returns borrowed blocks, and reports the
 // combined per-channel busy time. maxBlocks caps each member's burst
-// (0 = unlimited).
+// (0 = unlimited). The result is valid until g's next GroupCollect.
 func (g *ChannelGroup) GroupCollect(target float64, maxBlocks int) ssd.BurstResult {
-	out := ssd.NewBurstResult(g.Members[0].FTL.Device().Geometry().Channels)
+	out := &g.burst
+	out.Reset(g.Members[0].FTL.Device().Geometry().Channels)
 	for _, m := range g.Members {
 		res := m.FTL.CollectBurst(target, maxBlocks)
 		out.Blocks += res.Blocks
@@ -323,7 +326,7 @@ func (g *ChannelGroup) GroupCollect(target float64, maxBlocks int) ssd.BurstResu
 			delete(byBorrower, borrower)
 		}
 	}
-	return out
+	return *out
 }
 
 // OutstandingLoans counts blocks currently on loan (for tests).

@@ -77,7 +77,7 @@ func (r *Rack) issue(pr *pair) {
 	st.issue, st.lastIssue = now, now
 	st.span = r.tracer.StartRequest(st.seq, reqKind(op.Write), now)
 	st.span.Annotate(trace.Int("lpn", int64(op.LPN)), trace.Int("volume", int64(pr.idx)))
-	r.reqs[st.seq] = st
+	r.reqs.put(st)
 	pr.inflight++
 	r.watchTimeout(st.seq)
 
@@ -126,7 +126,7 @@ func (r *Rack) spanFor(seq uint64) *trace.Span {
 	if r.tracer == nil || seq == 0 {
 		return nil
 	}
-	if st := r.reqs[seq]; st != nil {
+	if st := r.reqs.get(seq); st != nil {
 		return st.span
 	}
 	return nil
@@ -291,8 +291,8 @@ func (r *Rack) respond(st *reqState, inst *instance) {
 // out to 1+m chunk holders; the logical request completes when the last
 // sub-operation's response arrives, so its latency is the fan-out max.
 func (r *Rack) clientReceive(pkt packet.Packet) {
-	st, ok := r.reqs[pkt.Seq]
-	if !ok {
+	st := r.reqs.get(pkt.Seq)
+	if st == nil {
 		return
 	}
 	if st.group != nil {
@@ -301,7 +301,7 @@ func (r *Rack) clientReceive(pkt packet.Packet) {
 			return
 		}
 	}
-	delete(r.reqs, pkt.Seq)
+	r.reqs.del(pkt.Seq)
 	defer r.retire(st)
 	st.decInflight()
 	now := r.eng.Now()

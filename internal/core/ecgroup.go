@@ -457,7 +457,7 @@ func (r *Rack) issueEC(g *ecGroup) {
 	st.issue, st.lastIssue = now, now
 	st.span = r.tracer.StartRequest(st.seq, reqKind(op.Write), now)
 	st.span.Annotate(trace.Int("lpn", int64(op.LPN)), trace.Int("volume", int64(g.idx)))
-	r.reqs[st.seq] = st
+	r.reqs.put(st)
 	g.inflight++
 	r.watchTimeout(st.seq)
 	r.sendEC(st)
@@ -523,7 +523,7 @@ func (r *Rack) sendECPacket(st *reqState, inst *instance, op packet.Op) {
 func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	r := s.rack
 	now := r.eng.Now()
-	st := r.reqs[req.Seq]
+	st := r.reqs.get(req.Seq)
 	if st.dispatched == 0 {
 		st.dispatched = now
 	}

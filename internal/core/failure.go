@@ -429,11 +429,11 @@ func (r *Rack) watchTimeout(seq uint64) {
 // requestTimedOut fires a request's loss detector: a request still in
 // flight is retransmitted (erasure coding) or counted lost.
 func (r *Rack) requestTimedOut(seq uint64) {
-	st, ok := r.reqs[seq]
-	if !ok {
+	st := r.reqs.get(seq)
+	if st == nil {
 		return // completed
 	}
-	delete(r.reqs, seq)
+	r.reqs.del(seq)
 	if st.group != nil && st.retries < maxECRetries {
 		st.retries++
 		r.ecRetransmits++
@@ -446,7 +446,7 @@ func (r *Rack) requestTimedOut(seq uint64) {
 		// to here becomes the retransmit phase.
 		st.lastIssue = r.eng.Now()
 		st.span.Annotate(trace.Int("retry", int64(st.retries)))
-		r.reqs[st.seq] = st
+		r.reqs.put(st)
 		r.watchTimeout(st.seq)
 		r.sendEC(st)
 		return

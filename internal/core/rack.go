@@ -158,9 +158,14 @@ type Rack struct {
 	groups  []*ecGroup
 	insts   map[uint32]*instance
 	rec     *stats.Recorder
-	reqs    map[uint64]*reqState
-	seq     uint64
-	rng     *sim.RNG
+	// reqs holds every in-flight request by seq: a client issue or
+	// retransmission files it, and completion or the loss detector
+	// removes it. Records re-resolve their request here when they fire
+	// (records.go). An open-addressed table keyed by the sequential seq
+	// (reqtable.go), sized by the requests in flight.
+	reqs reqTable
+	seq  uint64
+	rng  *sim.RNG
 
 	// Pools of the datapath's per-request state and event records (see
 	// records.go, and ecgroup.go and gc.go for the erasure-coding and GC
@@ -259,7 +264,6 @@ func NewRack(cfg Config) (*Rack, error) {
 		cfg:      cfg,
 		group:    sim.NewShardGroup(cfg.racks(), cfg.CrossRackLatency),
 		rec:      stats.NewRecorder(),
-		reqs:     make(map[uint64]*reqState),
 		insts:    make(map[uint32]*instance),
 		rng:      sim.NewRNG(cfg.Seed),
 		clientIP: packet.IP4(10, 0, 0, 1),
@@ -326,7 +330,7 @@ func (r *Rack) installTraceHooks() {
 			if ev.Seq == 0 {
 				return // control traffic (gc_op, registration) has no request
 			}
-			st := r.reqs[ev.Seq]
+			st := r.reqs.get(ev.Seq)
 			if st == nil || st.span == nil {
 				return
 			}

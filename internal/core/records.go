@@ -161,7 +161,7 @@ func (op *serverOp) committed() {
 	s, inst, seq := op.s, op.inst, op.seq
 	op.release()
 	r := s.rack
-	st := r.reqs[seq]
+	st := r.reqs.get(seq)
 	if st == nil {
 		s.flushPump(inst)
 		s.pump(inst)

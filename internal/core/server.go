@@ -43,7 +43,7 @@ func (s *server) receive(pkt packet.Packet) {
 	}
 	switch pkt.Op {
 	case packet.OpRead, packet.OpWrite:
-		st := s.rack.reqs[pkt.Seq]
+		st := s.rack.reqs.get(pkt.Seq)
 		if st == nil {
 			return
 		}
@@ -153,7 +153,7 @@ func (s *server) cancelRead(inst *instance, req *sched.Request) {
 func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	r := s.rack
 	now := r.eng.Now()
-	st := r.reqs[req.Seq]
+	st := r.reqs.get(req.Seq)
 	if st == nil {
 		s.cancelRead(inst, req)
 		return
@@ -233,7 +233,7 @@ func (s *server) issueRead(inst *instance, op *serverOp) {
 func (s *server) completeRead(inst *instance, req *sched.Request) {
 	r := s.rack
 	now := r.eng.Now()
-	st := r.reqs[req.Seq]
+	st := r.reqs.get(req.Seq)
 	if st == nil {
 		// Timed out and (for EC) retransmitted while the device worked;
 		// the flash time was spent, but nobody is waiting for the reply.
@@ -260,7 +260,7 @@ func (s *server) completeRead(inst *instance, req *sched.Request) {
 func (s *server) startWrite(inst *instance, req *sched.Request) {
 	r := s.rack
 	now := r.eng.Now()
-	st := r.reqs[req.Seq]
+	st := r.reqs.get(req.Seq)
 	if st == nil {
 		// Timed out (and for EC retransmitted) before dispatch: return
 		// the scheduler token and drop the dead attempt.
@@ -292,7 +292,7 @@ func (s *server) startWrite(inst *instance, req *sched.Request) {
 func (s *server) cacheInserted(op *serverOp) {
 	r := s.rack
 	inst := op.inst
-	st := r.reqs[op.seq]
+	st := r.reqs.get(op.seq)
 	if st != nil && inst.repl != nil {
 		inst.repl.Write(st.lpn, op.commit)
 		return

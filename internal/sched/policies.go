@@ -1,9 +1,8 @@
 package sched
 
 import (
-	"slices"
-
 	"rackblox/internal/sim"
+	"rackblox/internal/stats"
 )
 
 // fifo is a single queue: arrival order, or Prio_sched order when
@@ -136,7 +135,8 @@ func (k *kyber) OnComplete(write bool, lat sim.Time) {
 	if len(k.readLat) < kyberWindow {
 		return
 	}
-	p95 := percentile(k.readLat, 95)
+	// The window's p95 by nearest rank: index 60 of 64.
+	p95 := stats.Select(k.readLat, stats.Rank(95, len(k.readLat)))
 	k.readLat = k.readLat[:0]
 	switch {
 	case p95 > k.cfg.ReadTarget:
@@ -158,16 +158,6 @@ func (k *kyber) Len() int { return k.reads.Len() + k.writes.Len() }
 
 // WriteBudget exposes the current throttle for tests.
 func (k *kyber) WriteBudget() int { return k.writeBudget }
-
-// percentile returns the p-th percentile of v, sorting v in place.
-func percentile(v []sim.Time, p float64) sim.Time {
-	slices.Sort(v)
-	idx := int(p / 100 * float64(len(v)))
-	if idx >= len(v) {
-		idx = len(v) - 1
-	}
-	return v[idx]
-}
 
 // cfq alternates dispatch quanta between the read and write classes in
 // weight proportion (reads weighted heavier, as CFQ does for synchronous

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,9 +14,18 @@ import (
 // time for event shape and at execution time for nested scheduling and
 // Stop calls — so two engines produce identical traces if and only if
 // they execute the same events in the same order at the same times. The
-// script space deliberately covers the hazards named in ISSUE 7:
-// same-timestamp bursts (delta 0), Stop mid-run, RunUntil slicing, and
-// tick observers.
+// script space deliberately covers the wheel's hazards: same-timestamp
+// bursts (delta 0), Stop mid-run, RunUntil slicing, tick observers, and
+// events filed at wheel levels 2–4, where a slot's lone event pops
+// without cascading and a shared slot must cascade.
+//
+// The first byte picks the script's time scale. A nanosecond script
+// schedules 0–47 ns ahead and ticks every few nanoseconds. A far script
+// (first byte >= 128) ticks every few tens of microseconds, and its
+// event bytes >= 144 schedule 1 µs–8 ms ahead, mixed with the
+// nanosecond delays and same-instant bursts of the other bytes — the
+// spread of the rack simulator's pending events. Far scripts keep ticks
+// coarse so a run over milliseconds stays a few thousand trace lines.
 func driveScript(e *Engine, script []byte) []string {
 	var trace []string
 	last := Time(-1)
@@ -37,6 +47,12 @@ func driveScript(e *Engine, script []byte) []string {
 		return b
 	}
 	labels := []string{"", "alpha", "beta"}
+	tick := next()
+	far := tick >= 128
+	tickUnit := Time(1)
+	if far {
+		tickUnit = 16 * Microsecond
+	}
 	id := 0
 	var schedule func(depth int)
 	schedule = func(depth int) {
@@ -46,6 +62,12 @@ func driveScript(e *Engine, script []byte) []string {
 		}
 		d := Time(b % 48) // 0 => same-timestamp burst
 		label := labels[(b/48)%3]
+		if far && b >= 144 {
+			// 1–8 µs, 4–32 µs, ... 1–8 ms: wheel levels 1–4, with
+			// nearby slots shared by events scheduled at different
+			// instants.
+			d = (d%8 + 1) * (Microsecond << (2 * (d / 8)))
+		}
 		myID := id
 		id++
 		e.AfterNamed(d, label, func(now Time) {
@@ -65,9 +87,8 @@ func driveScript(e *Engine, script []byte) []string {
 		})
 	}
 
-	tick := next()
 	if tick > 0 && tick%4 != 0 {
-		e.SetTick(Time(tick%29+1), func(at Time) { observe("t", at, -1) })
+		e.SetTick(Time(tick%29+1)*tickUnit, func(at Time) { observe("t", at, -1) })
 	}
 	for i := 0; i < 4; i++ {
 		schedule(0)
@@ -87,7 +108,7 @@ func driveScript(e *Engine, script []byte) []string {
 		case 3:
 			schedule(0)
 		case 4:
-			e.SetTick(Time(op%17+1), func(at Time) { observe("t", at, -1) })
+			e.SetTick(Time(op%17+1)*tickUnit, func(at Time) { observe("t", at, -1) })
 		}
 	}
 	e.Run() // drain
@@ -132,6 +153,71 @@ func TestWheelMatchesHeapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// levelProbe is a wheelQueue that counts, per push, the level the event
+// is filed at, and per pop whether the earliest slot above level 0 held
+// a lone event (popped in place) or a shared one (cascaded).
+type levelProbe struct {
+	*wheelQueue
+	filed              [wheelLevels]int
+	lonePops, cascades int
+}
+
+func (p *levelProbe) push(i int32) {
+	if at := p.pool.nodes[i].at; at >= p.cur {
+		l := 0
+		if x := uint64(at ^ p.cur); x != 0 {
+			l = (bits.Len64(x) - 1) / wheelBits
+		}
+		p.filed[l]++
+	}
+	p.wheelQueue.push(i)
+}
+
+func (p *levelProbe) pop() int32 {
+	if p.spill.len() == 0 && p.level[0].occ == 0 {
+		l, s := p.first()
+		if p.pool.nodes[p.level[l].head[s]].next == nilIdx {
+			p.lonePops++
+		} else {
+			p.cascades++
+		}
+	}
+	return p.wheelQueue.pop()
+}
+
+// The random scripts of TestWheelMatchesHeapProperty reach the wheel
+// levels the rack simulator files its events at (levels 2–4 hold its
+// µs–ms timers), and exercise both ways out of them: a lone event popped
+// straight from its slot and a shared slot cascaded.
+func TestScriptsReachFarWheelLevels(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var filed [wheelLevels]int
+	lonePops, cascades := 0, 0
+	for k := 0; k < 300; k++ {
+		script := make([]byte, r.Intn(256)+16)
+		r.Read(script)
+		e := NewEngine()
+		e.pool.free = nilIdx
+		probe := &levelProbe{wheelQueue: newWheelQueue(&e.pool)}
+		e.q = probe
+		driveScript(e, script)
+		for l, n := range probe.filed {
+			filed[l] += n
+		}
+		lonePops += probe.lonePops
+		cascades += probe.cascades
+	}
+	t.Logf("pushes per level %v; lone pops %d, cascades %d", filed, lonePops, cascades)
+	for l := 0; l <= 4; l++ {
+		if filed[l] == 0 {
+			t.Errorf("no event filed at wheel level %d", l)
+		}
+	}
+	if lonePops == 0 || cascades == 0 {
+		t.Errorf("lone pops %d, cascades %d: want both", lonePops, cascades)
 	}
 }
 
@@ -213,6 +299,11 @@ func FuzzEngineTrace(f *testing.F) {
 	f.Add([]byte{7, 0, 0, 0, 0, 11, 2})
 	f.Add([]byte{13, 47, 47, 47, 1, 200, 3, 3, 3, 2})
 	f.Add([]byte{255, 64, 65, 63, 0, 22, 4, 1, 1, 2, 0, 0})
+	// Far scripts, µs–ms timers beside same-instant bursts. Each one
+	// fails if a shared slot above level 1 pops its head instead of
+	// cascading.
+	f.Add([]byte{210, 150, 23, 37, 245, 12, 175, 31, 191, 232, 49})
+	f.Add([]byte{166, 138, 168, 175, 94, 57, 94, 190, 188, 156, 220})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		if len(script) > 4096 {
 			t.Skip("script too large")

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -25,13 +26,52 @@ var benchEngines = []struct {
 	{"heap", newHeapEngine},
 }
 
-var benchSizes = []int{10_000, 100_000, 1_000_000, 10_000_000}
+// benchSizes are the pending-event populations of the engine
+// benchmarks. The rack simulator keeps 22–840 events pending on average
+// (ycsb-c to ec-repair), so the two smallest draw offsets shaped like
+// its own (simOffsets); the larger ones, sized for rack-scale soaks,
+// draw uniform offsets of up to about 1 ms.
+var benchSizes = []int{64, 1_000, 10_000, 100_000, 1_000_000, 10_000_000}
 
 func sizeName(n int) string {
-	if n >= 1_000_000 {
+	switch {
+	case n >= 1_000_000:
 		return fmt.Sprintf("%dM", n/1_000_000)
+	case n >= 1_000:
+		return fmt.Sprintf("%dk", n/1_000)
 	}
-	return fmt.Sprintf("%dk", n/1_000)
+	return fmt.Sprint(n)
+}
+
+// simOffsets cycles through the schedule offsets of the small benchmark
+// populations: one in eight is 0, a same-instant event, and the rest are
+// log-uniform from 1 µs to 1 ms, the span most of the simulator's timers
+// and packet hops fall in (wheel levels 1–3).
+var simOffsets = func() []Time {
+	r := lcg(12345)
+	tab := make([]Time, 4096)
+	for i := range tab {
+		if r.next()%8 == 0 {
+			continue
+		}
+		u := float64(r.next()>>11) / (1 << 53)
+		tab[i] = Time(float64(Microsecond) * math.Pow(1000, u))
+	}
+	return tab
+}()
+
+// offsetGen returns a deterministic generator of schedule offsets for a
+// population of n pending events (see benchSizes).
+func offsetGen(n int) func() Time {
+	if n < 10_000 {
+		i := 0
+		return func() Time {
+			i++
+			return simOffsets[i%len(simOffsets)]
+		}
+	}
+	r := lcg(12345)
+	return func() Time { return Time(r.next()>>44) + 1 }
 }
 
 // BenchmarkEngineSchedule measures steady-state schedule+fire churn with
@@ -46,8 +86,7 @@ func BenchmarkEngineSchedule(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/pending=%s", eng.name, sizeName(size)), func(b *testing.B) {
 				e := eng.mk()
 				fn := func(Time) {}
-				r := lcg(12345)
-				offset := func() Time { return Time(r.next()>>44) + 1 }
+				offset := offsetGen(size)
 				for i := 0; i < size; i++ {
 					e.After(offset(), fn)
 				}
@@ -63,22 +102,33 @@ func BenchmarkEngineSchedule(b *testing.B) {
 }
 
 // BenchmarkEngineFire measures pure drain throughput: schedule size
-// events up front, then run the queue dry. Reported per event.
+// events up front, then run the queue dry. Reported per drain. A small
+// queue drains faster than the benchmark timer stops and starts, so each
+// untimed fill refills a batch of engines (4096 events in all) that the
+// next ops drain one by one.
 func BenchmarkEngineFire(b *testing.B) {
 	for _, eng := range benchEngines {
 		for _, size := range benchSizes {
 			b.Run(fmt.Sprintf("%s/n=%s", eng.name, sizeName(size)), func(b *testing.B) {
 				fn := func(Time) {}
+				batch := make([]*Engine, max(1, 4096/size))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					e := eng.mk()
-					r := lcg(12345)
-					for j := 0; j < size; j++ {
-						e.After(Time(r.next()>>44)+1, fn)
+					k := i % len(batch)
+					if k == 0 {
+						b.StopTimer()
+						offset := offsetGen(size)
+						for j := range batch {
+							if batch[j] == nil {
+								batch[j] = eng.mk()
+							}
+							for n := 0; n < size; n++ {
+								batch[j].After(offset(), fn)
+							}
+						}
+						b.StartTimer()
 					}
-					b.StartTimer()
-					e.Run()
+					batch[k].Run()
 				}
 				b.ReportMetric(float64(size), "events/op")
 			})
@@ -126,6 +176,23 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Errorf("steady-state Handler schedule+drain allocates %.1f objects per 200 events, want 0", avg)
+			}
+			// µs–ms offsets beside same-instant events: most events are
+			// alone in a slot above level 0 and pop from where they
+			// landed.
+			offset := offsetGen(64)
+			for i := 0; i < 2000; i++ {
+				e.AfterNamed(offset(), "grant", fn)
+			}
+			e.Run()
+			avg = testing.AllocsPerRun(50, func() {
+				for i := 0; i < 200; i++ {
+					e.AfterNamed(offset(), "grant", fn)
+				}
+				e.Run()
+			})
+			if avg != 0 {
+				t.Errorf("steady-state schedule+drain at µs offsets allocates %.1f objects per 200 events, want 0", avg)
 			}
 			if got := e.ProcessedBy()["alloc.gate"]; got != 2000+50*200+200 {
 				t.Errorf("alloc.gate counted %d events, want %d", got, 2000+50*200+200)

@@ -18,13 +18,22 @@ import "math/bits"
 // (time, insertion-seq) order — the determinism contract the replay
 // tests pin.
 //
-// Advancing. cur trails the earliest pending event. When level 0 is
-// empty, the earliest occupied slot of the lowest occupied level is
-// cascaded: cur jumps to that slot's window start and the slot's list is
-// redistributed to lower levels (each node strictly descends, so
-// cascades terminate). Per-level occupancy bitmaps make "earliest
-// occupied slot" a single trailing-zeros scan, so advancing across a
-// large empty gap touches no empty slots.
+// Advancing. cur trails the earliest pending event. An event at level
+// l >= 1 agrees with cur above its 6-bit group l and exceeds it in that
+// group, so when level 0 is empty, the earliest occupied slot of the
+// lowest occupied level holds the earliest pending events: lower levels
+// are empty, the level's later slots are later, and higher levels are
+// later still. If that slot holds a single event, it is the global
+// minimum and no other event shares its time, so pop returns it (and
+// peekTime reads its time) without refiling it, and (time, seq) order
+// stays exact. Most of the simulator's pending events are alone in their
+// slot, so most are filed once and popped where they landed. A slot of
+// two or more events is cascaded instead: cur jumps to the slot's window
+// start and the slot's list is redistributed to lower levels in FIFO
+// order (each node strictly descends, so cascades terminate). Per-level
+// occupancy bitmaps make "earliest occupied slot" a single
+// trailing-zeros scan, so advancing across a large empty gap touches no
+// empty slots.
 //
 // The spill heap. cur can legitimately end up ahead of the engine clock:
 // peeking across a gap cascades cur toward the next event, and a
@@ -98,32 +107,36 @@ func (w *wheelQueue) place(i int32) {
 	lv.tail[s] = i
 }
 
-// cascade redistributes the earliest occupied slot of the lowest
-// occupied level >= 1 into lower levels, advancing cur to that slot's
-// window start. Callers guarantee w.n > 0 and level 0 is empty.
-func (w *wheelQueue) cascade() {
-	for l := 1; l < wheelLevels; l++ {
-		lv := &w.level[l]
-		if lv.occ == 0 {
-			continue
+// first returns the lowest occupied level and its earliest occupied
+// slot, which holds the earliest pending wheel event. Callers guarantee
+// w.n > 0.
+func (w *wheelQueue) first() (int, int) {
+	for l := range w.level {
+		if b := w.level[l].occ; b != 0 {
+			return l, bits.TrailingZeros64(b)
 		}
-		s := bits.TrailingZeros64(lv.occ)
-		i := lv.head[s]
-		lv.occ &^= 1 << s
-		shift := uint(l * wheelBits)
-		// Zero time groups 0..l-1 of cur and set group l to s: the start
-		// of the cascaded slot's window. Every event in the slot is >=
-		// this start, and lower levels are empty, so cur stays <= the
-		// earliest pending event.
-		w.cur = (w.cur &^ (Time(1)<<(shift+wheelBits) - 1)) | Time(s)<<shift
-		for i != nilIdx {
-			next := w.pool.nodes[i].next
-			w.place(i)
-			i = next
-		}
-		return
 	}
 	panic("sim: wheel occupancy lost events")
+}
+
+// cascade redistributes slot s of level l >= 1, the earliest occupied
+// slot of the lowest occupied level, into lower levels, advancing cur to
+// that slot's window start.
+func (w *wheelQueue) cascade(l, s int) {
+	lv := &w.level[l]
+	i := lv.head[s]
+	lv.occ &^= 1 << s
+	shift := uint(l * wheelBits)
+	// Zero time groups 0..l-1 of cur and set group l to s: the start of
+	// the cascaded slot's window. Every event in the slot is >= this
+	// start, and lower levels are empty, so cur stays <= the earliest
+	// pending event.
+	w.cur = (w.cur &^ (Time(1)<<(shift+wheelBits) - 1)) | Time(s)<<shift
+	for i != nilIdx {
+		next := w.pool.nodes[i].next
+		w.place(i)
+		i = next
+	}
 }
 
 func (w *wheelQueue) peekTime() Time {
@@ -131,11 +144,14 @@ func (w *wheelQueue) peekTime() Time {
 		return w.spill.peekTime()
 	}
 	for {
-		if b := w.level[0].occ; b != 0 {
-			s := bits.TrailingZeros64(b)
-			return w.pool.nodes[w.level[0].head[s]].at
+		l, s := w.first()
+		n := &w.pool.nodes[w.level[l].head[s]]
+		// A level-0 slot holds one timestamp; above level 0 only a lone
+		// event's time is the minimum without refiling.
+		if l == 0 || n.next == nilIdx {
+			return n.at
 		}
-		w.cascade()
+		w.cascade(l, s)
 	}
 }
 
@@ -144,19 +160,22 @@ func (w *wheelQueue) pop() int32 {
 		return w.spill.pop()
 	}
 	for {
-		lv := &w.level[0]
-		if b := lv.occ; b != 0 {
-			s := bits.TrailingZeros64(b)
-			i := lv.head[s]
-			if next := w.pool.nodes[i].next; next == nilIdx {
-				lv.occ &^= 1 << s
-			} else {
-				lv.head[s] = next
-			}
-			w.n--
-			w.cur = w.pool.nodes[i].at
-			return i
+		l, s := w.first()
+		lv := &w.level[l]
+		i := lv.head[s]
+		switch next := w.pool.nodes[i].next; {
+		case next == nilIdx:
+			// The slot's only event: the earliest pending one at any
+			// level (see Advancing).
+			lv.occ &^= 1 << s
+		case l == 0:
+			lv.head[s] = next
+		default:
+			w.cascade(l, s)
+			continue
 		}
-		w.cascade()
+		w.n--
+		w.cur = w.pool.nodes[i].at
+		return i
 	}
 }

@@ -215,25 +215,13 @@ func (r *Recorder) Throughput() float64 {
 // Len returns the number of values in the distribution.
 func (d Dist) Len() int { return len(d.v) }
 
-// Percentile returns the p-th percentile (0 < p <= 100) using nearest-rank.
-// An empty distribution returns 0.
+// Percentile returns the p-th percentile (0 < p <= 100) using nearest-rank
+// (see Rank). An empty distribution returns 0.
 func (d Dist) Percentile(p float64) int64 {
 	if len(d.v) == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return d.v[0]
-	}
-	if p >= 100 {
-		return d.v[len(d.v)-1]
-	}
-	// The small epsilon keeps e.g. ceil(99.9/100*1000) at rank 999 despite
-	// binary floating point rounding 0.999*1000 up to 999.0000000000001.
-	rank := int(math.Ceil(p/100*float64(len(d.v)) - 1e-9))
-	if rank < 1 {
-		rank = 1
-	}
-	return d.v[rank-1]
+	return d.v[Rank(p, len(d.v))]
 }
 
 // Mean returns the arithmetic mean, or 0 when empty.

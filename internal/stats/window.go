@@ -1,7 +1,5 @@
 package stats
 
-import "slices"
-
 // WindowedQuantile tracks quantiles over a sliding window of the most
 // recent observations: a fixed-capacity ring buffer of latency samples
 // with nearest-rank quantile queries. It is the sensor of feedback
@@ -55,11 +53,16 @@ func (w *WindowedQuantile) Reset() {
 }
 
 // Quantile returns the p-th percentile (0 < p <= 100) of the window by
-// nearest rank, matching Dist.Percentile. An empty window returns 0.
+// nearest rank, matching Dist.Percentile of the sorted window. It
+// selects the rank in a scratch copy instead of sorting it. An empty
+// window returns 0.
 func (w *WindowedQuantile) Quantile(p float64) int64 {
-	w.scratch = append(w.scratch[:0], w.ring[:w.Len()]...)
-	slices.Sort(w.scratch)
-	return Dist{w.scratch}.Percentile(p)
+	n := w.Len()
+	if n == 0 {
+		return 0
+	}
+	w.scratch = append(w.scratch[:0], w.ring[:n]...)
+	return Select(w.scratch, Rank(p, n))
 }
 
 // P99 is the quantile the repair pacer compares against its SLO target.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -20,6 +21,28 @@ func TestWindowedQuantileMatchesDistOnPartialWindow(t *testing.T) {
 	}
 	if w.Len() != 5 || w.Window() != 100 {
 		t.Errorf("Len/Window = %d/%d", w.Len(), w.Window())
+	}
+}
+
+// WindowedQuantile.Quantile selects instead of sorting, and must answer
+// exactly as Dist.Percentile of the sorted window does, on partial and
+// full (wrapped) windows.
+func TestWindowedQuantileMatchesSortedPercentile(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	w := NewWindowedQuantile(128)
+	for i := 0; i < 400; i++ {
+		v := r.Int63n(10_000)
+		if i%5 == 0 {
+			v = 42 // duplicates
+		}
+		w.Observe(v)
+		window := slices.Clone(w.ring[:w.Len()])
+		slices.Sort(window)
+		for _, p := range []float64{0, 0.1, 50, 95, 99, 99.9, 100} {
+			if got, want := w.Quantile(p), (Dist{window}).Percentile(p); got != want {
+				t.Fatalf("after %d samples: Quantile(%v) = %d, sorted window's Percentile %d", i+1, p, got, want)
+			}
+		}
 	}
 }
 

@@ -321,20 +321,55 @@ func TestBenchBaseWorkloadsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNetworkLatencyInSamples: every sample's stages are non-negative and
+// tile its lifetime, so they sum exactly to its Total — the identity
+// stats.Recorder relies on to store no Total. It holds for replication
+// under every system, software isolation, erasure coding whose clients
+// retransmit through a server fail/revive (net-in counts from the first
+// issue), LRC, and a ToR fail/revive.
 func TestNetworkLatencyInSamples(t *testing.T) {
-	res, err := Run(shortConfig(RackBlox))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every sample's total must cover its parts.
-	bad := 0
-	for _, s := range rawSamples(res) {
-		if s.Total < s.NetIn+s.Queue+s.Device {
-			bad++
-		}
-	}
-	if bad > 0 {
-		t.Errorf("%d samples with inconsistent breakdown", bad)
+	swIso := shortConfig(RackBlox)
+	swIso.SoftwareIsolated = true
+	retransmit := recoveryConfig()
+	retransmit.Scenario = []Event{FailServer(0, 120*sim.Millisecond), ReviveServer(0, 300*sim.Millisecond)}
+	torCycle := recoveryConfig()
+	torCycle.Scenario = []Event{FailToR(1, 100*sim.Millisecond), ReviveToR(1, 250*sim.Millisecond)}
+	for _, tc := range []struct {
+		name        string
+		cfg         Config
+		retransmits bool
+	}{
+		{"RackBlox", shortConfig(RackBlox), false},
+		{"VDC", shortConfig(VDC), false},
+		{"RackBlox-Software", shortConfig(RackBloxSoftware), false},
+		{"software-isolation", swIso, false},
+		{"RS-fail-revive", retransmit, true},
+		{"LRC", lrcConfig(), false},
+		{"ToR-fail-revive", torCycle, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.retransmits && res.ECRetransmits == 0 {
+				t.Fatal("no client retransmitted")
+			}
+			samples := rawSamples(res)
+			bad := 0
+			for _, s := range samples {
+				if s.NetIn < 0 || s.Queue < 0 || s.Device < 0 || s.NetOut < 0 ||
+					s.NetIn+s.Queue+s.Device+s.NetOut != s.Total {
+					if bad == 0 {
+						t.Errorf("stages do not tile the total: %+v", s)
+					}
+					bad++
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%d of %d samples with inconsistent breakdown", bad, len(samples))
+			}
+		})
 	}
 }
 

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -12,16 +14,18 @@ func (d Dist) PlotCDF(title string, width int) string {
 		width = 40
 	}
 	pcts := []float64{50, 90, 95, 98.5, 99, 99.5, 99.9, 100}
-	max := d.Percentile(100)
+	top := d.Percentile(100)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (n=%d)\n", title, d.Len())
-	if max == 0 {
+	if top == 0 {
 		b.WriteString("  (empty)\n")
 		return b.String()
 	}
 	for _, p := range pcts {
 		v := d.Percentile(p)
-		bar := int(float64(v) / float64(max) * float64(width))
+		// Clamped to [0, width]: a negative v, or any v of a distribution
+		// whose maximum is negative, falls outside it.
+		bar := int(min(max(float64(v)/float64(top)*float64(width), 0), float64(width)))
 		if bar < 1 && v > 0 {
 			bar = 1
 		}
@@ -42,18 +46,25 @@ func (d Dist) Histogram(buckets, width int) string {
 	if d.Len() == 0 {
 		return "(empty)\n"
 	}
+	// The bucket width and each value's offset from lo are uint64s:
+	// hi-lo may exceed MaxInt64.
 	lo, hi := d.Min(), d.Max()
-	if hi == lo {
-		hi = lo + 1
+	n, diff := uint64(buckets), uint64(hi)-uint64(lo)
+	span := diff / n
+	if diff%n != 0 || span == 0 {
+		span++
 	}
-	span := (hi - lo + int64(buckets) - 1) / int64(buckets)
 	counts := make([]int, buckets)
 	for _, v := range d.v {
-		idx := int((v - lo) / span)
-		if idx >= buckets {
-			idx = buckets - 1
+		counts[min((uint64(v)-uint64(lo))/span, n-1)]++
+	}
+	// edge returns the lower bound of bucket i, saturating at MaxInt64.
+	edge := func(i int) int64 {
+		carry, off := bits.Mul64(uint64(i), span)
+		if carry != 0 || off > math.MaxInt64-uint64(lo) {
+			return math.MaxInt64
 		}
-		counts[idx]++
+		return lo + int64(off)
 	}
 	maxCount := 0
 	for _, c := range counts {
@@ -68,7 +79,7 @@ func (d Dist) Histogram(buckets, width int) string {
 			bar = c * width / maxCount
 		}
 		fmt.Fprintf(&b, "%10s-%10s |%-*s| %d\n",
-			Us(lo+int64(i)*span), Us(lo+int64(i+1)*span), width,
+			Us(edge(i)), Us(edge(i+1)), width,
 			strings.Repeat("#", bar), c)
 	}
 	return b.String()

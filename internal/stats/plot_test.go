@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -62,5 +63,32 @@ func TestHistogramDegenerate(t *testing.T) {
 	out := r.All().Histogram(3, 10)
 	if out == "" {
 		t.Fatal("constant-value histogram empty")
+	}
+}
+
+// TestRenderAnyDistribution: both renderers take any distribution a
+// Recorder can hold, where max-min may exceed MaxInt64 and values may be
+// negative, keep every bar within its width and count every value, and
+// the top histogram edge saturates at MaxInt64 rather than wrapping.
+func TestRenderAnyDistribution(t *testing.T) {
+	for _, vals := range [][]int64{
+		{0, math.MaxInt64},
+		{math.MinInt64, math.MaxInt64},
+		{-1, 5},
+		{math.MinInt64, 1},
+		{-5, -1},
+		{math.MaxInt64, math.MaxInt64},
+		{math.MinInt64},
+	} {
+		d := rec(vals...).All()
+		if msg := renderMismatch(d, 40); msg != "" {
+			t.Errorf("%v: %s", vals, msg)
+		}
+		if vals[len(vals)-1] == math.MaxInt64 {
+			hist := strings.Split(strings.TrimSpace(d.Histogram(10, 40)), "\n")
+			if last := hist[len(hist)-1]; !strings.Contains(last, "-"+Us(math.MaxInt64)+" |") {
+				t.Errorf("%v: top bucket %q does not end at %s", vals, last, Us(math.MaxInt64))
+			}
+		}
 	}
 }

@@ -1,19 +1,22 @@
 // Package stats collects latency samples and computes the summary
 // statistics reported throughout the RackBlox evaluation: percentiles
 // (P50..P99.9), means, throughput, and per-stage latency breakdowns.
-// A Recorder keeps every sample of a run, 21 bytes each, and every value
-// it records round-trips exactly, so each percentile is computed from all
-// the samples rather than estimated.
+// A Recorder keeps every sample of a run, 13 bytes each: four 24-bit
+// stage latencies and a flags byte, with Total rebuilt as the sum of the
+// stages. Every value it records round-trips exactly, so each percentile
+// is computed from all the samples rather than estimated.
 package stats
 
 import (
 	"fmt"
-	"math"
 	"slices"
 )
 
 // Sample is one completed I/O request with its per-stage latencies,
-// all in nanoseconds of virtual time.
+// all in nanoseconds of virtual time. The simulator's stages are
+// non-negative and tile the request's lifetime, so they sum to Total. A
+// Recorder stores any Sample exactly, and in 13 bytes when that holds
+// and each stage is below 2^24-1 ns.
 type Sample struct {
 	// Total is the end-to-end latency observed by the client.
 	Total int64
@@ -38,31 +41,43 @@ func (s Sample) Storage() int64 { return s.Queue + s.Device }
 // recorderChunk is how many samples one chunk of a Recorder holds.
 const recorderChunk = 16 << 10
 
-// The latency fields of a Sample, in the order of a chunk's columns.
+// The stage latencies of a Sample, in the order of a chunk's columns.
+// Total has no column: it is the sum of the stages.
 const (
-	colTotal = iota
-	colNetIn
+	colNetIn = iota
 	colQueue
 	colDevice
 	colNetOut
 	numCols
+	// wideTotal indexes, among the overflow lists, the Totals that are
+	// not the sum of their stages.
+	wideTotal = numCols
 )
 
 // escaped marks a column entry whose value lies outside [0, escaped-1]:
 // the exact value is the column's next entry in Recorder.wide.
-const escaped = math.MaxUint32
+const escaped = 1<<24 - 1
+
+// wideCap is how many values each overflow list holds before it first
+// grows. The lists are allocated with the Recorder, so a run whose
+// escapes fit records them without allocating.
+const wideCap = 256
 
 // Bits of a chunk's flags column.
 const (
 	flagWrite uint8 = 1 << iota
 	flagRedirected
+	// flagTotal marks a sample whose Total is not the sum of its stages:
+	// the exact Total is the next entry in Recorder.wide[wideTotal].
+	flagTotal
 )
 
 // chunk stores recorderChunk samples as columns, in one allocation of
-// 21 bytes per sample: each latency field as a uint32 of nanoseconds and
-// the two booleans as one flags byte.
+// 13 bytes per sample: each stage as a 24-bit count of nanoseconds, split
+// into a low uint16 and a high uint8 column, and the flags as one byte.
 type chunk struct {
-	col   [numCols][recorderChunk]uint32
+	lo    [numCols][recorderChunk]uint16
+	hi    [numCols][recorderChunk]uint8
 	flags [recorderChunk]uint8
 }
 
@@ -72,23 +87,35 @@ type chunk struct {
 //
 // Samples live in columnar chunks of recorderChunk, allocated as the run
 // needs them and kept across Reset, so recording never copies what is
-// already recorded. A sample costs 21 bytes as long as every latency lies
-// in [0, 2^32-2] ns, about 4.3 s; a field outside that range is stored as
-// escaped, with its value appended to an overflow list.
+// already recorded. A chunk stores the four stages and the flags, not
+// Total: the simulator's stages tile each request's lifetime, so Total is
+// their sum, and readers rebuild it as such. A sample costs 13 bytes as
+// long as that holds and every stage lies in [0, 2^24-2] ns, about
+// 16.8 ms. A stage outside that range is stored as escaped, and a Total
+// that is not the (wrapping int64) sum of its stages sets flagTotal; both
+// append the exact value to an overflow list.
 // It is not safe for concurrent use; the simulation is single-threaded.
 type Recorder struct {
 	chunks []*chunk
 	n      int
 	// wide holds, for each column in recording order, the values that
-	// column stores as escaped.
-	wide [numCols][]int64
+	// column stores as escaped, then the Totals of the samples flagged
+	// flagTotal.
+	wide [numCols + 1][]int64
 	// start/end bound the measurement window for throughput.
 	start, end int64
 	redirects  int
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
+func NewRecorder() *Recorder {
+	r := &Recorder{}
+	backing := make([]int64, len(r.wide)*wideCap)
+	for k := range r.wide {
+		r.wide[k] = backing[k*wideCap : k*wideCap : (k+1)*wideCap]
+	}
+	return r
+}
 
 // Add records one completed request finishing at virtual time now.
 func (r *Recorder) Add(s Sample, now int64) {
@@ -103,12 +130,15 @@ func (r *Recorder) Add(s Sample, now int64) {
 		r.chunks = append(r.chunks, new(chunk))
 	}
 	ch := r.chunks[c]
-	ch.col[colTotal][i] = r.narrow(colTotal, s.Total)
-	ch.col[colNetIn][i] = r.narrow(colNetIn, s.NetIn)
-	ch.col[colQueue][i] = r.narrow(colQueue, s.Queue)
-	ch.col[colDevice][i] = r.narrow(colDevice, s.Device)
-	ch.col[colNetOut][i] = r.narrow(colNetOut, s.NetOut)
+	r.narrow(ch, colNetIn, i, s.NetIn)
+	r.narrow(ch, colQueue, i, s.Queue)
+	r.narrow(ch, colDevice, i, s.Device)
+	r.narrow(ch, colNetOut, i, s.NetOut)
 	var flags uint8
+	if s.Total != s.NetIn+s.Queue+s.Device+s.NetOut {
+		flags |= flagTotal
+		r.wide[wideTotal] = append(r.wide[wideTotal], s.Total)
+	}
 	if s.Write {
 		flags |= flagWrite
 	}
@@ -120,23 +150,42 @@ func (r *Recorder) Add(s Sample, now int64) {
 	r.n++
 }
 
-// narrow returns v as column col stores it.
-func (r *Recorder) narrow(col int, v int64) uint32 {
-	if uint64(v) < escaped {
-		return uint32(v)
+// narrow stores v as row i of column col of ch.
+func (r *Recorder) narrow(ch *chunk, col, i int, v int64) {
+	if uint64(v) >= escaped {
+		r.wide[col] = append(r.wide[col], v)
+		v = escaped
 	}
-	r.wide[col] = append(r.wide[col], v)
-	return escaped
+	ch.lo[col][i] = uint16(v)
+	ch.hi[col][i] = uint8(v >> 16)
 }
 
-// exact returns the value stored as v in column col, where next counts
-// the escaped entries of each column read so far in recording order.
-func (r *Recorder) exact(col int, v uint32, next *[numCols]int) int64 {
+// cursor counts, for each overflow list, the entries read so far in
+// recording order.
+type cursor [numCols + 1]int
+
+// stage returns the value of row i of column col of ch.
+func (r *Recorder) stage(ch *chunk, col, i int, next *cursor) int64 {
+	v := int64(ch.lo[col][i]) | int64(ch.hi[col][i])<<16
 	if v != escaped {
-		return int64(v)
+		return v
 	}
-	w := r.wide[col][next[col]]
-	next[col]++
+	return r.pop(col, next)
+}
+
+// total returns the Total of a sample with flags f whose stages sum to
+// sum.
+func (r *Recorder) total(f uint8, sum int64, next *cursor) int64 {
+	if f&flagTotal == 0 {
+		return sum
+	}
+	return r.pop(wideTotal, next)
+}
+
+// pop returns the next unread entry of overflow list k.
+func (r *Recorder) pop(k int, next *cursor) int64 {
+	w := r.wide[k][next[k]]
+	next[k]++
 	return w
 }
 
@@ -155,24 +204,34 @@ func (r *Recorder) Redirects() int { return r.redirects }
 // Reset clears all samples while keeping the allocated chunks.
 func (r *Recorder) Reset() {
 	r.n = 0
-	for col := range r.wide {
-		r.wide[col] = r.wide[col][:0]
+	for k := range r.wide {
+		r.wide[k] = r.wide[k][:0]
 	}
 	r.start, r.end, r.redirects = 0, 0, 0
 }
 
+// stages lists every column; their sum is Total.
+var stages = []int{colNetIn, colQueue, colDevice, colNetOut}
+
 // dist returns the sorted distribution, over the samples whose flags
-// masked by mask equal want, of the sum of the given columns. It reads
-// only the flags and those columns.
+// masked by mask equal want, of the sum of the given columns, or of Total
+// when cols is empty. It reads only the flags and the columns it sums.
 func (r *Recorder) dist(mask, want uint8, cols ...int) Dist {
+	isTotal := len(cols) == 0
+	if isTotal {
+		cols = stages
+	}
 	out := make([]int64, 0, r.n)
-	var next [numCols]int
+	var next cursor
 	for c := range r.used() {
 		ch := r.chunks[c]
 		for i, f := range ch.flags[:r.rows(c)] {
 			var v int64
 			for _, col := range cols {
-				v += r.exact(col, ch.col[col][i], &next)
+				v += r.stage(ch, col, i, &next)
+			}
+			if isTotal {
+				v = r.total(f, v, &next)
 			}
 			if f&mask == want {
 				out = append(out, v)
@@ -187,13 +246,13 @@ func (r *Recorder) dist(mask, want uint8, cols ...int) Dist {
 type Dist struct{ v []int64 }
 
 // Reads returns the end-to-end latency distribution of reads.
-func (r *Recorder) Reads() Dist { return r.dist(flagWrite, 0, colTotal) }
+func (r *Recorder) Reads() Dist { return r.dist(flagWrite, 0) }
 
 // Writes returns the end-to-end latency distribution of writes.
-func (r *Recorder) Writes() Dist { return r.dist(flagWrite, flagWrite, colTotal) }
+func (r *Recorder) Writes() Dist { return r.dist(flagWrite, flagWrite) }
 
 // All returns the end-to-end latency distribution of all requests.
-func (r *Recorder) All() Dist { return r.dist(0, 0, colTotal) }
+func (r *Recorder) All() Dist { return r.dist(0, 0) }
 
 // ReadStorage returns the storage-only latency distribution of reads.
 func (r *Recorder) ReadStorage() Dist { return r.dist(flagWrite, 0, colQueue, colDevice) }
@@ -305,19 +364,20 @@ func Speedup(base, v int64) float64 {
 // for diagnostic tooling.
 func RawSamples(r *Recorder) []Sample {
 	out := make([]Sample, 0, r.n)
-	var next [numCols]int
+	var next cursor
 	for c := range r.used() {
 		ch := r.chunks[c]
 		for i, f := range ch.flags[:r.rows(c)] {
-			out = append(out, Sample{
-				Total:      r.exact(colTotal, ch.col[colTotal][i], &next),
-				NetIn:      r.exact(colNetIn, ch.col[colNetIn][i], &next),
-				Queue:      r.exact(colQueue, ch.col[colQueue][i], &next),
-				Device:     r.exact(colDevice, ch.col[colDevice][i], &next),
-				NetOut:     r.exact(colNetOut, ch.col[colNetOut][i], &next),
+			s := Sample{
+				NetIn:      r.stage(ch, colNetIn, i, &next),
+				Queue:      r.stage(ch, colQueue, i, &next),
+				Device:     r.stage(ch, colDevice, i, &next),
+				NetOut:     r.stage(ch, colNetOut, i, &next),
 				Write:      f&flagWrite != 0,
 				Redirected: f&flagRedirected != 0,
-			})
+			}
+			s.Total = r.total(f, s.NetIn+s.Queue+s.Device+s.NetOut, &next)
+			out = append(out, s)
 		}
 	}
 	return out

@@ -11,17 +11,17 @@
 //
 //	var labelDeliver = sim.NewLabel("net.deliver")
 //
-// and passed to Engine.Schedule/ScheduleAfter (ShardGroup.Post/PostAfter
-// across shards), so scheduling an event costs no string lookup. In
-// simulation packages this check requires that:
+// and passed to Engine.Schedule/ScheduleAfter (ShardGroup.Post across
+// shards), so scheduling an event costs no string lookup. In simulation
+// packages this check requires that:
 //
 //   - sim.NewLabel is called at package scope with a constant, non-empty
 //     name: a label resolved inside a function body would pay the
 //     registry lookup on every call;
 //   - no event is scheduled through the unlabeled At/After;
 //   - no event is scheduled through the string-named forms (AtNamed,
-//     AfterNamed, ShardGroup.Send/SendAfter), which resolve the name on
-//     every call and exist for callers outside the simulator.
+//     AfterNamed, ShardGroup.Send), which resolve the name on every
+//     call and exist for callers outside the simulator.
 //
 // The sim package's own forwarders, which define those forms on top of
 // Schedule, are the one structural exemption. A deliberate exception
@@ -59,7 +59,7 @@ var stringForms = map[string]map[string]string{
 		"At": "Schedule", "After": "ScheduleAfter",
 		"AtNamed": "Schedule", "AfterNamed": "ScheduleAfter",
 	},
-	"ShardGroup": {"Send": "Post", "SendAfter": "PostAfter"},
+	"ShardGroup": {"Send": "Post"},
 }
 
 // simForwarder reports whether decl is one of the sim package's own

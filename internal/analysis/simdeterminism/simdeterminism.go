@@ -91,7 +91,7 @@ const (
 var scheduling = map[string]map[string]bool{
 	"Engine": {"At": true, "After": true, "AtNamed": true, "AfterNamed": true,
 		"Schedule": true, "ScheduleAfter": true, "SetTick": true},
-	"ShardGroup":     {"Post": true, "PostAfter": true, "Send": true, "SendAfter": true},
+	"ShardGroup":     {"Post": true, "Send": true},
 	"Resource":       {"Reserve": true, "Acquire": true},
 	"Bandwidth":      {"Reserve": true, "Transfer": true},
 	"PacedBandwidth": {"Admit": true, "Transfer": true},

@@ -78,28 +78,6 @@ func (c *Cluster) TorDown(rack int) bool { return c.torFailed[rack] }
 // and byte accounting for everything that leaves a rack.
 func (c *Cluster) Spine() *Spine { return c.spine }
 
-// CrossRepairBytes returns the chunk bytes repair traffic has fully
-// moved over the spine so far (transfers still in flight excluded).
-func (c *Cluster) CrossRepairBytes() int64 { return c.spine.CrossRepairBytes() }
-
-// CrossRepairBytesOffered returns the repair bytes handed to the spine,
-// counted at enqueue — the old meaning of CrossRepairBytes.
-func (c *Cluster) CrossRepairBytesOffered() int64 { return c.spine.CrossRepairBytesOffered() }
-
-// ForegroundBytes returns the foreground (non-repair) bytes the spine
-// has fully delivered so far.
-func (c *Cluster) ForegroundBytes() int64 { return c.spine.ForegroundBytes() }
-
-// ForegroundBytesOffered returns the foreground bytes handed to the
-// spine, counted at enqueue.
-func (c *Cluster) ForegroundBytesOffered() int64 { return c.spine.ForegroundBytesOffered() }
-
-// ToRRevivals returns how many ToR switches have been revived.
-func (c *Cluster) ToRRevivals() int64 { return c.torRevivals }
-
-// ServerRevivals returns how many crashed servers have been revived.
-func (c *Cluster) ServerRevivals() int64 { return c.serverRevivals }
-
 // SpineUtilization returns the cross-rack link's busy fraction (0 with a
 // single rack).
 func (c *Cluster) SpineUtilization() float64 { return c.spine.Utilization() }

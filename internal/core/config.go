@@ -192,9 +192,6 @@ type Config struct {
 	// SoftwareIsolated switches to the Fig. 21 setup: two
 	// software-isolated vSSDs share each channel set as a channel group.
 	SoftwareIsolated bool
-	// SWIsolationIOPS is the per-vSSD token-bucket limit when
-	// SoftwareIsolated (0 = generous default).
-	SWIsolationIOPS float64
 
 	Geometry flash.Geometry
 	Device   flash.Profile
@@ -214,34 +211,13 @@ type Config struct {
 	// GC episode restores before stopping; small values keep episodes at a
 	// few bursts instead of long channel-blocking trains.
 	RestoreDelta float64
-	// GCCheckInterval is the periodic monitor period (the paper defaults
-	// to 30s on real hardware; simulations compress it).
-	GCCheckInterval sim.Time
-	// IdleGCThreshold gates background GC (30ms default).
-	IdleGCThreshold sim.Time
-	// GCRetries bounds gc_op retransmissions on reply loss.
-	GCRetries int
 	// GCReplyDropRate injects switch-reply loss for failure testing.
 	GCReplyDropRate float64
-	// MaxGCBlocksPerBurst caps one uncoordinated (regular/forced) GC
-	// event's reclaimed blocks, bounding the channel-blocked window to a
-	// few milliseconds per event.
-	MaxGCBlocksPerBurst int
-	// SoftBurstBlocks caps one redirection-protected soft episode; larger
-	// than MaxGCBlocksPerBurst because the replica absorbs reads
-	// meanwhile, but bounded so the partner's delay budget holds.
-	SoftBurstBlocks int
 	// MaxClientInflight bounds each pair's outstanding requests
 	// (semi-open loop: arrivals are Poisson but the window caps
 	// divergence under saturation, like a finite client thread pool).
 	MaxClientInflight int
 
-	// WriteCachePages sizes each server's DRAM write cache.
-	WriteCachePages int
-	// CacheHoldPages is the write-back watermark: dirty pages are flushed
-	// only above this level, so the hottest keys keep absorbing rewrites
-	// in DRAM. It controls how much of the write stream reaches flash.
-	CacheHoldPages int
 	// Utilization is the FTL logical/raw ratio.
 	Utilization float64
 	// KeyspaceFrac is the fraction of logical pages the workload touches
@@ -280,6 +256,31 @@ type Config struct {
 	Scenario []Event
 }
 
+// Fixed parameters of the simulated rack, the same in every run.
+const (
+	// gcCheckInterval is the periodic GC monitor period (the paper
+	// defaults to 30s on real hardware; simulations compress it).
+	gcCheckInterval = 2 * sim.Millisecond
+	// idleGCThreshold gates background GC.
+	idleGCThreshold = 30 * sim.Millisecond
+	// maxGCOpRetries bounds gc_op retransmissions on reply loss.
+	maxGCOpRetries = 3
+	// maxGCBlocksPerBurst caps one GC event's reclaimed blocks, bounding
+	// the channel-blocked window to a few milliseconds per event. A
+	// redirection-protected soft episode runs chunk by chunk under the
+	// same cap, so the partner's delay budget holds.
+	maxGCBlocksPerBurst = 1
+	// writeCachePages sizes each server's DRAM write cache.
+	writeCachePages = 2048
+	// cacheHoldPages is the write-back watermark: dirty pages are flushed
+	// only above this level, so the hottest keys keep absorbing rewrites
+	// in DRAM. It controls how much of the write stream reaches flash.
+	cacheHoldPages = 128
+	// swIsolationIOPS is the per-vSSD token-bucket limit when
+	// Config.SoftwareIsolated.
+	swIsolationIOPS = 50_000
+)
+
 // DefaultConfig returns the paper's default setup scaled to simulation:
 // four storage servers, four hardware-isolated vSSD pairs on P-SSDs,
 // Kyber scheduling, 35%/25% GC thresholds, YCSB 50/50 at moderate load.
@@ -301,25 +302,18 @@ func DefaultConfig() Config {
 			PagesPerBlock:   32,
 			PageSize:        4096,
 		},
-		Device:              flash.ProfilePSSD(),
-		Net:                 netsim.ProfileMedium(),
-		SchedPolicy:         sched.Kyber,
-		SoftThreshold:       0.35,
-		GCThreshold:         0.25,
-		RestoreDelta:        0.04,
-		GCCheckInterval:     2 * sim.Millisecond,
-		IdleGCThreshold:     30 * sim.Millisecond,
-		GCRetries:           3,
-		MaxGCBlocksPerBurst: 1,
-		SoftBurstBlocks:     1,
-		MaxClientInflight:   32,
-		WriteCachePages:     2048,
-		CacheHoldPages:      128,
-		Utilization:         0.75,
-		KeyspaceFrac:        0.55,
-		Workload:            WorkloadSpec{Name: "YCSB", WriteFrac: 0.5, MeanGap: 200 * sim.Microsecond},
-		Warmup:              100 * sim.Millisecond,
-		Duration:            1000 * sim.Millisecond,
+		Device:            flash.ProfilePSSD(),
+		Net:               netsim.ProfileMedium(),
+		SchedPolicy:       sched.Kyber,
+		SoftThreshold:     0.35,
+		GCThreshold:       0.25,
+		RestoreDelta:      0.04,
+		MaxClientInflight: 32,
+		Utilization:       0.75,
+		KeyspaceFrac:      0.55,
+		Workload:          WorkloadSpec{Name: "YCSB", WriteFrac: 0.5, MeanGap: 200 * sim.Microsecond},
+		Warmup:            100 * sim.Millisecond,
+		Duration:          1000 * sim.Millisecond,
 	}
 }
 

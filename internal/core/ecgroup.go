@@ -734,7 +734,7 @@ func (r *Rack) scheduleRepair(g *ecGroup) {
 		return
 	}
 	g.repairArmed = true
-	r.eng.ScheduleAfter(r.cfg.GCCheckInterval, labelECRepairPump, g.pumpEv)
+	r.eng.ScheduleAfter(gcCheckInterval, labelECRepairPump, g.pumpEv)
 }
 
 // repairPump admits background chunk reconstruction only in the

@@ -12,7 +12,7 @@ import (
 func (r *Rack) startGCMonitors() {
 	for _, inst := range r.allInstances() {
 		// Stagger first checks so instances do not phase-lock.
-		offset := sim.Time(r.rng.Int63n(int64(r.cfg.GCCheckInterval) + 1))
+		offset := sim.Time(r.rng.Int63n(int64(gcCheckInterval) + 1))
 		r.eng.ScheduleAfter(offset, labelGCMonitor, inst.monitorEv)
 	}
 }
@@ -24,7 +24,7 @@ func (r *Rack) monitorGC(inst *instance) {
 	}
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.ScheduleAfter(r.cfg.GCCheckInterval, labelGCMonitor, inst.monitorEv)
+		r.eng.ScheduleAfter(gcCheckInterval, labelGCMonitor, inst.monitorEv)
 	}
 	if inst.v.InGC(now) || inst.gcRequestInFlight {
 		return
@@ -136,7 +136,7 @@ func (t *gcOpTimer) Fire(sim.Time) {
 	if !inst.gcRequestInFlight || inst.gcRetries != epoch {
 		return // reply arrived
 	}
-	if attempt+1 <= r.cfg.GCRetries {
+	if attempt+1 <= maxGCOpRetries {
 		r.gcOpRetries++
 		r.sendGCOp(inst, gcType, attempt+1)
 		return
@@ -179,25 +179,24 @@ func (r *Rack) handleGCReply(inst *instance, pkt packet.Packet) {
 	}
 }
 
-// startGCBurst reclaims blocks until the restore target and blocks the
-// involved flash channels for the work's duration.
+// startGCBurst reclaims up to maxGCBlocksPerBurst blocks toward the
+// restore target and blocks the involved flash channels for the work's
+// duration.
 //
-// Soft and background episodes run to their restore target in one
-// protected window: reads are redirected to the replica throughout, and
-// the reclaimed headroom is what keeps the two replicas' GC staggered
-// ("to make room for delaying GC", §3.5.1). Forced/regular GC — the
-// uncoordinated path VDC always takes — does only the minimal capped work
-// needed to keep accepting writes, because nothing shields reads from it.
+// A coordinated soft episode chains bursts in one protected window
+// (gcBurstEnd) until the free ratio is back above the soft threshold:
+// reads are redirected to the replica throughout, and the reclaimed
+// headroom is what keeps the two replicas' GC staggered ("to make room
+// for delaying GC", §3.5.1). Every other episode ends after one burst;
+// for forced/regular GC — the uncoordinated path VDC always takes — that
+// is the minimal capped work needed to keep accepting writes, because
+// nothing shields reads from it.
 func (r *Rack) startGCBurst(inst *instance, target float64) {
-	cap := r.cfg.MaxGCBlocksPerBurst
-	if r.cfg.gcCoordinated() && inst.lastGCType == packet.GCSoft {
-		cap = r.cfg.SoftBurstBlocks // protected episode: bigger chunk
-	}
 	var burst ssd.BurstResult
 	if inst.group != nil {
-		burst = inst.group.GroupCollect(target, cap)
+		burst = inst.group.GroupCollect(target, maxGCBlocksPerBurst)
 	} else {
-		burst = inst.v.FTL.CollectBurst(target, cap)
+		burst = inst.v.FTL.CollectBurst(target, maxGCBlocksPerBurst)
 	}
 	if burst.Blocks == 0 {
 		r.finishGC(inst)
@@ -215,9 +214,6 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 		}
 	}
 	inst.v.StartGC(end)
-	if r.TraceGC != nil {
-		r.TraceGC(inst.id, inst.lastGCType, r.eng.Now(), end, burst.Blocks)
-	}
 	r.tracer.RecordGC(inst.id, inst.lastGCType.String(), r.eng.Now(), end, burst.Blocks)
 	e := r.gcBursts.Get()
 	e.r, e.inst, e.target = r, inst, target
@@ -275,7 +271,7 @@ func (s *server) forceGC(inst *instance) {
 	if inst.v.InGC(r.eng.Now()) {
 		// Burst timing already accounted; reclaim state only so the
 		// caller's retry can allocate.
-		inst.v.FTL.CollectBurst(r.cfg.GCThreshold, r.cfg.MaxGCBlocksPerBurst)
+		inst.v.FTL.CollectBurst(r.cfg.GCThreshold, maxGCBlocksPerBurst)
 		return
 	}
 	r.startGCBurst(inst, r.restoreTarget(packet.GCRegular))

@@ -41,9 +41,4 @@ var (
 	labelServerCacheInsert  = sim.NewLabel("server.cache_insert")
 	labelServerPump         = sim.NewLabel("server.pump")
 	labelServerStaleRetry   = sim.NewLabel("server.stale_retry")
-	labelShardDone          = sim.NewLabel("shard.done")
-	labelShardOp            = sim.NewLabel("shard.op")
-	labelShardRemote        = sim.NewLabel("shard.remote")
-	labelSpineReq           = sim.NewLabel("spine.req")
-	labelSpineResp          = sim.NewLabel("spine.resp")
 )

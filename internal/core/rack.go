@@ -139,14 +139,10 @@ func (st *reqState) decInflight() {
 // single-rack testbed.
 type Rack struct {
 	cfg Config
-	// group is the sharded topology: one engine per rack plus the
-	// coordinator shard (shard 0), where the spine boundary and the
-	// scenario driver live. The full per-I/O datapath currently runs on
-	// the coordinator engine — eng aliases group.Coordinator() — which
-	// keeps every Result byte-identical to the historical single-engine
-	// runs; the rack shards carry the parallel soak model (shardsim.go)
-	// until the datapath migrates onto them rack by rack.
-	group   *sim.ShardGroup
+	// eng runs every rack of the cluster, the spine and the scenario
+	// driver. Cross-rack traffic goes through the Spine boundary, the
+	// seam along which racks can move onto the engines of a
+	// sim.ShardGroup.
 	eng     *sim.Engine
 	net     *netsim.Network
 	cluster *Cluster
@@ -202,9 +198,6 @@ type Rack struct {
 	// repair completion time of the run.
 	pacer          *RepairPacer
 	lastRepairDone sim.Time
-
-	// TraceGC, when set, observes every GC episode (diagnostics).
-	TraceGC func(vssd uint32, gcType packet.GCField, start, end sim.Time, blocks int)
 
 	// tracer is the flight recorder (nil unless Config.Trace.Enabled; a
 	// nil tracer no-ops every call, so the datapath records
@@ -262,13 +255,12 @@ func NewRack(cfg Config) (*Rack, error) {
 	}
 	r := &Rack{
 		cfg:      cfg,
-		group:    sim.NewShardGroup(cfg.racks(), cfg.CrossRackLatency),
+		eng:      sim.NewEngine(),
 		rec:      stats.NewRecorder(),
 		insts:    make(map[uint32]*instance),
 		rng:      sim.NewRNG(cfg.Seed),
 		clientIP: packet.IP4(10, 0, 0, 1),
 	}
-	r.eng = r.group.Coordinator()
 	r.net = netsim.New(cfg.Net, r.rng.Fork(100))
 	r.cluster = newCluster(r)
 	r.sw = r.cluster.tors[0]
@@ -446,15 +438,11 @@ func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, prima
 		if len(mine) == 0 || len(theirs) == 0 {
 			return nil, fmt.Errorf("core: channel set too small to split for software isolation")
 		}
-		iops := cfg.SWIsolationIOPS
-		if iops <= 0 {
-			iops = 50_000
-		}
-		v, err = vssd.NewSoftwareIsolated(srv.dev, id, mine, cfg.Utilization, iops)
+		v, err = vssd.NewSoftwareIsolated(srv.dev, id, mine, cfg.Utilization, swIsolationIOPS)
 		if err != nil {
 			return nil, err
 		}
-		peer, err2 := vssd.NewSoftwareIsolated(srv.dev, id+1000, theirs, cfg.Utilization, iops)
+		peer, err2 := vssd.NewSoftwareIsolated(srv.dev, id+1000, theirs, cfg.Utilization, swIsolationIOPS)
 		if err2 != nil {
 			return nil, err2
 		}
@@ -473,14 +461,14 @@ func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, prima
 	inst := &instance{
 		id: id, v: v, server: srv, pairIdx: pairIdx,
 		replicaID: replicaID, primary: primary,
-		cache: newWriteCache(cfg.WriteCachePages),
+		cache: newWriteCache(writeCachePages),
 		peer:  peerOf(group, v),
 		queue: sched.New(sched.Config{
 			Policy:      cfg.SchedPolicy,
 			Coordinated: cfg.coordinated(),
 		}),
 		pred:            predictor.NewLatency(predictor.DefaultWindow),
-		idle:            predictor.NewIdle(predictor.DefaultAlpha, cfg.IdleGCThreshold),
+		idle:            predictor.NewIdle(predictor.DefaultAlpha, idleGCThreshold),
 		maxInflight:     2 * len(channels),
 		group:           group,
 		replicaIdleHint: true,
@@ -605,11 +593,6 @@ func (r *Rack) Keyspace() int {
 
 // Engine exposes the simulation engine (tests).
 func (r *Rack) Engine() *sim.Engine { return r.eng }
-
-// Shards exposes the rack's sharded topology: shard 0 is the coordinator
-// engine the datapath runs on (== Engine()), shards 1..racks the
-// per-rack engines.
-func (r *Rack) Shards() *sim.ShardGroup { return r.group }
 
 // Switch exposes the first rack's ToR switch (tests).
 func (r *Rack) Switch() *switchsim.Switch { return r.sw }

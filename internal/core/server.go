@@ -344,8 +344,7 @@ func (s *server) flushPump(inst *instance) {
 	// Write-back watermark: dirty pages below the hold level stay in DRAM
 	// absorbing rewrites (hot keys never reach flash), which is what
 	// keeps GC traffic proportional to the *unique* write footprint.
-	hold := s.rack.cfg.CacheHoldPages
-	for inst.flushInflight < inst.maxFlushInflight && inst.cache.Len() > hold {
+	for inst.flushInflight < inst.maxFlushInflight && inst.cache.Len() > cacheHoldPages {
 		lpn, ok := inst.cache.NextFlush()
 		if !ok {
 			return

@@ -11,10 +11,9 @@ import (
 // object cross-rack code is allowed to touch. Everything that leaves a
 // rack — ToR handoffs, Hermes replication messages, degraded-read chunk
 // fetches, repair batches, re-integration updates — pays the spine here,
-// never by reaching into another rack's objects. In the sharded topology
-// the spine lives on the coordinator shard (shard 0 of the rack's
-// sim.ShardGroup), which is exactly why the boundary must be explicit:
-// it is the only state cross-rack interactions may share.
+// never by reaching into another rack's objects. Once racks run on the
+// shards of a sim.ShardGroup, the spine is the only state cross-rack
+// interactions may share, which is why the boundary is explicit.
 //
 // With one rack the spine degenerates to the paper's testbed: no link
 // (nil), zero latency, every meter call free.
@@ -44,8 +43,7 @@ type Spine struct {
 }
 
 // newSpine builds the cross-rack boundary for a topology of racks fault
-// domains on eng (the coordinator shard's engine). The link exists only
-// when racks > 1.
+// domains on eng. The link exists only when racks > 1.
 func newSpine(eng *sim.Engine, cfg *Config) *Spine {
 	s := &Spine{
 		eng:      eng,
@@ -175,22 +173,3 @@ func (s *Spine) Utilization() float64 {
 	}
 	return s.link.Utilization()
 }
-
-// CrossRepairBytes returns the chunk bytes repair traffic has fully
-// moved over the spine so far (transfers still in flight excluded).
-func (s *Spine) CrossRepairBytes() int64 { return s.crossRepairBytes }
-
-// CrossRepairBytesOffered returns the repair bytes handed to the spine,
-// counted at enqueue — the old meaning of CrossRepairBytes.
-func (s *Spine) CrossRepairBytesOffered() int64 { return s.crossRepairOffered }
-
-// CrossFetches returns how many repair transfers the spine has accepted.
-func (s *Spine) CrossFetches() int64 { return s.crossFetches }
-
-// ForegroundBytes returns the foreground (non-repair) bytes the spine
-// has fully delivered so far.
-func (s *Spine) ForegroundBytes() int64 { return s.foregroundBytes }
-
-// ForegroundBytesOffered returns the foreground bytes handed to the
-// spine, counted at enqueue.
-func (s *Spine) ForegroundBytesOffered() int64 { return s.foregroundOffered }

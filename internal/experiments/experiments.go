@@ -123,8 +123,6 @@ var registry = []Entry{
 		"vs_healthy", true, figSC},
 	{"figslo", "SLO-aware repair pacing: foreground p99 vs repair completion (-repair-slo)", "p99_ms", true, figSLO},
 	{"figra", "rack-aware codes: RS(4,2) vs LRC(4,2) repair spine bytes and completion", "cross_repair_mb", true, figRA},
-	{"figsh", "sharded runner speedup vs rack count (wall_*, speedup, par_meps are host timings)", "speedup", false,
-		func(scale Scale, opt Options) []*Table { return []*Table{FigSH(scale, opt)} }},
 }
 
 // fixed adapts a table that takes no scale and runs no cluster.

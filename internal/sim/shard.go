@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Sharded simulation: one Engine per rack plus a coordinator shard,
@@ -23,8 +24,8 @@ import (
 // (RunSequential) or one goroutine each (Run, see shardrun.go, the one
 // file in the tree allowed to spawn goroutines).
 //
-// Shard 0 is the coordinator: the spine/cluster layer (shared bandwidth
-// metering, the scenario driver) lives there, shards 1..n are the racks.
+// Shard 0 is the coordinator, meant for the spine/cluster layer (shared
+// bandwidth metering, the scenario driver); shards 1..n are the racks.
 // During a window a shard's events may touch only that shard's state;
 // every cross-shard interaction goes through Post. Nothing enforces the
 // ownership discipline at runtime — the rackvet goroutinediscipline
@@ -92,9 +93,6 @@ func (g *ShardGroup) Lookahead() Time { return g.lookahead }
 // Shard returns shard i's engine; 0 is the coordinator, 1..n the racks.
 func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
 
-// Coordinator returns the spine/cluster shard's engine.
-func (g *ShardGroup) Coordinator() *Engine { return g.engines[0] }
-
 // Post schedules h under label l on shard dst at absolute time at, from
 // code running on shard src. The lookahead contract is enforced: at must
 // be at least src's current time plus the group lookahead, because the
@@ -120,12 +118,6 @@ func (g *ShardGroup) Post(src, dst int, at Time, l Label, h Handler) {
 		mailItem{at: at, src: src, seq: g.sendSeq[src][dst], label: l, h: h})
 }
 
-// PostAfter is Post with a source-relative delay; d must be at least the
-// group lookahead.
-func (g *ShardGroup) PostAfter(src, dst int, d Time, l Label, h Handler) {
-	g.Post(src, dst, g.engines[src].Now()+d, l, h)
-}
-
 // Send is Post with the label given by name and fn as the handler, for
 // callers outside the simulation packages (see Engine.AtNamed).
 func (g *ShardGroup) Send(src, dst int, at Time, label string, fn EventFunc) {
@@ -133,12 +125,6 @@ func (g *ShardGroup) Send(src, dst int, at Time, label string, fn EventFunc) {
 		panic("sim: nil cross-shard event function")
 	}
 	g.Post(src, dst, at, labelFor(label), fn)
-}
-
-// SendAfter is Send with a source-relative delay; d must be at least the
-// group lookahead.
-func (g *ShardGroup) SendAfter(src, dst int, d Time, label string, fn EventFunc) {
-	g.Send(src, dst, g.engines[src].Now()+d, label, fn)
 }
 
 // deliver drains every edge mailbox into its destination engine, merging
@@ -158,21 +144,25 @@ func (g *ShardGroup) deliver() {
 			continue
 		}
 		m := g.merge
-		sort.Slice(m, func(i, j int) bool {
-			if m[i].at != m[j].at {
-				return m[i].at < m[j].at
-			}
-			if m[i].src != m[j].src {
-				return m[i].src < m[j].src
-			}
-			return m[i].seq < m[j].seq
-		})
+		slices.SortFunc(m, compareMail)
 		eng := g.engines[dst]
 		for i := range m {
 			eng.Schedule(m[i].at, m[i].label, m[i].h)
 			m[i].h = nil // do not retain the handler in the scratch buffer
 		}
 	}
+}
+
+// compareMail orders mail by (time, source shard, send sequence), a total
+// order within one destination: each edge numbers its mail uniquely.
+func compareMail(a, b mailItem) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // mailPending counts undelivered cross-shard events.

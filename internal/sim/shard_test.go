@@ -49,7 +49,7 @@ func buildRackModel(g *ShardGroup, opsPerRack int) *[][]string {
 			devices[shard].Block(now + Time(r.next()%48))
 			if n > 2 && r.next()%8 == 0 {
 				// Cross-rack hop: route through the spine shard.
-				g.SendAfter(shard, 0, g.Lookahead()+Time(r.next()%32), "spine.in", step(0, id, budget-1))
+				g.Send(shard, 0, now+g.Lookahead()+Time(r.next()%32), "spine.in", step(0, id, budget-1))
 				return
 			}
 			g.Shard(shard).AfterNamed(Time(r.next()%96)+1, "rack.op", step(shard, id, budget-1))
@@ -281,4 +281,59 @@ func TestShardGroupMailboxCanonicalOrder(t *testing.T) {
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("delivery order %v, want %v", order, want)
 	}
+}
+
+// TestShardGroupSteadyStateAllocs is the shard runner's allocation gate:
+// once the mailboxes and the merge buffer have grown, sequential windows
+// in which every shard sends cross-shard mail to both of its neighbours
+// allocate nothing, mailbox merge included.
+func TestShardGroupSteadyStateAllocs(t *testing.T) {
+	const windows = 10
+	g := NewShardGroup(2, 10)
+	n := g.Shards()
+	hops := make([]*shardHop, 2*n)
+	for i := range hops {
+		hops[i] = &shardHop{g: g, step: 1}
+		if i >= n {
+			hops[i].step = n - 1 // the other way round the ring
+		}
+	}
+	run := func() {
+		for i, h := range hops {
+			h.shard, h.left = i%n, windows
+			eng := g.Shard(h.shard)
+			eng.Schedule(eng.Now(), labelShardHop, h)
+		}
+		g.RunSequential()
+	}
+	run()
+	if got, want := g.Processed(), uint64(len(hops)*(windows+1)); got != want {
+		t.Fatalf("Processed = %d, want %d", got, want)
+	}
+	avg := testing.AllocsPerRun(20, run)
+	t.Logf("%.1f allocations per %d windows of cross-shard mail", avg, windows)
+	if avg != 0 {
+		t.Errorf("steady-state windows allocate %.1f objects per %d windows, want 0", avg, windows)
+	}
+}
+
+var labelShardHop = NewLabel("shard.hop")
+
+// shardHop is a Handler that forwards itself step shards round the ring
+// one lookahead later, left more times.
+type shardHop struct {
+	g     *ShardGroup
+	shard int
+	step  int
+	left  int
+}
+
+func (h *shardHop) Fire(now Time) {
+	if h.left == 0 {
+		return
+	}
+	h.left--
+	src := h.shard
+	h.shard = (src + h.step) % h.g.Shards()
+	h.g.Post(src, h.shard, now+h.g.Lookahead(), labelShardHop, h)
 }

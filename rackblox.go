@@ -228,9 +228,13 @@
 //
 // # Simulator invariants
 //
-// The simulation core is sharded: sim.ShardGroup owns one engine per
-// rack plus a coordinator shard (shard 0, the spine and cluster
-// driver), and can run the shards on parallel goroutines under
+// Each Rack runs on one sim.Engine: every rack of a cluster, the spine
+// and the scenario driver share its event queue, ordered by (time,
+// insertion sequence), and the figure replay suite reruns same-seed runs
+// and compares their results byte for byte. Cross-rack traffic goes
+// through the core.Spine boundary, the seam along which the datapath is
+// to move onto sim.ShardGroup, the tested lookahead runner: one engine
+// per rack plus a coordinator shard, run on parallel goroutines under
 // conservative-lookahead synchronization. Each window extends to the
 // earliest pending event time plus the cross-shard lookahead (the spine
 // propagation delay) minus one tick, so shards never need to see each
@@ -238,12 +242,12 @@
 // mailboxes and are delivered in canonical (time, source shard, send
 // sequence) order, which makes the parallel run byte-identical to the
 // sequential one — RunSequential is kept as the differential oracle,
-// and a fuzzer plus the figure replay suite compare the two modes event
-// trace for event trace. Handlers obey a shard-ownership discipline: an
-// executing event touches only its own shard's state, and cross-shard
-// work carries only by-value data through ShardGroup.Post, whose
-// lookahead contract (deliveries at least one lookahead in the future)
-// is enforced at the call site.
+// and a fuzzer compares the two modes event trace for event trace.
+// Handlers on shards obey a shard-ownership discipline: an executing
+// event touches only its own shard's state, and cross-shard work
+// carries only by-value data through ShardGroup.Post, whose lookahead
+// contract (deliveries at least one lookahead in the future) is
+// enforced at the call site.
 //
 // The datapath is allocation-free in steady state, and stays so by four
 // rules. Hot events are typed records: every hop of a request (client to

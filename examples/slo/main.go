@@ -3,9 +3,10 @@
 // link drags the foreground read tail far past any latency objective.
 // Config.RepairSLO closes the loop: a windowed p99 sensor watches every
 // completed foreground read, an AIMD controller adjusts the repair
-// admission rate between the configured bounds, and a token lane on the
-// spine enforces it — foreground transfers keep FIFO access to the link
-// while repair batches (split to token-sized transfers) wait for credit.
+// admission rate between a 1 MB/s floor and the spine's capacity, and a
+// token lane on the spine enforces it — foreground transfers keep FIFO
+// access to the link while repair batches (split to token-sized
+// transfers) wait for credit.
 //
 // This example replays a fail -> revive -> fail-again timeline on a
 // three-rack RS(4,2) cluster over an 80 MB/s spine, unpaced and then
@@ -75,11 +76,9 @@ func main() {
 	run("unpaced", cluster())
 
 	paced := cluster()
-	paced.RepairSLO = rackblox.RepairSLO{
-		TargetP99:   target,
-		MinRateMBps: 1,  // repair never starves
-		MaxRateMBps: 80, // may use the whole spine when latency permits
-	}
+	// Repair never starves (a 1 MB/s floor) and may use the whole 80
+	// MB/s spine when latency permits.
+	paced.RepairSLO = rackblox.RepairSLO{TargetP99: target}
 	res := run("paced", paced)
 
 	fmt.Println("\ncontroller rate timeline (AIMD sawtooth, first 10 changes):")

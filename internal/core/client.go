@@ -104,7 +104,7 @@ func (r *Rack) issue(pr *pair) {
 // whose failover table rewrites the isolated primary's traffic.
 func (r *Rack) clientTorForPair(pr *pair) *switchsim.Switch {
 	tor := r.torOf(pr.primary.server)
-	if r.cluster.torDetected[pr.primary.server.rackIdx] {
+	if r.torDetected[pr.primary.server.rackIdx] {
 		if rep := r.torOf(pr.replica.server); !rep.Down() {
 			return rep
 		}
@@ -136,9 +136,9 @@ func (r *Rack) spanFor(seq uint64) *trace.Span {
 // spine crossing — metered as foreground traffic on the shared link —
 // when the ToR is not in the client's rack (rack 0).
 func (r *Rack) clientSend(pkt packet.Packet, tor *switchsim.Switch) {
-	hop := r.net.HopLatency(r.eng.Now()) + r.cluster.spine.Latency(0, tor.RackID())
+	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Latency(0, tor.RackID())
 	if tor.RackID() != 0 {
-		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
+		hop += r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
 	r.toTor(hop, labelNetClientSend, tor, pkt)
@@ -155,15 +155,15 @@ func (r *Rack) forwarderFor(torRack int) switchsim.Forwarder {
 func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 	// Resolve the destination up front: the spine latency depends on it.
 	dstSrv := r.serverByIP(pkt.DstIP)
-	dstRack := 0 // the client and the controller home next to rack 0
+	dstRack := 0 // the client homes next to rack 0
 	if dstSrv != nil {
 		dstRack = dstSrv.rackIdx
 	}
-	hop := r.net.HopLatency(r.eng.Now()) + r.cluster.spine.Latency(torRack, dstRack)
+	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Latency(torRack, dstRack)
 	if torRack != dstRack {
 		// Leaving the rack: the packet pays for (and occupies) the
 		// shared spine alongside repair transfers.
-		hop += r.cluster.spine.MeterForegroundTraced(r.cluster.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
+		hop += r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
 	r.sendHop(hop, labelNetDeliver, hopDeliver, pkt, nil, dstSrv, torRack)
@@ -171,14 +171,13 @@ func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 
 // serverByIP resolves a server from its address in O(1): servers address
 // as 10.0.<rack>.<16+local> (NewRack), so the index is decoded from the
-// IP. The client's, the controller's, and any other address resolve to
-// nil.
+// IP. The client's and any other address resolve to nil.
 func (r *Rack) serverByIP(ip uint32) *server {
 	if ip>>16 != 10<<8 {
 		return nil
 	}
 	rack, local := int(ip>>8&0xff), int(ip&0xff)-16
-	if local < 0 || local >= r.cfg.StorageServers || rack >= r.cluster.racks {
+	if local < 0 || local >= r.cfg.StorageServers || rack >= len(r.tors) {
 		return nil
 	}
 	if s := r.servers[rack*r.cfg.StorageServers+local]; s.ip == ip {
@@ -188,28 +187,26 @@ func (r *Rack) serverByIP(ip uint32) *server {
 }
 
 // arrive lands a packet that left rack torRack's ToR at its destination:
-// the client, server dstSrv (resolved when it left), or the controller.
+// the client, or server dstSrv (resolved when it left). Packets to any
+// other address are dropped.
 func (r *Rack) arrive(torRack int, dstSrv *server, pkt packet.Packet) {
 	if pkt.DstIP == r.clientIP {
 		r.clientReceive(pkt)
 		return
 	}
-	if dstSrv != nil {
-		if dstSrv.rackIdx != torRack && r.cluster.torFailed[dstSrv.rackIdx] {
-			return // cross-rack delivery dead-ends at the failed ToR
-		}
-		// RackBlox (Software) redirection happens here, at the server
-		// boundary rather than in the switch.
-		if pkt.Op == packet.OpRead && r.cfg.System == RackBloxSoftware && r.softwareRedirect(dstSrv, pkt) {
-			r.swRedirects++
-			return
-		}
-		dstSrv.receive(pkt)
+	if dstSrv == nil {
 		return
 	}
-	if r.controller != nil && pkt.DstIP == r.controller.ip {
-		r.controller.receive(pkt)
+	if dstSrv.rackIdx != torRack && r.torFailed[dstSrv.rackIdx] {
+		return // cross-rack delivery dead-ends at the failed ToR
 	}
+	// RackBlox (Software) redirection happens here, at the server
+	// boundary rather than in the switch.
+	if pkt.Op == packet.OpRead && r.cfg.System == RackBloxSoftware && r.softwareRedirect(dstSrv, pkt) {
+		r.res.SWRedirects++
+		return
+	}
+	dstSrv.receive(pkt)
 }
 
 // softwareRedirect implements RackBlox (Software)'s server-side read
@@ -222,13 +219,14 @@ func (r *Rack) softwareRedirect(s *server, pkt packet.Packet) bool {
 	if !ok || !inst.v.InGC(r.eng.Now()) || !inst.replicaIdleHint {
 		return false
 	}
-	rep := r.insts[inst.replicaID]
-	if rep == nil || rep.v.InGC(r.eng.Now()) {
+	rep := inst.partner
+	if rep.v.InGC(r.eng.Now()) {
 		return false
 	}
 	fwd := pkt
 	fwd.VSSD = rep.id
 	fwd.DstIP = rep.server.ip
+	fwd.GCSteered = true
 	// Server -> ToR -> replica server: two hops of software redirection
 	// cost, plus the forwarding server's processing.
 	delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
@@ -252,14 +250,15 @@ func (r *Rack) bounceRead(inst *instance, st *reqState) {
 		Seq:   st.seq,
 	}
 	if r.cfg.System == RackBloxSoftware {
-		rep := r.insts[inst.replicaID]
-		if rep != nil && inst.replicaIdleHint && !rep.v.InGC(r.eng.Now()) {
+		rep := inst.partner
+		if inst.replicaIdleHint && !rep.v.InGC(r.eng.Now()) {
 			fwd := pkt
 			fwd.VSSD = rep.id
 			fwd.DstIP = rep.server.ip
+			fwd.GCSteered = true
 			delay := serverProcTime + r.net.PathLatency(r.eng.Now(), 2)
 			r.toServer(delay, labelClientSWRedirect, rep.server, fwd)
-			r.swRedirects++
+			r.res.SWRedirects++
 			return
 		}
 		// No usable replica: serve in place after all.

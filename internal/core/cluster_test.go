@@ -24,7 +24,7 @@ func clusterConfig() Config {
 }
 
 // serverByIP decodes a server's index from its 10.0.<rack>.<16+local>
-// address; the client, the controller, and unassigned addresses miss.
+// address; the client and unassigned addresses miss.
 func TestServerByIP(t *testing.T) {
 	r, err := NewRack(clusterConfig())
 	if err != nil {
@@ -37,7 +37,7 @@ func TestServerByIP(t *testing.T) {
 	}
 	for _, ip := range []uint32{
 		r.clientIP,
-		packet.IP4(10, 0, 0, 250), // the controller
+		packet.IP4(10, 0, 0, 250), // far past the rack's servers
 		packet.IP4(10, 0, 0, 15),
 		packet.IP4(10, 0, 1, 16+6), // one past the rack's servers
 		packet.IP4(10, 0, 3, 16),   // one past the racks

@@ -173,12 +173,12 @@ type Config struct {
 	// RepairSLO enables the latency-SLO-aware repair rate controller on
 	// the spine: a RepairPacer observes foreground read latency over a
 	// sliding window and AIMD-adjusts the repair admission rate between
-	// the configured bounds so background reconstruction never holds the
-	// foreground p99 above RepairSLO.TargetP99 for long, while the
-	// MinRateMBps floor guarantees repair still completes. The zero
-	// value disables pacing (repair admitted whenever GC idle windows
-	// allow, as before). Requires Racks > 1 — pacing meters the shared
-	// cross-rack spine.
+	// a fixed 1 MB/s floor and the spine's capacity (CrossRackMBps), so
+	// background reconstruction never holds the foreground p99 above
+	// RepairSLO.TargetP99 for long, while the floor guarantees repair
+	// still completes. The zero value disables pacing (repair admitted
+	// whenever GC idle windows allow, as before). Requires Racks > 1 —
+	// pacing meters the shared cross-rack spine.
 	RepairSLO RepairSLO
 	// VSSDPairs is the number of logical volumes: primary+replica vSSD
 	// pairs under ReplicationScheme, RS(k,m) stripe groups under
@@ -204,9 +204,9 @@ type Config struct {
 	// (-1); 0 derives it from System.
 	CoordinatedOverride int
 
-	// GC thresholds as free-block ratios (§3.5.1).
+	// SoftThreshold is the free-block ratio below which coordinated GC
+	// asks to collect (§3.5.1); it must lie above GCThreshold.
 	SoftThreshold float64
-	GCThreshold   float64
 	// RestoreDelta is the hysteresis above the triggering threshold that a
 	// GC episode restores before stopping; small values keep episodes at a
 	// few bursts instead of long channel-blocking trains.
@@ -243,7 +243,7 @@ type Config struct {
 	// Scenario is the run's fault/recovery timeline: an ordered schedule
 	// of typed events (FailServer, FailRack, FailToR, ReviveServer,
 	// ReviveToR), each at its own instant, validated as a whole and
-	// executed by the cluster's event driver. It is the only way to
+	// executed by Rack.scheduleScenario. It is the only way to
 	// inject faults: events carry independent times, so one run can mix
 	// server revival with catch-up repair, repeated fail/heal cycles and
 	// staggered rack and ToR outages. Empty means a fault-free run.
@@ -255,6 +255,10 @@ type Config struct {
 	//	}
 	Scenario []Event
 }
+
+// GCThreshold is the hard GC threshold as a free-block ratio (§3.5.1):
+// below it an instance collects whether or not the coordinator agrees.
+const GCThreshold = 0.25
 
 // Fixed parameters of the simulated rack, the same in every run.
 const (
@@ -306,7 +310,6 @@ func DefaultConfig() Config {
 		Net:               netsim.ProfileMedium(),
 		SchedPolicy:       sched.Kyber,
 		SoftThreshold:     0.35,
-		GCThreshold:       0.25,
 		RestoreDelta:      0.04,
 		MaxClientInflight: 32,
 		Utilization:       0.75,
@@ -417,7 +420,7 @@ func (c *Config) Validate() error {
 			return errors.New("core: erasure coding requires hardware-isolated vSSDs")
 		}
 	}
-	if err := c.RepairSLO.validate(c.racks(), c.CrossRackMBps); err != nil {
+	if err := c.RepairSLO.validate(c.racks()); err != nil {
 		return err
 	}
 	if err := c.validateScenario(); err != nil {
@@ -428,9 +431,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("core: %d volumes need %d channels/server, device has %d",
 			c.VSSDPairs, need, c.Geometry.Channels)
 	}
-	if !(c.GCThreshold < c.SoftThreshold) {
+	if !(GCThreshold < c.SoftThreshold) {
 		return fmt.Errorf("core: thresholds must order gc < soft, got %f %f",
-			c.GCThreshold, c.SoftThreshold)
+			GCThreshold, c.SoftThreshold)
 	}
 	if c.RestoreDelta <= 0 || c.SoftThreshold+c.RestoreDelta >= 1 {
 		return fmt.Errorf("core: restore delta %f out of range", c.RestoreDelta)

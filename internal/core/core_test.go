@@ -48,7 +48,7 @@ func TestConfigValidation(t *testing.T) {
 		{"zero pairs", func(c *Config) { c.VSSDPairs = 0 }},
 		{"bad geometry", func(c *Config) { c.Geometry.Channels = 0 }},
 		{"too many pairs", func(c *Config) { c.VSSDPairs = 64 }},
-		{"threshold order", func(c *Config) { c.GCThreshold = 0.5 }},
+		{"threshold order", func(c *Config) { c.SoftThreshold = GCThreshold }},
 		{"restore delta", func(c *Config) { c.RestoreDelta = 0 }},
 		{"utilization", func(c *Config) { c.Utilization = 1.5 }},
 		{"keyspace", func(c *Config) { c.KeyspaceFrac = 0 }},
@@ -112,7 +112,7 @@ func TestPreconditionLeavesTargetFreeRatio(t *testing.T) {
 	for _, pr := range r.pairs {
 		for _, inst := range []*instance{pr.primary, pr.replica} {
 			got := inst.v.FTL.FreeRatio()
-			if got > want+0.06 || got < r.cfg.GCThreshold {
+			if got > want+0.06 || got < GCThreshold {
 				t.Fatalf("vSSD %d preconditioned to %f, want ~%f", inst.id, got, want)
 			}
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rackblox/internal/ec"
 	"rackblox/internal/flash"
 	"rackblox/internal/packet"
@@ -39,7 +41,10 @@ type ecGroup struct {
 	striper ec.Striper
 	// insts holds the k+m global chunk holders in placement order,
 	// followed (LRC only) by the local parity holders in rack order.
-	insts    []*instance
+	insts []*instance
+	// tors lists each ToR serving a member once, ordered by the first
+	// member it serves.
+	tors     []*switchsim.Switch
 	gen      workload.Generator
 	inflight int
 	// issueEv is the volume's next client arrival, bound once.
@@ -186,13 +191,21 @@ func (r *Rack) buildGroups() error {
 		g.adopterFor = make([]*instance, total)
 		for i, sIdx := range servers {
 			srv := r.servers[sIdx]
-			id := uint32(100 + gidx*total + i)
-			nextID := uint32(100 + gidx*total + (i+1)%total)
-			inst, err := r.newInstance(srv, id, nextID, gidx, i == 0, alloc)
+			inst, err := r.newInstance(srv, uint32(100+gidx*total+i), alloc)
 			if err != nil {
 				return err
 			}
 			g.insts = append(g.insts, inst)
+			if tor := r.torOf(srv); !slices.Contains(g.tors, tor) {
+				g.tors = append(g.tors, tor)
+			}
+		}
+		// Each holder's partner is the next member in group order. The
+		// software controller only consults that one peer's GC state — a
+		// weaker stagger than the switch's whole-group check, one of the
+		// costs of the software design point.
+		for i, inst := range g.insts {
+			inst.partner = g.insts[(i+1)%total]
 		}
 
 		// Register every chunk holder with its own rack's ToR
@@ -209,13 +222,8 @@ func (r *Rack) buildGroups() error {
 			})
 		}
 		ids, racks := g.memberTable()
-		seenRack := make(map[int]bool)
-		for _, inst := range g.insts {
-			if seenRack[inst.server.rackIdx] {
-				continue
-			}
-			seenRack[inst.server.rackIdx] = true
-			r.torOf(inst.server).RegisterStripeMembers(ids, racks)
+		for _, tor := range g.tors {
+			tor.RegisterStripeMembers(ids, racks)
 		}
 
 		perChunk := int(float64(g.insts[0].v.FTL.LogicalPages()) * cfg.KeyspaceFrac)
@@ -225,9 +233,6 @@ func (r *Rack) buildGroups() error {
 		g.usedStripes = perChunk
 		g.gen = r.makeGenerator(gidx, uint64(perChunk)*uint64(spec.K))
 		r.groups = append(r.groups, g)
-		if r.controller != nil {
-			r.controller.registerGroup(g)
-		}
 	}
 	r.eng.Run() // drain registration events
 	return nil
@@ -476,7 +481,7 @@ func (r *Rack) sendEC(st *reqState) {
 	if st.write {
 		targets := g.writeHolders(stripe, pos)
 		st.ecPending = len(targets)
-		r.ecSubWrites += int64(len(targets))
+		r.res.ECSubWrites += int64(len(targets))
 		for _, t := range targets {
 			r.sendECPacket(st, t, packet.OpWrite)
 		}
@@ -503,9 +508,9 @@ func (r *Rack) sendECPacket(st *reqState, inst *instance, op packet.Op) {
 		Seq:   st.seq,
 	}
 	tor := r.torOf(inst.server)
-	if r.cluster.torDetected[inst.server.rackIdx] {
-		for _, m := range st.group.insts {
-			if alt := r.torOf(m.server); !alt.Down() {
+	if r.torDetected[inst.server.rackIdx] {
+		for _, alt := range st.group.tors {
+			if !alt.Down() {
 				tor = alt
 				break
 			}
@@ -529,7 +534,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	}
 	st.redirected = true
 	st.degraded = true
-	r.degradedReads++
+	r.res.DegradedReads++
 	g := st.group
 	stripe := int(st.lpn)
 	// A degraded read for a crashed-and-re-integrated holder after the
@@ -539,26 +544,28 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	// replacement itself collecting or unreachable; everything else
 	// (excluding requests issued before the last holder's tables were
 	// updated) is a straggler — the lifecycle's health check figrl
-	// asserts stays at zero. Holders isolated by a dark ToR are not
-	// counted: no repair was queued for them, so there is nothing to
-	// have re-integrated.
+	// asserts stays at zero. Collecting is judged by why the read was
+	// steered (st.gcSteered), not by the replacement's state now: the
+	// GC burst that steered it may have ended before this coordinator
+	// started. Holders isolated by a dark ToR are not counted: no repair
+	// was queued for them, so there is nothing to have re-integrated.
 	if hIdx, ok := g.holderIndex(st.homeID); ok && g.crashed[hIdx] &&
-		g.reintegrated() && st.issue > g.reintegratedAt {
+		g.reintegrated() && st.issue > g.reintegratedAt && !st.gcSteered {
 		repl := g.replacement[hIdx]
-		if repl == nil || (repl.server.reachable() && !repl.v.InGC(now)) {
-			r.degradedReadsPostRepair++
+		if repl == nil || repl.server.reachable() {
+			r.res.DegradedReadsPostRepair++
 		}
 	}
 
 	sources, needed, localPlan := g.degradedSources(inst, st.homeID, now)
 	if localPlan {
-		r.localDegradedReads++
+		r.res.LocalDegradedReads++
 	} else if len(sources) < needed {
 		// More failures than parity: the stripe cannot be reconstructed
 		// right now. Serve the local chunk so the request terminates, and
 		// surface the loss in the counters (ec.ErrStripeUnrecoverable is
 		// the library-level twin of this path).
-		r.unrecoverableReads++
+		r.res.UnrecoverableReads++
 		if len(sources) == 0 {
 			sources = append(sources, inst)
 		} else {
@@ -599,7 +606,7 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		}
 		out := r.net.PathLatency(now, 2)
 		if f.cross {
-			out += r.cluster.spine.Propagation()
+			out += r.spine.Propagation()
 		}
 		f.step = fetchRead
 		r.eng.ScheduleAfter(out, labelECChunkRead, f)
@@ -677,7 +684,7 @@ func (f *chunkFetch) Fire(sim.Time) {
 		f.send()
 	case fetchShipped:
 		f.step = fetchBack
-		back := r.cluster.spine.Propagation() + r.net.PathLatency(r.eng.Now(), 2)
+		back := r.spine.Propagation() + r.net.PathLatency(r.eng.Now(), 2)
 		r.eng.ScheduleAfter(back, labelECChunkBack, f)
 	case fetchBack:
 		rd := f.rd
@@ -715,7 +722,7 @@ func (f *chunkFetch) send() {
 	}
 	if f.cross && f.ships {
 		f.step = fetchShipped
-		fs, fe := r.cluster.spine.CrossFetch(int64(r.cfg.Geometry.PageSize), f)
+		fs, fe := r.spine.CrossFetch(int64(r.cfg.Geometry.PageSize), f)
 		if rd.span != nil {
 			if tnow := r.eng.Now(); fs > tnow {
 				rd.span.Child("spine_wait", tnow).EndAt(fs)
@@ -882,8 +889,8 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 			// first and ships one aggregate per rack, not one per source.
 			if !g.hasLocalParity() || firstOfRack(sources, i) {
 				crossBytes += batchBytes
-				if _, te := r.cluster.spine.CrossFetch(batchBytes, nil); te+r.cluster.spine.Propagation() > e {
-					e = te + r.cluster.spine.Propagation()
+				if _, te := r.spine.CrossFetch(batchBytes, nil); te+r.spine.Propagation() > e {
+					e = te + r.spine.Propagation()
 				}
 			}
 		}
@@ -892,9 +899,9 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 		}
 	}
 	if localPlan {
-		r.localRepairStripes += int64(task.Stripes)
+		r.res.LocalRepairStripes += int64(task.Stripes)
 	} else if g.hasLocalParity() && crossBytes > 0 {
-		r.aggRepairStripes += int64(task.Stripes)
+		r.res.AggregatedRepairStripes += int64(task.Stripes)
 	}
 	if r.pacer != nil {
 		// Settle the admission charge against the real spine fan-out:
@@ -929,7 +936,7 @@ func (d *repairDone) Fire(now sim.Time) {
 	r.repairsDone.Put(d)
 	sp.Annotate(trace.Int("cross_bytes", crossBytes))
 	sp.Finish(now)
-	r.lastRepairDone = now
+	r.res.RepairCompletionTime = now
 	if g.recon.Done(task) {
 		r.reintegrate(g, task.Holder)
 	}
@@ -964,14 +971,8 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 	fresh := func() bool { return g.recon.Gen(holder) == gen }
 	hop := r.net.HopLatency(r.eng.Now())
 	var last sim.Time
-	seen := make(map[*switchsim.Switch]bool)
-	for _, m := range g.insts {
-		tor := r.torOf(m.server)
-		if seen[tor] {
-			continue
-		}
-		seen[tor] = true
-		delay := hop + r.cluster.spine.Latency(adopter.server.rackIdx, tor.RackID())
+	for _, tor := range g.tors {
+		delay := hop + r.spine.Latency(adopter.server.rackIdx, tor.RackID())
 		if delay > last {
 			last = delay
 		}
@@ -1003,9 +1004,9 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 		// Every holder stores one chunk of each of the group's
 		// usedStripes stripes, so one completed holder re-integrates
 		// exactly that many.
-		r.reintegratedStripes += int64(g.usedStripes)
+		r.res.ReintegratedStripes += int64(g.usedStripes)
 		if restored {
-			r.restoredHolders++
+			r.res.RestoredHolders++
 		}
 		mode := "replacement"
 		if restored {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rackblox/internal/sim"
 	"rackblox/internal/switchsim"
 	"rackblox/internal/trace"
@@ -22,20 +24,6 @@ const missedHeartbeats = 3
 // declaring the request lost (it was in flight to a server that died).
 const clientTimeout = 100 * sim.Millisecond
 
-// scheduleFailure hands the run's fault/recovery timeline
-// (Config.Scenario) to the cluster's event driver. Validate has already
-// accepted the timeline as a whole, so the driver schedules without
-// further checks.
-func (r *Rack) scheduleFailure() {
-	for _, ev := range r.cfg.Scenario {
-		if ev.Kind.fails() {
-			r.anyFailure = true
-			break
-		}
-	}
-	r.cluster.scheduleScenario(r.cfg.Scenario)
-}
-
 // onServerDetectedDead performs the failover: every vSSD instance on the
 // dead server is replaced by its surviving replica in the switch tables,
 // and the survivors' replication groups degrade so writes commit alone.
@@ -44,14 +32,14 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 		return
 	}
 	dead.detected = true
-	r.failovers++
+	r.res.Failovers++
 	for _, pr := range r.pairs {
 		for _, inst := range []*instance{pr.primary, pr.replica} {
 			if inst.server != dead {
 				continue
 			}
-			survivor := r.insts[inst.replicaID]
-			if survivor == nil || survivor.server.failed {
+			survivor := inst.partner
+			if survivor.server.failed {
 				continue // both copies lost; requests to this pair stall
 			}
 			// The survivor's Hermes node stops waiting for the dead peer.
@@ -145,7 +133,7 @@ func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *i
 	survivorIP := survivor.server.ip
 	for _, tor := range tors {
 		tor := tor
-		delay := hop + r.cluster.spine.Latency(deadInst.server.rackIdx, tor.RackID())
+		delay := hop + r.spine.Latency(deadInst.server.rackIdx, tor.RackID())
 		r.eng.ScheduleAfter(delay, labelFailoverInstall, sim.EventFunc(func(sim.Time) {
 			if tor.Down() {
 				return
@@ -154,9 +142,8 @@ func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *i
 			tor.Failover(deadID, survivorID)
 		}))
 	}
-	if r.controller != nil {
-		r.controller.inGC[deadID] = false
-	}
+	// The controller stops counting the dead instance as collecting.
+	deadInst.ctrlGC = false
 }
 
 // propagateMemberDead tells every other ToR holding the group's stripe
@@ -164,15 +151,12 @@ func (r *Rack) installFailoverOn(tors []*switchsim.Switch, deadInst, survivor *i
 // steer around it.
 func (r *Rack) propagateMemberDead(g *ecGroup, deadInst *instance) {
 	home := r.torOf(deadInst.server)
-	hop := r.net.HopLatency(r.eng.Now()) + r.cluster.spine.Propagation()
+	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Propagation()
 	deadID := deadInst.id
-	seen := map[*switchsim.Switch]bool{home: true}
-	for _, m := range g.insts {
-		tor := r.torOf(m.server)
-		if seen[tor] {
+	for _, tor := range g.tors {
+		if tor == home {
 			continue
 		}
-		seen[tor] = true
 		r.eng.ScheduleAfter(hop, labelFailoverMemberDead, sim.EventFunc(func(sim.Time) { tor.MarkRemoteDead(deadID) }))
 	}
 }
@@ -187,18 +171,18 @@ func (r *Rack) onToRDetectedDead(rackIdx int) {
 	// A ToR revived before the heartbeat detector fired was a transient
 	// blip: installing failovers for a healthy rack would steer reads
 	// away from reachable members forever.
-	if r.cluster.torDetected[rackIdx] || !r.cluster.torFailed[rackIdx] {
+	if r.torDetected[rackIdx] || !r.torFailed[rackIdx] {
 		return
 	}
-	r.cluster.torDetected[rackIdx] = true
-	r.failovers++
+	r.torDetected[rackIdx] = true
+	r.res.Failovers++
 	for _, pr := range r.pairs {
 		for _, inst := range []*instance{pr.primary, pr.replica} {
 			if inst.server.rackIdx != rackIdx {
 				continue
 			}
-			survivor := r.insts[inst.replicaID]
-			if survivor == nil || !survivor.server.reachable() {
+			survivor := inst.partner
+			if !survivor.server.reachable() {
 				continue
 			}
 			survivor.repl.RemovePeer(inst.repl.ID())
@@ -214,36 +198,22 @@ func (r *Rack) onToRDetectedDead(rackIdx int) {
 			if adopter == nil {
 				continue
 			}
-			r.installFailoverOnGroup(g, inst, adopter)
+			// Every ToR serving the group gets the failover entry, so
+			// client traffic entering through any surviving rack
+			// resolves the rewrite.
+			r.installFailoverOn(g.tors, inst, adopter)
 			r.propagateMemberDead(g, inst)
 		}
 	}
 }
 
-// installFailoverOnGroup installs a dead member's failover entry on
-// every ToR serving the group, so client traffic entering through any
-// surviving rack resolves the rewrite.
-func (r *Rack) installFailoverOnGroup(g *ecGroup, deadInst, adopter *instance) {
-	var tors []*switchsim.Switch
-	seen := make(map[*switchsim.Switch]bool)
-	for _, m := range g.insts {
-		tor := r.torOf(m.server)
-		if seen[tor] {
-			continue
-		}
-		seen[tor] = true
-		tors = append(tors, tor)
-	}
-	r.installFailoverOn(tors, deadInst, adopter)
-}
-
 // replayToR rebuilds a revived ToR's blank tables from surviving
 // cluster state and clears the stale marks sibling ToRs hold for the
-// revived rack (the control-plane half of Cluster.ReviveToR). The
+// revived rack (the control-plane half of Rack.ReviveToR). The
 // replay is modeled as instantaneous: the controller streams the table
 // image before re-enabling the data plane.
 func (r *Rack) replayToR(rackIdx int) {
-	tor := r.cluster.tors[rackIdx]
+	tor := r.tors[rackIdx]
 
 	// Re-register every instance homed in the revived rack, mirroring
 	// the rows the original create_vssd installed: pairs point at their
@@ -255,11 +225,7 @@ func (r *Rack) replayToR(rackIdx int) {
 			if inst.server.rackIdx != rackIdx {
 				continue
 			}
-			repIP := inst.server.ip
-			if rep := r.insts[inst.replicaID]; rep != nil {
-				repIP = rep.server.ip
-			}
-			tor.InstallVSSD(inst.id, inst.server.ip, inst.replicaID, repIP)
+			tor.InstallVSSD(inst.id, inst.server.ip, inst.partner.id, inst.partner.server.ip)
 		}
 	}
 	for _, g := range r.groups {
@@ -278,14 +244,7 @@ func (r *Rack) replayToR(rackIdx int) {
 	// members get failover entries, still-dead remote members get
 	// remote-dead marks.
 	for _, g := range r.groups {
-		touches := false
-		for _, m := range g.insts {
-			if m.server.rackIdx == rackIdx {
-				touches = true
-				break
-			}
-		}
-		if !touches {
+		if !slices.Contains(g.tors, tor) {
 			continue
 		}
 		ids, racks := g.memberTable()
@@ -317,7 +276,7 @@ func (r *Rack) replayToR(rackIdx int) {
 			if inst.server.rackIdx != rackIdx || inst.server.reachable() {
 				continue
 			}
-			if surv := r.insts[inst.replicaID]; surv != nil && surv.server.reachable() {
+			if surv := inst.partner; surv.server.reachable() {
 				tor.RegisterDest(surv.id, surv.server.ip)
 				tor.Failover(inst.id, surv.id)
 			}
@@ -328,11 +287,11 @@ func (r *Rack) replayToR(rackIdx int) {
 	// the remote-dead marks and failover rewrites installed while it was
 	// dark are stale — without this they would outlive the outage and
 	// keep steering reads away from healthy holders forever.
-	for j, sib := range r.cluster.tors {
+	for j, sib := range r.tors {
 		if j == rackIdx || sib.Down() {
 			continue
 		}
-		for _, inst := range r.allInstances() {
+		for _, inst := range r.insts {
 			if inst.server.rackIdx != rackIdx || !inst.server.reachable() {
 				continue
 			}
@@ -358,10 +317,7 @@ func (r *Rack) onServerRevived(srv *server) {
 				continue
 			}
 			inst.repl.Rejoin()
-			peer := r.insts[inst.replicaID]
-			if peer == nil {
-				continue
-			}
+			peer := inst.partner
 			if peer.server.reachable() {
 				// Re-pair: the survivor invalidates the returned replica
 				// again on future writes, and traffic addressed to the
@@ -398,9 +354,9 @@ func (r *Rack) onServerRevived(srv *server) {
 func (r *Rack) clearPairFailover(inst *instance) {
 	hop := r.net.HopLatency(r.eng.Now())
 	id := inst.id
-	for j, tor := range r.cluster.tors {
+	for j, tor := range r.tors {
 		tor := tor
-		delay := hop + r.cluster.spine.Latency(inst.server.rackIdx, j)
+		delay := hop + r.spine.Latency(inst.server.rackIdx, j)
 		r.eng.ScheduleAfter(delay, labelFailoverClear, sim.EventFunc(func(sim.Time) {
 			if tor.Down() {
 				return
@@ -436,12 +392,12 @@ func (r *Rack) requestTimedOut(seq uint64) {
 	r.reqs.del(seq)
 	if st.group != nil && st.retries < maxECRetries {
 		st.retries++
-		r.ecRetransmits++
+		r.res.ECRetransmits++
 		r.seq++
 		st.seq = r.seq
 		st.ecPending = 0
 		st.arrival, st.dispatched, st.deviceDone = 0, 0, 0
-		st.bounced, st.redirected = false, false
+		st.bounced, st.redirected, st.gcSteered = false, false, false
 		// The new attempt re-anchors the span's phase partition: time up
 		// to here becomes the retransmit phase.
 		st.lastIssue = r.eng.Now()
@@ -452,9 +408,9 @@ func (r *Rack) requestTimedOut(seq uint64) {
 		return
 	}
 	st.decInflight()
-	r.lostRequests++
+	r.res.LostRequests++
 	if !st.write {
-		r.lostReads++
+		r.res.LostReads++
 	}
 	r.retire(st)
 }

@@ -10,7 +10,7 @@ import (
 // every instance. Iteration goes by volume order, not map order, so the
 // RNG draws — and therefore the whole simulation — stay deterministic.
 func (r *Rack) startGCMonitors() {
-	for _, inst := range r.allInstances() {
+	for _, inst := range r.insts {
 		// Stagger first checks so instances do not phase-lock.
 		offset := sim.Time(r.rng.Int63n(int64(gcCheckInterval) + 1))
 		r.eng.ScheduleAfter(offset, labelGCMonitor, inst.monitorEv)
@@ -32,7 +32,7 @@ func (r *Rack) monitorGC(inst *instance) {
 	ratio := r.freeRatio(inst)
 	var gcType packet.GCField
 	switch {
-	case ratio < r.cfg.GCThreshold:
+	case ratio < GCThreshold:
 		gcType = packet.GCRegular
 	case ratio < r.cfg.SoftThreshold:
 		gcType = packet.GCSoft
@@ -50,7 +50,7 @@ func (r *Rack) monitorGC(inst *instance) {
 		if gcType == packet.GCBackground {
 			// Background GC runs without approval; the gc_op only
 			// updates the switch state (§3.5.1).
-			inst.bgGCEvents++
+			r.res.BGGCEvents++
 			r.startGCBurst(inst, r.restoreTarget(gcType))
 			r.notifySwitchGC(inst, packet.GCBackground)
 			return
@@ -58,12 +58,12 @@ func (r *Rack) monitorGC(inst *instance) {
 		r.sendGCOp(inst, gcType, 0)
 	case RackBloxSoftware:
 		if gcType == packet.GCBackground {
-			inst.bgGCEvents++
+			r.res.BGGCEvents++
 			r.startGCBurst(inst, r.restoreTarget(gcType))
-			r.controller.notify(inst, true)
+			r.notifyControllerGC(inst, true)
 			return
 		}
-		r.controller.requestGC(inst, gcType)
+		r.requestControllerGC(inst, gcType)
 	default:
 		// VDC and the Coord-I/O ablation garbage-collect uncoordinated,
 		// only when they must (below the hard threshold).
@@ -79,7 +79,7 @@ func (r *Rack) monitorGC(inst *instance) {
 func (r *Rack) restoreTarget(gcType packet.GCField) float64 {
 	switch gcType {
 	case packet.GCRegular:
-		return r.cfg.GCThreshold + r.cfg.RestoreDelta
+		return GCThreshold + r.cfg.RestoreDelta
 	case packet.GCBackground:
 		return r.cfg.SoftThreshold + 2*r.cfg.RestoreDelta
 	default:
@@ -103,7 +103,7 @@ func (r *Rack) freeRatio(inst *instance) float64 {
 func (r *Rack) sendGCOp(inst *instance, gcType packet.GCField, attempt int) {
 	inst.gcRequestInFlight = true
 	epoch := inst.gcRetries // any reply bumps this; timers compare it
-	r.gcOpsSent++
+	r.res.GCOpsSent++
 	pkt := packet.Packet{
 		Op:    packet.OpGC,
 		GC:    gcType,
@@ -137,14 +137,14 @@ func (t *gcOpTimer) Fire(sim.Time) {
 		return // reply arrived
 	}
 	if attempt+1 <= maxGCOpRetries {
-		r.gcOpRetries++
+		r.res.GCOpRetries++
 		r.sendGCOp(inst, gcType, attempt+1)
 		return
 	}
 	// Retries exhausted (link or switch failure).
 	inst.gcRequestInFlight = false
 	if gcType == packet.GCRegular {
-		r.forcedGCs++
+		r.res.ForcedGCs++
 		r.startGCBurst(inst, r.restoreTarget(gcType))
 	}
 }
@@ -173,7 +173,7 @@ func (r *Rack) handleGCReply(inst *instance, pkt packet.Packet) {
 			r.startGCBurst(inst, r.restoreTarget(inst.lastGCType))
 		}
 	case packet.GCDelay:
-		inst.gcDelayed++
+		r.res.GCDelayed++
 		// The next periodic check retries; by then the replica has
 		// hopefully finished its own collection.
 	}
@@ -202,7 +202,7 @@ func (r *Rack) startGCBurst(inst *instance, target float64) {
 		r.finishGC(inst)
 		return
 	}
-	inst.gcEvents++
+	r.res.GCEvents++
 	var end sim.Time
 	for ch, dur := range burst.PerChannel {
 		if dur == ssd.Untouched {
@@ -259,7 +259,7 @@ func (r *Rack) finishGC(inst *instance) {
 	case RackBlox:
 		r.notifySwitchGC(inst, packet.GCFinish)
 	case RackBloxSoftware:
-		r.controller.notify(inst, false)
+		r.notifyControllerGC(inst, false)
 	}
 }
 
@@ -267,11 +267,11 @@ func (r *Rack) finishGC(inst *instance) {
 // tell the coordinator about it after the fact.
 func (s *server) forceGC(inst *instance) {
 	r := s.rack
-	r.forcedGCs++
+	r.res.ForcedGCs++
 	if inst.v.InGC(r.eng.Now()) {
 		// Burst timing already accounted; reclaim state only so the
 		// caller's retry can allocate.
-		inst.v.FTL.CollectBurst(r.cfg.GCThreshold, maxGCBlocksPerBurst)
+		inst.v.FTL.CollectBurst(GCThreshold, maxGCBlocksPerBurst)
 		return
 	}
 	r.startGCBurst(inst, r.restoreTarget(packet.GCRegular))
@@ -280,62 +280,29 @@ func (s *server) forceGC(inst *instance) {
 	}
 }
 
-// controller is the logically centralized VDC controller that RackBlox
-// (Software) extends with GC awareness (§4.1). It runs on its own server:
-// every interaction costs two network hops each way plus processing.
-type controller struct {
-	rack     *Rack
-	ip       uint32
-	inGC     map[uint32]bool
-	replicas map[uint32]uint32
-}
+// The logically centralized VDC controller that RackBlox (Software)
+// extends with GC awareness (§4.1) runs on its own server: every
+// interaction costs two network hops each way plus processing, scheduled
+// directly rather than as packets. Its GC view of each instance is
+// instance.ctrlGC, and the peer it consults is instance.partner.
 
-func newController(r *Rack) *controller {
-	return &controller{
-		rack:     r,
-		ip:       packet.IP4(10, 0, 0, 250),
-		inGC:     make(map[uint32]bool),
-		replicas: make(map[uint32]uint32),
-	}
-}
-
-func (c *controller) register(pri, rep *instance) {
-	c.replicas[pri.id] = rep.id
-	c.replicas[rep.id] = pri.id
-}
-
-// registerGroup records an erasure-coded group: each member's "replica"
-// is the next member in group order. The software controller only
-// consults one peer's GC state — a weaker stagger than the switch's
-// whole-group check, one of the costs of the software design point.
-func (c *controller) registerGroup(g *ecGroup) {
-	for i, inst := range g.insts {
-		c.replicas[inst.id] = g.insts[(i+1)%len(g.insts)].id
-	}
-}
-
-// receive exists for symmetry with servers; controller traffic in this
-// simulation flows through direct scheduling in requestGC/notify.
-func (c *controller) receive(pkt packet.Packet) {}
-
-// requestGC asks the controller for permission to collect. The reply
-// carries the replica's state so the server can redirect reads itself.
-func (c *controller) requestGC(inst *instance, gcType packet.GCField) {
-	r := c.rack
+// requestControllerGC asks the controller for permission to collect. The
+// reply carries the replica's state so the server can redirect reads
+// itself.
+func (r *Rack) requestControllerGC(inst *instance, gcType packet.GCField) {
 	inst.gcRequestInFlight = true
 	trip := r.net.PathLatency(r.eng.Now(), 2) + controllerProc
 	m := r.ctrlMsgs.Get()
-	m.c, m.inst, m.step, m.gcType = c, inst, ctrlRequest, gcType
+	m.r, m.inst, m.step, m.gcType = r, inst, ctrlRequest, gcType
 	r.eng.ScheduleAfter(trip, labelGCCtrlRequest, m)
 }
 
-// notify updates the controller's GC state (start of background GC or
-// finish of any GC), fire-and-forget.
-func (c *controller) notify(inst *instance, started bool) {
-	r := c.rack
+// notifyControllerGC updates the controller's GC state (start of
+// background GC or finish of any GC), fire-and-forget.
+func (r *Rack) notifyControllerGC(inst *instance, started bool) {
 	trip := r.net.PathLatency(r.eng.Now(), 2) + controllerProc
 	m := r.ctrlMsgs.Get()
-	m.c, m.inst, m.step, m.started = c, inst, ctrlNotify, started
+	m.r, m.inst, m.step, m.started = r, inst, ctrlNotify, started
 	r.eng.ScheduleAfter(trip, labelGCCtrlNotify, m)
 }
 
@@ -354,7 +321,7 @@ const (
 
 // ctrlMsg is one message between a server and the controller.
 type ctrlMsg struct {
-	c      *controller
+	r      *Rack
 	inst   *instance
 	step   ctrlStep
 	gcType packet.GCField
@@ -364,21 +331,18 @@ type ctrlMsg struct {
 }
 
 func (m *ctrlMsg) Fire(sim.Time) {
-	c, inst := m.c, m.inst
-	r := c.rack
+	r, inst := m.r, m.inst
 	if m.step == ctrlRequest {
-		m.replicaBusy = c.inGC[c.replicas[inst.id]]
+		m.replicaBusy = inst.partner.ctrlGC
 		m.grant = m.gcType != packet.GCSoft || !m.replicaBusy
 		if m.grant {
-			c.inGC[inst.id] = true
+			inst.ctrlGC = true
 			// Tell the replica's server its peer is collecting so it stops
 			// redirecting toward it (stale by one trip, the software
 			// coordination cost).
-			if rep := r.insts[c.replicas[inst.id]]; rep != nil {
-				rep.replicaIdleHint = false
-			}
+			inst.partner.replicaIdleHint = false
 		} else {
-			r.delayedByCtrl++
+			r.res.DelayedByCtl++
 		}
 		m.step = ctrlReply
 		r.eng.ScheduleAfter(r.net.PathLatency(r.eng.Now(), 2), labelGCCtrlReply, m)
@@ -388,10 +352,8 @@ func (m *ctrlMsg) Fire(sim.Time) {
 	*m = ctrlMsg{}
 	r.ctrlMsgs.Put(m)
 	if step == ctrlNotify {
-		c.inGC[inst.id] = started
-		if rep := r.insts[c.replicas[inst.id]]; rep != nil {
-			rep.replicaIdleHint = !started
-		}
+		inst.ctrlGC = started
+		inst.partner.replicaIdleHint = !started
 		return
 	}
 	inst.gcRequestInFlight = false
@@ -401,6 +363,6 @@ func (m *ctrlMsg) Fire(sim.Time) {
 			r.startGCBurst(inst, r.restoreTarget(gcType))
 		}
 	} else {
-		inst.gcDelayed++
+		r.res.GCDelayed++
 	}
 }

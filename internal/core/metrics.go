@@ -23,7 +23,7 @@ func (r *Rack) startMetrics() {
 	}
 	r.metricsWin = stats.NewWindowedQuantile(metricsWindow)
 	ts := stats.NewTimeSeries(int64(r.cfg.MetricsInterval))
-	ts.Gauge("spine_util", func() float64 { return r.cluster.SpineUtilization() })
+	ts.Gauge("spine_util", func() float64 { return r.spine.Utilization() })
 	ts.Gauge("repair_rate_mbps", func() float64 {
 		if r.pacer != nil {
 			return r.pacer.rateMBps
@@ -41,16 +41,10 @@ func (r *Rack) startMetrics() {
 	ts.Gauge("read_p99_ms", func() float64 { return float64(r.metricsWin.P99()) / 1e6 })
 	ts.Counter("reads_completed", func() float64 { return float64(r.completedReads) })
 	ts.Counter("writes_completed", func() float64 { return float64(r.completedWrites) })
-	ts.Counter("degraded_reads", func() float64 { return float64(r.degradedReads) })
-	ts.Counter("gc_events", func() float64 {
-		n := 0
-		for _, inst := range r.allInstances() {
-			n += inst.gcEvents
-		}
-		return float64(n)
-	})
-	ts.Counter("repair_cross_mb", func() float64 { return float64(r.cluster.spine.crossRepairBytes) / 1e6 })
-	ts.Counter("fg_cross_mb", func() float64 { return float64(r.cluster.spine.foregroundBytes) / 1e6 })
+	ts.Counter("degraded_reads", func() float64 { return float64(r.res.DegradedReads) })
+	ts.Counter("gc_events", func() float64 { return float64(r.res.GCEvents) })
+	ts.Counter("repair_cross_mb", func() float64 { return float64(r.spine.crossRepairBytes) / 1e6 })
+	ts.Counter("fg_cross_mb", func() float64 { return float64(r.spine.foregroundBytes) / 1e6 })
 	for i := range r.perRackReqs {
 		i := i
 		ts.Counter(fmt.Sprintf("rack%d_reqs", i), func() float64 { return float64(r.perRackReqs[i]) })

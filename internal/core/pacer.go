@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"rackblox/internal/sim"
 	"rackblox/internal/stats"
 	"rackblox/internal/trace"
@@ -15,13 +13,13 @@ import (
 // RepairPacer closes the loop with feedback: a windowed quantile tracker
 // observes every completed foreground read, a periodic tick compares the
 // windowed p99 against the configured SLO target, and an AIMD rule
-// adjusts the repair admission rate between the configured bounds. The
-// rate is enforced by a sim.PacedBandwidth token lane layered on the
-// spine — foreground transfers keep their FIFO access to the link while
-// repair batches wait for tokens that refill at the controller's rate —
-// and enqueued repair batches are split to token-sized transfers
-// (ec.Reconstructor.NextUpTo) so one batch cannot monopolize the link in
-// a single burst.
+// adjusts the repair admission rate between a fixed 1 MB/s floor and the
+// spine's capacity. The rate is enforced by a sim.PacedBandwidth token
+// lane layered on the spine — foreground transfers keep their FIFO
+// access to the link while repair batches wait for tokens that refill
+// at the controller's rate — and enqueued repair batches are split to
+// token-sized transfers (ec.Reconstructor.NextUpTo) so one batch cannot
+// monopolize the link in a single burst.
 
 // RepairSLO configures the latency-SLO-aware repair rate controller
 // (Config.RepairSLO). The zero value disables pacing: repair is admitted
@@ -30,71 +28,16 @@ type RepairSLO struct {
 	// TargetP99 is the foreground read p99 the controller defends,
 	// measured over the sliding window; 0 disables pacing entirely.
 	TargetP99 sim.Time
-	// MinRateMBps floors the repair admission rate so repair always
-	// makes progress — the no-starvation guarantee (default 1 MB/s).
-	MinRateMBps float64
-	// MaxRateMBps caps the admission rate (default: the spine's
-	// CrossRackMBps — repair may use the whole link when foreground
-	// latency permits).
-	MaxRateMBps float64
-	// Window is how many recent foreground reads the p99 sensor holds
-	// (default 128).
-	Window int
-	// Interval is the controller's adjustment period (default 2ms).
-	Interval sim.Time
 }
 
 // Enabled reports whether the controller is active.
 func (s RepairSLO) Enabled() bool { return s.TargetP99 > 0 }
 
-// withDefaults fills unset tuning fields from the cluster configuration.
-func (s RepairSLO) withDefaults(crossRackMBps float64) RepairSLO {
-	if s.MinRateMBps <= 0 {
-		s.MinRateMBps = 1
-	}
-	if s.MaxRateMBps <= 0 {
-		s.MaxRateMBps = crossRackMBps
-	}
-	if s.MaxRateMBps < s.MinRateMBps {
-		s.MaxRateMBps = s.MinRateMBps
-	}
-	if s.Window <= 0 {
-		s.Window = 128
-	}
-	if s.Interval <= 0 {
-		s.Interval = 2 * sim.Millisecond
-	}
-	return s
-}
-
-// validate rejects contradictory controller settings; defaults are
-// applied later, so only explicitly-set fields can conflict.
-func (s RepairSLO) validate(racks int, crossRackMBps float64) error {
-	if !s.Enabled() {
-		return nil
-	}
-	if racks < 2 {
+// validate rejects pacing on a cluster without a spine to pace.
+func (s RepairSLO) validate(racks int) error {
+	if s.Enabled() && racks < 2 {
 		return &FailureSpecError{Field: "RepairSLO", Index: racks,
 			Reason: "pacing meters the cross-rack spine; it needs Racks > 1"}
-	}
-	if s.MinRateMBps < 0 || s.MaxRateMBps < 0 {
-		return &FailureSpecError{Field: "RepairSLO", Index: 0,
-			Reason: "repair rate bounds must be non-negative"}
-	}
-	if s.MinRateMBps > 0 && s.MaxRateMBps > 0 && s.MinRateMBps > s.MaxRateMBps {
-		return &FailureSpecError{Field: "RepairSLO", Index: 0,
-			Reason: "MinRateMBps exceeds MaxRateMBps"}
-	}
-	if s.MinRateMBps > crossRackMBps {
-		// A floor above the spine's capacity can never back off below
-		// what the link carries: the no-starvation guarantee would come
-		// at the price of a permanently violated SLO.
-		return &FailureSpecError{Field: "RepairSLO", Index: int(s.MinRateMBps),
-			Reason: fmt.Sprintf("MinRateMBps exceeds the %g MB/s spine capacity (CrossRackMBps)", crossRackMBps)}
-	}
-	if s.Window < 0 || s.Interval < 0 {
-		return &FailureSpecError{Field: "RepairSLO", Index: 0,
-			Reason: "window and interval must be non-negative"}
 	}
 	return nil
 }
@@ -106,16 +49,25 @@ type RatePoint struct {
 	MBps float64  `json:"mbps"`
 }
 
-// AIMD tuning of the controller: additive probe per tick while the tail
-// is under target, multiplicative backoff on a violated window.
+// Fixed tuning of the controller: the admission rate's floor, which
+// guarantees repair always makes progress (no starvation), the p99
+// sensor's window of recent foreground reads, the adjustment period, and
+// the AIMD steps — an additive probe per tick while the tail is under
+// target, a multiplicative backoff on a violated window. The rate's
+// ceiling is the spine's capacity (Config.CrossRackMBps): repair may use
+// the whole link when foreground latency permits.
 const (
+	pacerMinRateMBps  = 1
+	pacerWindow       = 128
+	pacerInterval     = 2 * sim.Millisecond
 	pacerAdditiveMBps = 0.25
 	pacerDecrease     = 0.25
 )
 
 // RepairPacer is the feedback controller instance wired into one run.
 type RepairPacer struct {
-	slo      RepairSLO // normalized (withDefaults applied)
+	target   sim.Time // RepairSLO.TargetP99
+	maxMBps  float64  // the spine's capacity, at least the floor
 	win      *stats.WindowedQuantile
 	lane     *sim.PacedBandwidth
 	pageSize int
@@ -132,12 +84,12 @@ type RepairPacer struct {
 // foreground tail stays under target, rather than opening at full blast
 // and violating the SLO before the first feedback lands.
 func newRepairPacer(eng *sim.Engine, spine *sim.Bandwidth, cfg *Config) *RepairPacer {
-	slo := cfg.RepairSLO.withDefaults(cfg.CrossRackMBps)
 	p := &RepairPacer{
-		slo:      slo,
-		win:      stats.NewWindowedQuantile(slo.Window),
+		target:   cfg.RepairSLO.TargetP99,
+		maxMBps:  max(cfg.CrossRackMBps, pacerMinRateMBps),
+		win:      stats.NewWindowedQuantile(pacerWindow),
 		pageSize: cfg.Geometry.PageSize,
-		rateMBps: slo.MinRateMBps,
+		rateMBps: pacerMinRateMBps,
 	}
 	// The bucket holds one full repair batch: enough credit to admit the
 	// largest claim after an idle stretch, small enough that a burst
@@ -153,37 +105,29 @@ func (p *RepairPacer) observeRead(total sim.Time) { p.win.Observe(total) }
 
 // tick runs one AIMD adjustment: back off multiplicatively when the
 // windowed p99 violates the target, probe additively otherwise, always
-// inside [MinRateMBps, MaxRateMBps]. Each backoff resets the latency
-// window, so one contention episode is punished once per window of fresh
-// evidence instead of once per tick while stale samples drain — and the
-// additive probe waits for the refilled window (half capacity) before
-// trusting that the tail really is back under target. The probe also
-// requires repair to actually be flowing (active): a healthy window
-// with no repair traffic is no evidence that a higher rate is safe, and
-// without the gate the rate would drift to the ceiling between failures
-// and the next crash's repair would open at full blast — so while the
-// pipeline is idle the rate decays back toward the floor instead.
+// between the 1 MB/s floor and the spine's capacity. Each backoff
+// resets the latency window, so one contention episode is punished once
+// per window of fresh evidence instead of once per tick while stale
+// samples drain — and the additive probe waits for the refilled window
+// (half capacity) before trusting that the tail really is back under
+// target. The probe also requires repair to actually be flowing
+// (active): a healthy window with no repair traffic is no evidence that
+// a higher rate is safe, and without the gate the rate would drift to
+// the ceiling between failures and the next crash's repair would open
+// at full blast — so while the pipeline is idle the rate decays back
+// toward the floor instead.
 func (p *RepairPacer) tick(now sim.Time, active bool) {
 	p.ticks++
 	old := p.rateMBps
 	switch p99 := p.win.P99(); {
-	case p.win.Len() > 0 && p99 > p.slo.TargetP99:
+	case p.win.Len() > 0 && p99 > p.target:
 		p.violated++
-		p.rateMBps *= pacerDecrease
-		if p.rateMBps < p.slo.MinRateMBps {
-			p.rateMBps = p.slo.MinRateMBps
-		}
+		p.rateMBps = max(p.rateMBps*pacerDecrease, pacerMinRateMBps)
 		p.win.Reset()
 	case !active:
-		p.rateMBps *= pacerDecrease
-		if p.rateMBps < p.slo.MinRateMBps {
-			p.rateMBps = p.slo.MinRateMBps
-		}
-	case p.win.Len() >= (p.slo.Window+1)/2:
-		p.rateMBps += pacerAdditiveMBps
-		if p.rateMBps > p.slo.MaxRateMBps {
-			p.rateMBps = p.slo.MaxRateMBps
-		}
+		p.rateMBps = max(p.rateMBps*pacerDecrease, pacerMinRateMBps)
+	case p.win.Len() >= (pacerWindow+1)/2:
+		p.rateMBps = min(p.rateMBps+pacerAdditiveMBps, p.maxMBps)
 	}
 	if p.rateMBps != old {
 		p.lane.SetRate(p.rateMBps * 1e6)
@@ -204,7 +148,7 @@ const batchFanout = 4
 // batchStripes is the token-sized claim limit: the stripes whose
 // fanned-out spine bytes one controller interval refills.
 func (p *RepairPacer) batchStripes() int {
-	bytesPerTick := p.rateMBps * 1e6 * float64(p.slo.Interval) / float64(sim.Second)
+	bytesPerTick := p.rateMBps * 1e6 * float64(pacerInterval) / float64(sim.Second)
 	n := int(bytesPerTick) / (p.pageSize * batchFanout)
 	if n < 1 {
 		n = 1
@@ -255,7 +199,7 @@ func (r *Rack) pacerTick() {
 			trace.Int("rate_kbps", int64(r.pacer.rateMBps*1000)))
 	}
 	if now < r.stopIssuing || active {
-		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, r.pacer.tickEv)
+		r.eng.ScheduleAfter(pacerInterval, labelPacedTick, r.pacer.tickEv)
 	}
 }
 

@@ -9,32 +9,39 @@ import (
 
 // TestPacedRepairAlwaysCompletes is the pacer's no-starvation property
 // test: for random SLO targets (including absurdly tight ones the
-// controller can never satisfy), random rate bounds, sensor windows and
-// tick intervals, and random fail/revive/fail-again timelines, repair
-// always drains — the MinRateMBps floor guarantees progress no matter
-// how hard the AIMD loop backs off — and the spine byte counters
-// reconcile exactly once the run has drained.
+// controller can never satisfy), random spine capacities, and random
+// fail/revive/fail-again timelines, repair always drains — the 1 MB/s
+// floor guarantees progress no matter how hard the AIMD loop backs off
+// — and the spine byte counters reconcile exactly once the run has
+// drained.
 func TestPacedRepairAlwaysCompletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	cfg := recoveryConfig()
+	// Spread placement leaves some servers without a chunk holder (3
+	// groups x 6 members land 1 2 2 1 0 0 per rack); only a crash of a
+	// server that hosts one queues repair work.
+	hosted := make([]bool, cfg.totalServers())
+	for g := 0; g < cfg.VSSDPairs; g++ {
+		for _, s := range cfg.placer().Place(g) {
+			hosted[s] = true
+		}
+	}
+	var hosts []int
+	for s, ok := range hosted {
+		if ok {
+			hosts = append(hosts, s)
+		}
+	}
 	for i := 0; i < 6; i++ {
 		cfg := recoveryConfig()
 		cfg.Seed = int64(1000 + i)
 		cfg.Duration = 300 * sim.Millisecond
 		cfg.CrossRackMBps = 40 + rng.Float64()*160
-		min := 0.5 + rng.Float64()*3.5
-		cfg.RepairSLO = RepairSLO{
-			// 0.1ms..20ms: the low end is tighter than any read the
-			// cluster can serve, pinning the rate at the floor.
-			TargetP99:   sim.Time(100+rng.Intn(20_000)) * sim.Microsecond,
-			MinRateMBps: min,
-			MaxRateMBps: min + rng.Float64()*100,
-			Window:      32 + rng.Intn(256),
-			Interval:    sim.Time(1+rng.Intn(5)) * sim.Millisecond,
-		}
+		// 0.1ms..20ms: the low end is tighter than any read the cluster
+		// can serve, pinning the rate at the floor.
+		cfg.RepairSLO = RepairSLO{TargetP99: sim.Time(100+rng.Intn(20_000)) * sim.Microsecond}
 
-		// Every server hosts exactly one chunk holder here (3 groups x 6
-		// members over 18 servers), so any crash queues repair work.
-		victim := rng.Intn(cfg.totalServers())
+		victim := hosts[rng.Intn(len(hosts))]
 		failAt := sim.Time(60+rng.Intn(60)) * sim.Millisecond
 		reviveAt := failAt + sim.Time(120+rng.Intn(80))*sim.Millisecond
 		events := []Event{FailServer(victim, failAt)}
@@ -77,9 +84,9 @@ func TestPacedRepairAlwaysCompletes(t *testing.T) {
 			t.Errorf("case %d: empty rate timeline with pacing enabled", i)
 		}
 		for _, pt := range res.RepairRateTimeline {
-			if pt.MBps < cfg.RepairSLO.MinRateMBps-1e-9 || pt.MBps > cfg.RepairSLO.MaxRateMBps+1e-9 {
-				t.Errorf("case %d: rate %f escaped bounds [%f, %f]",
-					i, pt.MBps, cfg.RepairSLO.MinRateMBps, cfg.RepairSLO.MaxRateMBps)
+			if pt.MBps < pacerMinRateMBps-1e-9 || pt.MBps > cfg.CrossRackMBps+1e-9 {
+				t.Errorf("case %d: rate %f escaped bounds [%d, %f]",
+					i, pt.MBps, pacerMinRateMBps, cfg.CrossRackMBps)
 			}
 		}
 	}
@@ -102,21 +109,21 @@ func TestSpineByteCountersReconcileMidRun(t *testing.T) {
 	r.stopIssuing = cfg.Warmup + cfg.Duration
 	r.startClients()
 	r.startGCMonitors()
-	r.scheduleFailure()
+	r.scheduleScenario()
 
-	c := r.cluster
+	sp := r.spine
 	sawInFlight := false
 	for now := 60 * sim.Millisecond; now <= 500*sim.Millisecond; now += sim.Millisecond {
 		r.eng.RunUntil(now)
-		if c.spine.crossRepairBytes > c.spine.crossRepairOffered {
+		if sp.crossRepairBytes > sp.crossRepairOffered {
 			t.Fatalf("at %d: repair delivered %d > offered %d",
-				now, c.spine.crossRepairBytes, c.spine.crossRepairOffered)
+				now, sp.crossRepairBytes, sp.crossRepairOffered)
 		}
-		if c.spine.foregroundBytes > c.spine.foregroundOffered {
+		if sp.foregroundBytes > sp.foregroundOffered {
 			t.Fatalf("at %d: foreground delivered %d > offered %d",
-				now, c.spine.foregroundBytes, c.spine.foregroundOffered)
+				now, sp.foregroundBytes, sp.foregroundOffered)
 		}
-		if c.spine.crossRepairBytes < c.spine.crossRepairOffered {
+		if sp.crossRepairBytes < sp.crossRepairOffered {
 			sawInFlight = true
 			break
 		}
@@ -124,21 +131,21 @@ func TestSpineByteCountersReconcileMidRun(t *testing.T) {
 	if !sawInFlight {
 		t.Error("never observed a repair transfer in flight; the regression scenario is dead")
 	}
-	if c.spine.crossRepairOffered == 0 {
+	if sp.crossRepairOffered == 0 {
 		t.Fatal("the crash queued no cross-rack repair traffic")
 	}
 
 	r.eng.Run() // drain
-	if c.spine.crossRepairBytes != c.spine.crossRepairOffered {
+	if sp.crossRepairBytes != sp.crossRepairOffered {
 		t.Errorf("drained repair bytes unreconciled: delivered %d offered %d",
-			c.spine.crossRepairBytes, c.spine.crossRepairOffered)
+			sp.crossRepairBytes, sp.crossRepairOffered)
 	}
-	if c.spine.foregroundBytes != c.spine.foregroundOffered {
+	if sp.foregroundBytes != sp.foregroundOffered {
 		t.Errorf("drained foreground bytes unreconciled: delivered %d offered %d",
-			c.spine.foregroundBytes, c.spine.foregroundOffered)
+			sp.foregroundBytes, sp.foregroundOffered)
 	}
-	if c.spine.crossRepairBytes == 0 || c.spine.foregroundBytes == 0 {
+	if sp.crossRepairBytes == 0 || sp.foregroundBytes == 0 {
 		t.Errorf("spine moved no bytes: repair %d foreground %d",
-			c.spine.crossRepairBytes, c.spine.foregroundBytes)
+			sp.crossRepairBytes, sp.foregroundBytes)
 	}
 }

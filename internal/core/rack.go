@@ -31,12 +31,14 @@ const (
 
 // instance is one vSSD replica instance living on a server.
 type instance struct {
-	id        uint32
-	v         *vssd.VSSD
-	server    *server
-	pairIdx   int
-	replicaID uint32
-	primary   bool
+	id     uint32
+	v      *vssd.VSSD
+	server *server
+	// partner is the instance this one pairs with: the other member of
+	// a replicated pair, or the next member in group order for an
+	// erasure-coded holder. The VDC controller consults its GC state,
+	// and failover routes to it.
+	partner *instance
 
 	queue       sched.Scheduler
 	pred        *predictor.Latency
@@ -66,11 +68,10 @@ type instance struct {
 	gcRequestInFlight bool
 	gcRetries         int
 	lastGCType        packet.GCField
-	gcEvents          int
-	gcDelayed         int
-	bgGCEvents        int
+	// ctrlGC is the VDC controller's view of this instance's GC state;
 	// replicaIdleHint caches the controller's answer for software
 	// (server-side) redirection in RackBlox (Software).
+	ctrlGC          bool
 	replicaIdleHint bool
 }
 
@@ -100,9 +101,12 @@ type reqState struct {
 	deviceDone sim.Time
 	redirected bool
 	// bounced marks a read the server handed back to the ToR because its
-	// vSSD started collecting after the switch had already forwarded it.
-	bounced bool
-	netIn   sim.Time
+	// vSSD started collecting after the switch had already forwarded it;
+	// gcSteered marks a read whose latest attempt was steered away from
+	// a collecting target (packet.Packet.GCSteered).
+	bounced   bool
+	gcSteered bool
+	netIn     sim.Time
 
 	// Erasure-coded requests: userLPN is the client's logical page (lpn
 	// holds the chunk-local page, i.e. the stripe index), homeID the data
@@ -133,27 +137,38 @@ func (st *reqState) decInflight() {
 }
 
 // Rack is one end-to-end experiment instance. Despite the historical
-// name it can span several rack fault domains: the embedded Cluster
-// composes per-rack ToR switches under a spine link, and servers carry
-// their rack index. With Config.Racks <= 1 it is exactly the paper's
-// single-rack testbed.
+// name it can span several rack fault domains: one ToR switch per rack
+// under a spine link (cluster.go), and servers carry their rack index.
+// With Config.Racks <= 1 it is exactly the paper's single-rack testbed.
 type Rack struct {
 	cfg Config
+	// res is the Result the run returns. The datapath counts straight
+	// into it; Run fills in only the derived totals.
+	res *Result
 	// eng runs every rack of the cluster, the spine and the scenario
 	// driver. Cross-rack traffic goes through the Spine boundary, the
 	// seam along which racks can move onto the engines of a
 	// sim.ShardGroup.
-	eng     *sim.Engine
-	net     *netsim.Network
-	cluster *Cluster
-	// sw aliases the first rack's ToR for the single-rack call sites and
-	// tests; multi-rack paths go through torOf/cluster.
-	sw      *switchsim.Switch
-	servers []*server
-	pairs   []*pair
-	groups  []*ecGroup
-	insts   map[uint32]*instance
-	rec     *stats.Recorder
+	eng *sim.Engine
+	net *netsim.Network
+	// tors holds one ToR switch per rack, and spine is the cross-rack
+	// boundary (spine.go). ToR failure injection: torFailed flips at the
+	// configured instant, torDetected when the heartbeat detector
+	// notices and the surviving ToRs take over; torCrashes counts each
+	// ToR's failures so a detection timer armed by one outage cannot
+	// fire for a later one.
+	tors        []*switchsim.Switch
+	spine       *Spine
+	torFailed   []bool
+	torDetected []bool
+	torCrashes  []int
+	servers     []*server
+	pairs       []*pair
+	groups      []*ecGroup
+	// insts lists every vSSD instance in creation order: pairs, then
+	// erasure-coded groups, each in member order.
+	insts []*instance
+	rec   *stats.Recorder
 	// reqs holds every in-flight request by seq: a client issue or
 	// retransmission files it, and completion or the loss detector
 	// removes it. Records re-resolve their request here when they fire
@@ -181,9 +196,6 @@ type Rack struct {
 	ctrlMsgs    sim.Pool[ctrlMsg]
 
 	clientIP uint32
-	// controller models the VDC controller server used by VDC and
-	// RackBlox (Software); nil otherwise.
-	controller *controller
 
 	// issuing stops at Warmup+Duration; the run drains afterwards.
 	stopIssuing sim.Time
@@ -193,11 +205,8 @@ type Rack struct {
 	anyFailure bool
 
 	// pacer is the SLO-aware repair rate controller (nil unless
-	// Config.RepairSLO enables it); lastRepairDone is the instant the
-	// most recent repair batch completed — once the queues drain, the
-	// repair completion time of the run.
-	pacer          *RepairPacer
-	lastRepairDone sim.Time
+	// Config.RepairSLO enables it).
+	pacer *RepairPacer
 
 	// tracer is the flight recorder (nil unless Config.Trace.Enabled; a
 	// nil tracer no-ops every call, so the datapath records
@@ -214,38 +223,6 @@ type Rack struct {
 	perRackReqs     []int64
 	completedReads  int64
 	completedWrites int64
-
-	// counters
-	failovers     int64
-	lostRequests  int64
-	bounces       int64
-	cacheHits     int64
-	staleRetries  int64
-	forcedGCs     int64
-	swRedirects   int64
-	gcOpsSent     int64
-	gcOpRetries   int64
-	delayedByCtrl int64
-
-	// erasure-coding counters
-	degradedReads      int64
-	unrecoverableReads int64
-	ecSubWrites        int64
-	ecRetransmits      int64
-	lostReads          int64
-
-	// LRC code-family counters: stripes repaired entirely inside one
-	// rack (zero spine bytes), stripes repaired with per-rack aggregated
-	// cross-rack fetches, and degraded reads served by the rack-local
-	// XOR plan.
-	localRepairStripes int64
-	aggRepairStripes   int64
-	localDegradedReads int64
-
-	// recovery-lifecycle counters
-	reintegratedStripes     int64
-	degradedReadsPostRepair int64
-	restoredHolders         int64
 }
 
 // NewRack builds and preconditions a rack per the configuration.
@@ -255,20 +232,22 @@ func NewRack(cfg Config) (*Rack, error) {
 	}
 	r := &Rack{
 		cfg:      cfg,
+		res:      &Result{System: cfg.System, Config: cfg},
 		eng:      sim.NewEngine(),
 		rec:      stats.NewRecorder(),
-		insts:    make(map[uint32]*instance),
 		rng:      sim.NewRNG(cfg.Seed),
 		clientIP: packet.IP4(10, 0, 0, 1),
 	}
+	// The network's stream forks before the ToRs' drop streams: Fork
+	// advances the parent stream, so this order is part of the results.
 	r.net = netsim.New(cfg.Net, r.rng.Fork(100))
-	r.cluster = newCluster(r)
-	r.sw = r.cluster.tors[0]
+	r.spine = newSpine(r.eng, &cfg)
+	r.buildToRs()
 	r.tracer = trace.New(cfg.Trace)
-	r.perRackReqs = make([]int64, r.cluster.racks)
+	r.perRackReqs = make([]int64, len(r.tors))
 	if cfg.RepairSLO.Enabled() {
 		// Validate guarantees Racks > 1, so the spine exists.
-		r.pacer = newRepairPacer(r.eng, r.cluster.spine.Link(), &cfg)
+		r.pacer = newRepairPacer(r.eng, r.spine.Link(), &cfg)
 		r.pacer.tickEv = func(sim.Time) { r.pacerTick() }
 	}
 
@@ -279,7 +258,7 @@ func NewRack(cfg Config) (*Rack, error) {
 		if err != nil {
 			return nil, err
 		}
-		rackIdx := r.cluster.RackOf(i)
+		rackIdx := i / cfg.StorageServers
 		s := &server{
 			rack:    r,
 			index:   i,
@@ -290,10 +269,6 @@ func NewRack(cfg Config) (*Rack, error) {
 		}
 		r.servers = append(r.servers, s)
 	}
-	if cfg.System == RackBloxSoftware {
-		r.controller = newController(r)
-	}
-
 	if cfg.Redundancy.erasure() {
 		if err := r.buildGroups(); err != nil {
 			return nil, err
@@ -316,7 +291,7 @@ func NewRack(cfg Config) (*Rack, error) {
 // control-plane instants. Only called with tracing enabled, and every
 // hook only reads state — the traced event sequence stays identical.
 func (r *Rack) installTraceHooks() {
-	for j, tor := range r.cluster.tors {
+	for j, tor := range r.tors {
 		j := j
 		tor.TraceHook = func(ev switchsim.TraceEvent) {
 			if ev.Seq == 0 {
@@ -372,14 +347,15 @@ func (r *Rack) buildPairs() error {
 		priID := uint32(100 + 2*p)
 		repID := uint32(100 + 2*p + 1)
 
-		pri, err := r.newInstance(priSrv, priID, repID, p, true, alloc)
+		pri, err := r.newInstance(priSrv, priID, alloc)
 		if err != nil {
 			return err
 		}
-		rep, err := r.newInstance(repSrv, repID, priID, p, false, alloc)
+		rep, err := r.newInstance(repSrv, repID, alloc)
 		if err != nil {
 			return err
 		}
+		pri.partner, rep.partner = rep, pri
 
 		// Hermes wiring: node 0 = primary, node 1 = replica.
 		peers := []int{0, 1}
@@ -399,9 +375,6 @@ func (r *Rack) buildPairs() error {
 			Op: packet.OpCreateVSSD, VSSD: repID, SrcIP: repSrv.ip,
 			ReplicaVSSD: priID, ReplicaIP: priSrv.ip,
 		})
-		if r.controller != nil {
-			r.controller.register(pri, rep)
-		}
 	}
 	r.eng.Run() // drain registration events
 	return nil
@@ -411,9 +384,7 @@ func (r *Rack) buildPairs() error {
 // on a server. In the software-isolated mode each channel set hosts two
 // half-size vSSDs forming a channel group; the second member runs a
 // mirrored background load through the same group.
-func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, primary bool,
-	alloc func(*server) ([]int, error)) (*instance, error) {
-
+func (r *Rack) newInstance(srv *server, id uint32, alloc func(*server) ([]int, error)) (*instance, error) {
 	cfg := r.cfg
 	channels, err := alloc(srv)
 	if err != nil {
@@ -459,8 +430,7 @@ func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, prima
 	}
 
 	inst := &instance{
-		id: id, v: v, server: srv, pairIdx: pairIdx,
-		replicaID: replicaID, primary: primary,
+		id: id, v: v, server: srv,
 		cache: newWriteCache(writeCachePages),
 		peer:  peerOf(group, v),
 		queue: sched.New(sched.Config{
@@ -476,7 +446,7 @@ func (r *Rack) newInstance(srv *server, id, replicaID uint32, pairIdx int, prima
 	inst.pumpEv = func(sim.Time) { srv.pump(inst) }
 	inst.monitorEv = func(sim.Time) { r.monitorGC(inst) }
 	srv.insts[id] = inst
-	r.insts[id] = inst
+	r.insts = append(r.insts, inst)
 	return inst, nil
 }
 
@@ -494,12 +464,12 @@ func (r *Rack) hermesTransport(pri, rep *instance) replication.Transport {
 		dst := byNode(msg.To)
 		src := byNode(1 - msg.To)
 		delay := r.net.PathLatency(r.eng.Now(), 2) +
-			r.cluster.spine.Latency(src.server.rackIdx, dst.server.rackIdx)
+			r.spine.Latency(src.server.rackIdx, dst.server.rackIdx)
 		if src.server.rackIdx != dst.server.rackIdx {
 			// Cross-rack replication is foreground spine traffic too:
 			// invalidations carry the written page, acks a bare header.
-			delay += r.cluster.spine.MeterForeground(
-				r.cluster.spine.MessageBytes(msg.Type == replication.MsgInv))
+			delay += r.spine.MeterForeground(
+				r.spine.MessageBytes(msg.Type == replication.MsgInv))
 		}
 		m := r.msgs.Get()
 		m.dst, m.msg = dst, msg
@@ -532,24 +502,11 @@ func (r *Rack) makeGenerator(volume int, keys uint64) workload.Generator {
 	return gen
 }
 
-// allInstances returns every vSSD instance in deterministic volume order
-// (pairs, then erasure-coded groups).
-func (r *Rack) allInstances() []*instance {
-	out := make([]*instance, 0, 2*len(r.pairs))
-	for _, pr := range r.pairs {
-		out = append(out, pr.primary, pr.replica)
-	}
-	for _, g := range r.groups {
-		out = append(out, g.insts...)
-	}
-	return out
-}
-
 // precondition fills each instance's key space and fragments it until
 // roughly half the free blocks are consumed (§4.1), without charging
 // virtual time.
 func (r *Rack) precondition() {
-	for _, inst := range r.allInstances() {
+	for _, inst := range r.insts {
 		ftls := []*ssd.FTL{inst.v.FTL}
 		if inst.peer != nil {
 			ftls = append(ftls, inst.peer.FTL)
@@ -590,15 +547,6 @@ func (r *Rack) Keyspace() int {
 	ftl := r.pairs[0].primary.v.FTL
 	return int(float64(ftl.LogicalPages()) * r.cfg.KeyspaceFrac)
 }
-
-// Engine exposes the simulation engine (tests).
-func (r *Rack) Engine() *sim.Engine { return r.eng }
-
-// Switch exposes the first rack's ToR switch (tests).
-func (r *Rack) Switch() *switchsim.Switch { return r.sw }
-
-// Cluster exposes the multi-rack topology layer (tests).
-func (r *Rack) Cluster() *Cluster { return r.cluster }
 
 // peerOf returns the other member of a two-member channel group, nil when
 // ungrouped.

@@ -27,8 +27,7 @@ const (
 	// hopServer arrives at a server's NIC directly (server-side
 	// forwarding in RackBlox (Software)).
 	hopServer
-	// hopDeliver leaves a ToR toward pkt.DstIP: the client, a server, or
-	// the controller.
+	// hopDeliver leaves a ToR toward pkt.DstIP: the client or a server.
 	hopDeliver
 )
 
@@ -40,8 +39,7 @@ type hop struct {
 	// tor is the switch a hopTor packet enters.
 	tor *switchsim.Switch
 	// srv is the server a hopServer packet reaches, or the destination
-	// server a hopDeliver packet was resolved to (nil for the client and
-	// the controller).
+	// server a hopDeliver packet was resolved to (nil for the client).
 	srv *server
 	// torRack is the rack whose ToR a hopDeliver packet left.
 	torRack int

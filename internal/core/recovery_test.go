@@ -97,7 +97,7 @@ func TestToRRevivalClearsSiblingState(t *testing.T) {
 			continue
 		}
 		for _, id := range darkMembers {
-			if r.cluster.Tor(j).RemoteDead(id) {
+			if r.tors[j].RemoteDead(id) {
 				stale++
 			}
 		}
@@ -123,12 +123,12 @@ func TestToRRevivalClearsSiblingState(t *testing.T) {
 			continue
 		}
 		for _, id := range darkMembers {
-			if r2.cluster.Tor(j).RemoteDead(id) {
+			if r2.tors[j].RemoteDead(id) {
 				t.Fatalf("ToR %d still marks member %d remote-dead after revival", j, id)
 			}
 		}
 	}
-	if r2.cluster.TorDown(darkRack) || r2.cluster.Tor(darkRack).Down() {
+	if r2.torFailed[darkRack] || r2.tors[darkRack].Down() {
 		t.Fatal("revived ToR still down")
 	}
 	if res.DegradedReadsPostRepair != 0 {
@@ -145,17 +145,17 @@ func TestReviveToRNoFailureIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cluster.ReviveToR(0) {
+	if r.ReviveToR(0) {
 		t.Fatal("reviving a healthy ToR reported work done")
 	}
-	if r.cluster.ReviveToR(-1) || r.cluster.ReviveToR(99) {
+	if r.ReviveToR(-1) || r.ReviveToR(99) {
 		t.Fatal("out-of-range revival reported work done")
 	}
-	r.cluster.failToR(2)
-	if !r.cluster.ReviveToR(2) {
+	r.failToR(2)
+	if !r.ReviveToR(2) {
 		t.Fatal("first revival of a failed ToR did nothing")
 	}
-	if r.cluster.ReviveToR(2) {
+	if r.ReviveToR(2) {
 		t.Fatal("second revival of the same ToR reported work done")
 	}
 	res := r.Run()
@@ -237,6 +237,51 @@ func TestRecoveryLifecycleProperty(t *testing.T) {
 		if res.DegradedReadsPostRepair != 0 {
 			t.Errorf("trial %d: %d degraded reads after re-integration", trial,
 				res.DegradedReadsPostRepair)
+		}
+	}
+}
+
+// TestPostRepairSkipsGCSteeredReads replays the 40-cycle fail/revive
+// cluster at two seeds where a ToR steered a read away from a holder
+// restored onto its revived server because the holder was collecting,
+// and the coordinator started the reconstruction after the GC burst had
+// ended. Such a read is legitimate GC steering, not a straggler:
+// DegradedReadsPostRepair must judge it by why the ToR steered it, not
+// by the holder's GC state when the reconstruction starts.
+func TestPostRepairSkipsGCSteeredReads(t *testing.T) {
+	for _, seed := range []int64{1, 5} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Racks = 3
+		cfg.StorageServers = 6
+		cfg.VSSDPairs = 3
+		cfg.Redundancy = ErasureCode(4, 2)
+		cfg.Placement = PlacementSpread
+		cfg.CrossRackMBps = 80
+		cfg.Device = flash.ProfileOptane()
+		cfg.Workload.WriteFrac = 0.2
+		cfg.Workload.MeanGap = 400 * sim.Microsecond
+		cfg.KeyspaceFrac = 0.25
+		cfg.MaxClientInflight = 256
+		cfg.RepairSLO = RepairSLO{TargetP99: 6 * sim.Millisecond}
+		cfg.Duration = 40*sim.Second + 500*sim.Millisecond
+		// Server 7i+i/3 mod 18 fails in cycle i and returns 200ms later.
+		for i := 0; i < 40; i++ {
+			at := sim.Time(i)*sim.Second + 120*sim.Millisecond
+			server := (7*i + i/3) % 18
+			cfg.Scenario = append(cfg.Scenario,
+				FailServer(server, at), ReviveServer(server, at+200*sim.Millisecond))
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RestoredHolders == 0 || res.DegradedReads == 0 {
+			t.Fatalf("seed %d: %d restored holders, %d degraded reads; the scenario no longer exercises catch-up repair",
+				seed, res.RestoredHolders, res.DegradedReads)
+		}
+		if res.DegradedReadsPostRepair != 0 {
+			t.Errorf("seed %d: %d degraded reads counted after re-integration", seed, res.DegradedReadsPostRepair)
 		}
 	}
 }

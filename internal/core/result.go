@@ -92,9 +92,9 @@ type Result struct {
 	// healing, excluding steering legitimately caused by the
 	// replacement itself collecting or being unreachable — zero when
 	// the loop closes correctly; ToRRevivals counts dark switches
-	// brought back by Cluster.ReviveToR. ServerRevivals counts crashed
+	// brought back by Rack.ReviveToR. ServerRevivals counts crashed
 	// servers brought back by a ReviveServer scenario event
-	// (Cluster.ReviveServer), and RestoredHolders the chunk holders
+	// (Rack.ReviveServer), and RestoredHolders the chunk holders
 	// whose catch-up repair landed the full chunk set back on the
 	// revived original server, re-registered under their own ids.
 	ReintegratedStripes     int64
@@ -151,68 +151,44 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // Run drives the rack: clients issue during [0, Warmup+Duration), GC
-// monitors patrol, then the event queue drains outstanding work.
+// monitors patrol, then the event queue drains outstanding work. The
+// counters already sit in the Result; Run adds the totals derived from
+// the recorder, the switches, the spine, the reconstructors and the
+// engine.
 func (r *Rack) Run() *Result {
 	r.stopIssuing = r.cfg.Warmup + r.cfg.Duration
 	r.startMetrics()
 	r.startClients()
 	r.startGCMonitors()
-	r.scheduleFailure()
+	r.scheduleScenario()
 	if r.pacer != nil {
-		r.eng.ScheduleAfter(r.pacer.slo.Interval, labelPacedTick, r.pacer.tickEv)
+		r.eng.ScheduleAfter(pacerInterval, labelPacedTick, r.pacer.tickEv)
 	}
 	r.eng.Run()
 
-	res := &Result{
-		System:             r.cfg.System,
-		Config:             r.cfg,
-		Recorder:           r.rec,
-		Switch:             r.cluster.Stats(),
-		ForcedGCs:          r.forcedGCs,
-		GCOpsSent:          r.gcOpsSent,
-		GCOpRetries:        r.gcOpRetries,
-		DelayedByCtl:       r.delayedByCtrl,
-		Failovers:          r.failovers,
-		LostRequests:       r.lostRequests,
-		Bounces:            r.bounces,
-		CacheHits:          r.cacheHits,
-		StaleRetries:       r.staleRetries,
-		SWRedirects:        r.swRedirects,
-		DegradedReads:      r.degradedReads,
-		UnrecoverableReads: r.unrecoverableReads,
-		ECSubWrites:        r.ecSubWrites,
-		ECRetransmits:      r.ecRetransmits,
-		LostReads:          r.lostReads,
-
-		LocalRepairStripes:      r.localRepairStripes,
-		AggregatedRepairStripes: r.aggRepairStripes,
-		LocalDegradedReads:      r.localDegradedReads,
-
-		SimulatedTime:   r.eng.Now(),
-		Events:          r.eng.Processed(),
-		EventsByHandler: r.eng.ProcessedBy(),
+	res := r.res
+	res.Recorder = r.rec
+	for _, tor := range r.tors {
+		res.Switch.Add(tor.Stats())
 	}
+	res.SimulatedTime = r.eng.Now()
+	res.Events = r.eng.Processed()
+	res.EventsByHandler = r.eng.ProcessedBy()
 	if r.tracer != nil {
 		res.Trace = r.tracer.Collect()
 		res.TailAttribution = res.Trace.TailAttribution(0.01)
 	}
 	res.Timelines = r.metrics
-	res.CrossRackRepairBytes = r.cluster.spine.crossRepairBytes
-	res.CrossRackRepairBytesOffered = r.cluster.spine.crossRepairOffered
-	res.CrossRackFetches = r.cluster.spine.crossFetches
-	res.SpineUtilization = r.cluster.SpineUtilization()
-	res.ForegroundCrossRackBytes = r.cluster.spine.foregroundBytes
-	res.ForegroundCrossRackBytesOffered = r.cluster.spine.foregroundOffered
-	res.RepairCompletionTime = r.lastRepairDone
+	res.CrossRackRepairBytes = r.spine.crossRepairBytes
+	res.CrossRackRepairBytesOffered = r.spine.crossRepairOffered
+	res.CrossRackFetches = r.spine.crossFetches
+	res.SpineUtilization = r.spine.Utilization()
+	res.ForegroundCrossRackBytes = r.spine.foregroundBytes
+	res.ForegroundCrossRackBytesOffered = r.spine.foregroundOffered
 	if r.pacer != nil {
 		res.SLOViolationFraction = r.pacer.violationFraction()
 		res.RepairRateTimeline = append([]RatePoint(nil), r.pacer.timeline...)
 	}
-	res.ReintegratedStripes = r.reintegratedStripes
-	res.DegradedReadsPostRepair = r.degradedReadsPostRepair
-	res.ToRRevivals = r.cluster.torRevivals
-	res.ServerRevivals = r.cluster.serverRevivals
-	res.RestoredHolders = r.restoredHolders
 	for _, g := range r.groups {
 		res.RepairedStripes += int64(g.recon.RepairedStripes())
 		res.RepairPending += int64(g.recon.Pending())
@@ -254,14 +230,10 @@ func (r *Rack) Run() *Result {
 			res.UnrecoverableStripes += int64(g.usedStripes)
 		}
 	}
-	insts := r.allInstances()
 	var wa float64
-	for _, inst := range insts {
-		res.GCEvents += inst.gcEvents
-		res.GCDelayed += inst.gcDelayed
-		res.BGGCEvents += inst.bgGCEvents
+	for _, inst := range r.insts {
 		wa += inst.v.FTL.WriteAmplification()
 	}
-	res.WriteAmp = wa / float64(len(insts))
+	res.WriteAmp = wa / float64(len(r.insts))
 	return res
 }

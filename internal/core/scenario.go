@@ -13,7 +13,7 @@ import (
 // its own instant, so a single run can express server revival with
 // catch-up repair, repeated fail/heal cycles, and staggered rack and ToR
 // outages. validateScenario checks the timeline as a whole and one
-// driver (Cluster.scheduleScenario) executes it.
+// driver (Rack.scheduleScenario) executes it.
 
 // EventKind enumerates the typed scenario events.
 type EventKind int
@@ -37,7 +37,7 @@ const (
 	EventReviveServer
 	// EventReviveToR un-darkens a failed ToR: blank SRAM, control-plane
 	// table replay from survivors, sibling marks cleared
-	// (Cluster.ReviveToR).
+	// (Rack.ReviveToR).
 	EventReviveToR
 )
 

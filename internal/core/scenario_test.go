@@ -103,22 +103,6 @@ func TestScenarioValidation(t *testing.T) {
 			c.Placement = PlacementCompact
 			c.RepairSLO = RepairSLO{TargetP99: 5 * sim.Millisecond}
 		}, "RepairSLO"},
-		{"repair SLO with inverted rate bounds", func(c *Config) {
-			c.RepairSLO = RepairSLO{TargetP99: 5 * sim.Millisecond,
-				MinRateMBps: 50, MaxRateMBps: 10}
-		}, "RepairSLO"},
-		{"repair SLO with negative rate bound", func(c *Config) {
-			c.RepairSLO = RepairSLO{TargetP99: 5 * sim.Millisecond, MinRateMBps: -1}
-		}, "RepairSLO"},
-		{"repair SLO with negative interval", func(c *Config) {
-			c.RepairSLO = RepairSLO{TargetP99: 5 * sim.Millisecond, Interval: -1}
-		}, "RepairSLO"},
-		{"repair SLO rate floor above the spine capacity", func(c *Config) {
-			// CrossRackMBps is 200 here: a floor the link cannot carry
-			// could never back off below capacity, permanently violating
-			// the SLO it is meant to defend.
-			c.RepairSLO = RepairSLO{TargetP99: 5 * sim.Millisecond, MinRateMBps: 300}
-		}, "RepairSLO"},
 	}
 	for _, tc := range cases {
 		cfg := recoveryConfig()
@@ -381,7 +365,7 @@ func TestReplicationRevivalRepairs(t *testing.T) {
 			if inst.server != r.servers[0] {
 				continue
 			}
-			partner := r.insts[inst.replicaID]
+			partner := inst.partner
 			if got := len(partner.repl.Peers()); got != 2 {
 				t.Errorf("pair %d: survivor has %d peers after revival, want 2 (AddPeer missing)",
 					pr.idx, got)

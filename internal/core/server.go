@@ -60,6 +60,7 @@ func (s *server) receive(pkt packet.Packet) {
 		if st.pair != nil && pkt.VSSD != st.pair.primary.id {
 			st.redirected = true
 		}
+		st.gcSteered = pkt.GCSteered
 		// Feed the predictor with the INT-measured inbound latency and
 		// track idleness for background GC.
 		inst.pred.Observe(pkt.Op == packet.OpWrite, sim.Time(pkt.LatencyNS()))
@@ -183,7 +184,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 		st.bounced = true
 		st.dispatched = 0 // queue accounting restarts at the new server
 		inst.inflight--
-		r.bounces++
+		r.res.Bounces++
 		r.bounceRead(inst, st)
 		r.retireRequest(req)
 		s.pump(inst)
@@ -194,7 +195,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	// invalidated by an in-flight write; wait briefly for the commit.
 	// Erasure-coded chunk holders (no Hermes node) always serve.
 	if inst.repl != nil && !inst.repl.CanRead(lpn) && attempt < 3 {
-		r.staleRetries++
+		r.res.StaleRetries++
 		op := s.newOp(stepRetryRead, inst, req)
 		op.attempt = attempt + 1
 		r.eng.ScheduleAfter(hermesRetryGap, labelServerStaleRetry, op)
@@ -202,7 +203,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	}
 
 	if inst.cache.Contains(lpn) {
-		r.cacheHits++
+		r.res.CacheHits++
 		r.eng.ScheduleAfter(cacheHitTime, labelServerCacheHit, s.newOp(stepCompleteRead, inst, req))
 		return
 	}

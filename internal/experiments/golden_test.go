@@ -4,15 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"rackblox/internal/core"
 )
 
-// benchFile is the checked-in trajectory written by
-// rackbench -exp figec,figmr,figrl,figsc,figslo,figra -scale 0.25 -json auto.
-const benchFile = "../../BENCH_figec_figmr_figrl_figsc_figslo_figra.json"
+// benchFile is the checked-in trajectory of the whole registry, written
+// by rackbench -exp all -scale 0.25 -json auto.
+const benchFile = "../../BENCH_all.json"
 
 // benchRun is the simulation-domain part of one rackbench -json run
 // record: its key and the engine counters it carries.
@@ -25,37 +24,49 @@ type benchRun struct {
 }
 
 // TestCheckedInBenchTables makes the checked-in BENCH tables the oracle a
-// refactor is held to: regenerating every experiment in the file at its
-// recorded scale must reproduce each table exactly, and the per-run
-// records must come back with the same keys, in the same order, with the
-// same event counts.
+// refactor is held to: regenerating every experiment the file lists, in
+// its order and at its recorded scale, must reproduce each table exactly,
+// and the per-run records must come back with the same keys, in the same
+// order, with the same event counts.
 func TestCheckedInBenchTables(t *testing.T) {
 	raw, err := os.ReadFile(benchFile)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want struct {
-		Scale  float64    `json:"scale"`
-		Tables []*Table   `json:"tables"`
-		Runs   []benchRun `json:"runs"`
+		Experiments []string   `json:"experiments"`
+		Scale       float64    `json:"scale"`
+		Tables      []*Table   `json:"tables"`
+		Runs        []benchRun `json:"runs"`
 	}
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Tables) != 6 {
-		t.Fatalf("%s holds %d tables, want 6 (figec, figmr, figrl, figsc, figslo, figra)", benchFile, len(want.Tables))
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	if !reflect.DeepEqual(want.Experiments, ids) {
+		t.Fatalf("%s covers %v, want the whole registry %v", benchFile, want.Experiments, ids)
 	}
 	var got []benchRun
 	opt := Options{OnResult: func(id, series string, res *core.Result) {
 		got = append(got, benchRun{id, series, res.Events, res.EventsByHandler, res.RepairRateTimeline})
 	}}
-	for _, tb := range want.Tables {
-		tables, err := ByID(strings.ToLower(tb.ID), Scale(want.Scale), opt)
+	var tables []*Table
+	for _, id := range want.Experiments {
+		ts, err := ByID(id, Scale(want.Scale), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(tables) != 1 || !reflect.DeepEqual(tables[0], tb) {
-			a, _ := json.Marshal(tables)
+		tables = append(tables, ts...)
+	}
+	if len(tables) != len(want.Tables) {
+		t.Fatalf("regenerated %d tables, %s holds %d", len(tables), benchFile, len(want.Tables))
+	}
+	for i, tb := range want.Tables {
+		if !reflect.DeepEqual(tables[i], tb) {
+			a, _ := json.Marshal(tables[i])
 			b, _ := json.Marshal(tb)
 			t.Errorf("%s differs from %s\ngot:  %.600s\nwant: %.600s", tb.ID, benchFile, a, b)
 		}

@@ -252,7 +252,7 @@ func gcAblation(scale Scale, opt Options) []*Table {
 		name string
 		soft float64 // soft threshold; == gc threshold disables delaying
 	}{
-		{"redirect-only", base.GCThreshold + 0.001},
+		{"redirect-only", core.GCThreshold + 0.001},
 		{"redirect+delay", base.SoftThreshold},
 	} {
 		cfg := baseConfig(scale)

@@ -87,9 +87,6 @@ func New(prof Profile, rng *sim.RNG) *Network {
 	return n
 }
 
-// Profile returns the model's profile.
-func (n *Network) Profile() Profile { return n.prof }
-
 func (n *Network) scheduleNextEpisode(after sim.Time) {
 	gap := n.rng.Exp(n.prof.CongestionRate)
 	dur := n.rng.Exp(n.prof.CongestionDur)

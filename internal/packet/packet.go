@@ -5,11 +5,7 @@
 // port.
 package packet
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Op is the 1-byte operation field.
 type Op uint8
@@ -122,6 +118,12 @@ type Packet struct {
 	// (multi-rack degraded routing); a one-byte TTL against ping-pong
 	// between ToRs that both lack a healthy local member.
 	Handoffs uint8
+	// GCSteered marks a read steered away from its target because the
+	// target was collecting garbage: by a ToR for an erasure-coded chunk
+	// holder whose GC bit is set, or by a server forwarding around its
+	// own GC in RackBlox (Software). Simulation metadata, not part of
+	// the Fig. 6 header.
+	GCSteered bool
 }
 
 // AddLatency accumulates per-hop latency (ns) into the INT field,
@@ -137,65 +139,7 @@ func (p *Packet) AddLatency(ns int64) {
 // LatencyNS returns the INT-accumulated latency in nanoseconds.
 func (p *Packet) LatencyNS() int64 { return int64(p.LatUS) * 1000 }
 
-// wireSize is the encoded length: header + fixed payload block.
-const wireSize = 4 + 4 + 2 + HeaderSize + 1 + 4 + 4 + 4 + 8 + 1
-
-// ErrShortPacket reports a truncated encoding.
-var ErrShortPacket = errors.New("packet: buffer too short")
-
-// ErrBadOp reports an unknown operation byte.
-var ErrBadOp = errors.New("packet: unknown op")
-
-// Marshal encodes the packet into a fresh byte slice (big-endian, network
-// order).
-func (p *Packet) Marshal() []byte {
-	b := make([]byte, wireSize)
-	binary.BigEndian.PutUint32(b[0:], p.SrcIP)
-	binary.BigEndian.PutUint32(b[4:], p.DstIP)
-	binary.BigEndian.PutUint16(b[8:], p.Port)
-	b[10] = byte(p.Op)
-	binary.BigEndian.PutUint32(b[11:], p.VSSD)
-	binary.BigEndian.PutUint32(b[15:], p.LatUS)
-	b[19] = byte(p.GC)
-	binary.BigEndian.PutUint32(b[20:], p.ReplicaVSSD)
-	binary.BigEndian.PutUint32(b[24:], p.ReplicaIP)
-	binary.BigEndian.PutUint32(b[28:], p.LPN)
-	binary.BigEndian.PutUint64(b[32:], p.Seq)
-	b[40] = p.Handoffs
-	return b
-}
-
-// Unmarshal decodes a packet previously produced by Marshal.
-func Unmarshal(b []byte) (Packet, error) {
-	if len(b) < wireSize {
-		return Packet{}, ErrShortPacket
-	}
-	p := Packet{
-		SrcIP:       binary.BigEndian.Uint32(b[0:]),
-		DstIP:       binary.BigEndian.Uint32(b[4:]),
-		Port:        binary.BigEndian.Uint16(b[8:]),
-		Op:          Op(b[10]),
-		VSSD:        binary.BigEndian.Uint32(b[11:]),
-		LatUS:       binary.BigEndian.Uint32(b[15:]),
-		GC:          GCField(b[19]),
-		ReplicaVSSD: binary.BigEndian.Uint32(b[20:]),
-		ReplicaIP:   binary.BigEndian.Uint32(b[24:]),
-		LPN:         binary.BigEndian.Uint32(b[28:]),
-		Seq:         binary.BigEndian.Uint64(b[32:]),
-		Handoffs:    b[40],
-	}
-	if p.Op < OpCreateVSSD || p.Op > OpResponse {
-		return Packet{}, fmt.Errorf("%w: %d", ErrBadOp, b[10])
-	}
-	return p, nil
-}
-
 // IP4 packs a dotted quad into the uint32 wire form.
 func IP4(a, b, c, d byte) uint32 {
 	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d)
-}
-
-// FormatIP renders the uint32 wire form as a dotted quad.
-func FormatIP(ip uint32) string {
-	return fmt.Sprintf("%d.%d.%d.%d", byte(ip>>24), byte(ip>>16), byte(ip>>8), byte(ip))
 }

@@ -1,47 +1,6 @@
 package packet
 
-import (
-	"errors"
-	"testing"
-	"testing/quick"
-)
-
-func TestMarshalRoundTripProperty(t *testing.T) {
-	f := func(src, dst, vssd, rvssd, rip, lpn uint32, port uint16, lat uint32, seq uint64, opRaw, gcRaw uint8) bool {
-		p := Packet{
-			SrcIP: src, DstIP: dst, Port: port,
-			Op:   Op(opRaw%6) + OpCreateVSSD,
-			VSSD: vssd, LatUS: lat,
-			GC:          GCField(gcRaw % 6),
-			ReplicaVSSD: rvssd, ReplicaIP: rip,
-			LPN: lpn, Seq: seq,
-		}
-		got, err := Unmarshal(p.Marshal())
-		return err == nil && got == p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUnmarshalShort(t *testing.T) {
-	if _, err := Unmarshal(make([]byte, 5)); !errors.Is(err, ErrShortPacket) {
-		t.Fatalf("err = %v, want ErrShortPacket", err)
-	}
-}
-
-func TestUnmarshalBadOp(t *testing.T) {
-	p := Packet{Op: OpRead}
-	b := p.Marshal()
-	b[10] = 0 // invalid op
-	if _, err := Unmarshal(b); !errors.Is(err, ErrBadOp) {
-		t.Fatalf("err = %v, want ErrBadOp", err)
-	}
-	b[10] = 200
-	if _, err := Unmarshal(b); !errors.Is(err, ErrBadOp) {
-		t.Fatalf("err = %v, want ErrBadOp", err)
-	}
-}
+import "testing"
 
 func TestAddLatencyAccumulates(t *testing.T) {
 	var p Packet
@@ -102,9 +61,6 @@ func TestIPHelpers(t *testing.T) {
 	ip := IP4(10, 0, 0, 16)
 	if ip != 0x0A000010 {
 		t.Fatalf("IP4 = %x", ip)
-	}
-	if FormatIP(ip) != "10.0.0.16" {
-		t.Fatalf("FormatIP = %q", FormatIP(ip))
 	}
 }
 

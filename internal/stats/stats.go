@@ -311,9 +311,8 @@ func (d Dist) Min() int64 {
 	return d.v[0]
 }
 
-// P50, P75, P95, P99, P999 are the percentiles the paper reports.
+// P50, P95, P99, P999 are the percentiles the paper reports.
 func (d Dist) P50() int64  { return d.Percentile(50) }
-func (d Dist) P75() int64  { return d.Percentile(75) }
 func (d Dist) P95() int64  { return d.Percentile(95) }
 func (d Dist) P99() int64  { return d.Percentile(99) }
 func (d Dist) P999() int64 { return d.Percentile(99.9) }

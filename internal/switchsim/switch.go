@@ -441,6 +441,14 @@ func (s *Switch) routeECRead(pkt *packet.Packet, group []uint32, dwell sim.Time,
 	if s.chunkHealthy(pkt.VSSD) {
 		return true
 	}
+	// A registered local holder that is not failed over is unhealthy
+	// only because its GC bit is set: the read carries that reason to
+	// whichever member ends up serving it.
+	if de, ok := s.dest[pkt.VSSD]; ok && de.gc && s.local(pkt.VSSD) {
+		if _, dead := s.failover[pkt.VSSD]; !dead {
+			pkt.GCSteered = true
+		}
+	}
 	// The packet was just rewritten to a re-integrated replacement homed
 	// in another rack (the alias can point across racks). Its rebuilt
 	// chunk is intact there, so hand the read to its own ToR — which

@@ -31,8 +31,7 @@
 // # Multi-rack clusters
 //
 // Setting Config.Racks > 1 composes that many rack fault domains under a
-// simulated spine/aggregation link (the Cluster topology layer): every
-// rack gets its own ToR switch, cross-rack packets pay
+// simulated spine/aggregation link: every rack gets its own ToR switch, cross-rack packets pay
 // Config.CrossRackLatency, and bulk repair traffic is metered on a
 // shared link of Config.CrossRackMBps — transfers serialize, so repair
 // throughput can never exceed the configured cross-rack bandwidth, which
@@ -118,23 +117,21 @@
 // read tail for as long as it runs. Config.RepairSLO closes this last
 // co-design loop with feedback control:
 //
-//	cfg.RepairSLO = rackblox.RepairSLO{
-//		TargetP99:   5_000_000, // defend a 5ms foreground read p99
-//		MinRateMBps: 1,         // repair never starves
-//		MaxRateMBps: 80,        // may use the whole spine when latency permits
-//	}
+//	cfg.RepairSLO = rackblox.RepairSLO{TargetP99: 5_000_000} // defend a 5ms foreground read p99
 //
 // A windowed quantile sensor (stats.WindowedQuantile) observes every
 // completed foreground read; each controller tick compares the windowed
 // p99 against TargetP99 and adjusts the repair admission rate with AIMD
 // — additive probing while the tail is under target, multiplicative
 // backoff (and a fresh evidence window) the moment it is not — always
-// within [MinRateMBps, MaxRateMBps]. The rate is enforced by a
+// between a fixed 1 MB/s floor and the spine's capacity
+// (Config.CrossRackMBps), so repair may use the whole link when latency
+// permits. The rate is enforced by a
 // token-bucket lane layered on the spine (sim.PacedBandwidth):
 // foreground transfers keep FIFO access to the link, repair batches
 // wait for tokens that refill at the controller's rate, and enqueued
 // batches are split to token-sized transfers so a single batch cannot
-// monopolize the link. The MinRateMBps floor is the no-starvation
+// monopolize the link. The 1 MB/s floor is the no-starvation
 // guarantee: repair always completes, just slower while the SLO is
 // tight. Result reports the trade-off: RepairCompletionTime (when the
 // last batch landed), SLOViolationFraction (fraction of controller
@@ -428,14 +425,16 @@ const (
 // FailureSpecError is the typed validation error for fault and repair
 // configuration: malformed Config.Scenario timelines (out-of-range
 // indices, double crashes, revive-before-fail, same-instant fault-
-// domain double-booking) and contradictory RepairSLO settings. Field
-// names the rejected setting, "Scenario" or "RepairSLO".
+// domain double-booking) and a RepairSLO on a single rack, which has no
+// spine to pace. Field names the rejected setting, "Scenario" or
+// "RepairSLO".
 type FailureSpecError = core.FailureSpecError
 
 // RepairSLO configures the latency-SLO-aware repair rate controller
-// (Config.RepairSLO): the foreground read p99 target the pacer defends,
-// the min/max repair admission rate bounds, and the sensor window and
-// tick interval. The zero value disables pacing.
+// (Config.RepairSLO): the foreground read p99 target the pacer defends.
+// The repair admission rate moves between a fixed 1 MB/s floor and the
+// spine's capacity (Config.CrossRackMBps). The zero value disables
+// pacing.
 type RepairSLO = core.RepairSLO
 
 // RatePoint is one entry of Result.RepairRateTimeline: the repair

@@ -88,3 +88,33 @@ func TestRackSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestRunSealsRecorder: a finished Run leaves its Recorder holding only
+// sealed chunks. The staging buffer, a chunk's samples as plain uint64
+// columns (768 KiB), must not outlive the run, so the heap freed by
+// dropping the Recorder of a run that completed a few thousand requests
+// is at most 13.5 bytes per sample.
+func TestRunSealsRecorder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Warmup = 50 * sim.Millisecond
+	cfg.Duration = 300 * sim.Millisecond
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := res.Recorder.Len()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var with, without runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle frees what sync.Pools kept through the first
+	runtime.ReadMemStats(&with)
+	res.Recorder = nil
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	runtime.KeepAlive(res)
+	perSample := float64(int64(with.HeapAlloc)-int64(without.HeapAlloc)) / float64(n)
+	t.Logf("the Recorder of %d samples held %.3f heap bytes per sample", n, perSample)
+	if perSample > 13.5 {
+		t.Errorf("the Recorder holds %.3f bytes per sample after Run, want at most 13.5", perSample)
+	}
+}

@@ -165,6 +165,7 @@ func (r *Rack) Run() *Result {
 		r.eng.ScheduleAfter(pacerInterval, labelPacedTick, r.pacer.tickEv)
 	}
 	r.eng.Run()
+	r.rec.Seal()
 
 	res := r.res
 	res.Recorder = r.rec

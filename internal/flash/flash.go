@@ -195,10 +195,14 @@ func NewArray(geo Geometry, prof Profile) (*Array, error) {
 	}
 	a := &Array{Geo: geo, Profile: prof}
 	a.Chips = make([]Chip, geo.TotalChips())
+	// One allocation holds every block's page states; each block's slice
+	// is capped at its own pages, so no append can run into the next.
+	states, ppb := make([]PageState, geo.TotalPages()), geo.PagesPerBlock
 	for i := range a.Chips {
 		blocks := make([]Block, geo.BlocksPerChip)
 		for b := range blocks {
-			blocks[b].State = make([]PageState, geo.PagesPerBlock)
+			blocks[b].State = states[:ppb:ppb]
+			states = states[ppb:]
 		}
 		a.Chips[i].Blocks = blocks
 	}

@@ -42,7 +42,7 @@ type chipAlloc struct {
 type FTL struct {
 	dev     *Device
 	chips   []*chipAlloc
-	mapping []int // LPN -> global PPN, -1 when unmapped
+	mapping []int32 // LPN -> global PPN, -1 when unmapped
 	// reverse maps every global PPN of the device to the LPN this FTL
 	// stored there, -1 for pages it does not map. It is private to the
 	// FTL, not an out-of-band field of the flash page: a lender's victim
@@ -78,7 +78,7 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 	geo := dev.Geometry()
 	devicePages := geo.TotalPages()
 	if devicePages > math.MaxInt32 {
-		return nil, fmt.Errorf("ssd: %d device pages overflow the reverse map", devicePages)
+		return nil, fmt.Errorf("ssd: %d device pages overflow the int32 page maps", devicePages)
 	}
 	f := &FTL{
 		dev:           dev,
@@ -107,7 +107,7 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 	if f.logicalPages < 1 {
 		return nil, errors.New("ssd: logical space rounds to zero pages")
 	}
-	f.mapping = make([]int, f.logicalPages)
+	f.mapping = make([]int32, f.logicalPages)
 	for i := range f.mapping {
 		f.mapping[i] = -1
 	}
@@ -181,7 +181,7 @@ func (f *FTL) Read(lpn int) (flash.Addr, error) {
 	if ppn < 0 {
 		return flash.Addr{}, ErrUnmapped
 	}
-	return f.dev.Geometry().AddrOf(ppn), nil
+	return f.dev.Geometry().AddrOf(int(ppn)), nil
 }
 
 // Write allocates a fresh physical page for the logical page, updating the
@@ -204,13 +204,13 @@ func (f *FTL) Write(lpn int) (flash.Addr, error) {
 func (f *FTL) commitMapping(lpn int, addr flash.Addr) {
 	geo := f.dev.Geometry()
 	if old := f.mapping[lpn]; old >= 0 {
-		if err := f.dev.Array().Invalidate(geo.AddrOf(old)); err != nil {
+		if err := f.dev.Array().Invalidate(geo.AddrOf(int(old))); err != nil {
 			panic(fmt.Sprintf("ssd: corrupt mapping for lpn %d: %v", lpn, err))
 		}
 		f.reverse[old] = -1
 	}
 	ppn := geo.PPN(addr)
-	f.mapping[lpn] = ppn
+	f.mapping[lpn] = int32(ppn)
 	f.reverse[ppn] = int32(lpn)
 }
 

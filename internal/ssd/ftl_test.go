@@ -623,7 +623,7 @@ func TestReverseTableMatchesMapModel(t *testing.T) {
 				model := map[int]int{}
 				for l, ppn := range ftl.mapping {
 					if ppn >= 0 {
-						model[ppn] = l
+						model[int(ppn)] = l
 					}
 				}
 				for ppn := 0; ppn < geo.TotalPages(); ppn++ {

@@ -1,10 +1,11 @@
 // Package stats collects latency samples and computes the summary
 // statistics reported throughout the RackBlox evaluation: percentiles
 // (P50..P99.9), means, throughput, and per-stage latency breakdowns.
-// A Recorder keeps every sample of a run, 13 bytes each: four 24-bit
-// stage latencies and a flags byte, with Total rebuilt as the sum of the
-// stages. Every value it records round-trips exactly, so each percentile
-// is computed from all the samples rather than estimated.
+// A Recorder keeps every sample of a run in sealed chunks whose columns
+// are bit-packed at the widths each chunk's own values need, about 9 to
+// 10 bytes per simulated request. Every value it records round-trips
+// exactly, so each percentile is computed from all the samples rather
+// than estimated.
 package stats
 
 import (
@@ -15,8 +16,9 @@ import (
 // Sample is one completed I/O request with its per-stage latencies,
 // all in nanoseconds of virtual time. The simulator's stages are
 // non-negative and tile the request's lifetime, so they sum to Total. A
-// Recorder stores any Sample exactly, and in 13 bytes when that holds
-// and each stage is below 2^24-1 ns.
+// Recorder stores any Sample exactly; it spends no bits on a Total that
+// is that sum, and on each stage about as many bits as the stage's
+// values in its chunk need.
 type Sample struct {
 	// Total is the end-to-end latency observed by the client.
 	Total int64
@@ -38,84 +40,38 @@ type Sample struct {
 // the "Stor" series of Fig. 15.
 func (s Sample) Storage() int64 { return s.Queue + s.Device }
 
-// recorderChunk is how many samples one chunk of a Recorder holds.
+// recorderChunk is how many samples a Recorder stages before it seals
+// them into a chunk.
 const recorderChunk = 16 << 10
-
-// The stage latencies of a Sample, in the order of a chunk's columns.
-// Total has no column: it is the sum of the stages.
-const (
-	colNetIn = iota
-	colQueue
-	colDevice
-	colNetOut
-	numCols
-	// wideTotal indexes, among the overflow lists, the Totals that are
-	// not the sum of their stages.
-	wideTotal = numCols
-)
-
-// escaped marks a column entry whose value lies outside [0, escaped-1]:
-// the exact value is the column's next entry in Recorder.wide.
-const escaped = 1<<24 - 1
-
-// wideCap is how many values each overflow list holds before it first
-// grows. The lists are allocated with the Recorder, so a run whose
-// escapes fit records them without allocating.
-const wideCap = 256
-
-// Bits of a chunk's flags column.
-const (
-	flagWrite uint8 = 1 << iota
-	flagRedirected
-	// flagTotal marks a sample whose Total is not the sum of its stages:
-	// the exact Total is the next entry in Recorder.wide[wideTotal].
-	flagTotal
-)
-
-// chunk stores recorderChunk samples as columns, in one allocation of
-// 13 bytes per sample: each stage as a 24-bit count of nanoseconds, split
-// into a low uint16 and a high uint8 column, and the flags as one byte.
-type chunk struct {
-	lo    [numCols][recorderChunk]uint16
-	hi    [numCols][recorderChunk]uint8
-	flags [recorderChunk]uint8
-}
 
 // Recorder accumulates samples for one experiment run. Every recorded
 // value round-trips exactly: RawSamples returns what Add was given, and
 // every Dist is the one a slice of those samples gives.
 //
-// Samples live in columnar chunks of recorderChunk, allocated as the run
-// needs them and kept across Reset, so recording never copies what is
-// already recorded. A chunk stores the four stages and the flags, not
-// Total: the simulator's stages tile each request's lifetime, so Total is
-// their sum, and readers rebuild it as such. A sample costs 13 bytes as
-// long as that holds and every stage lies in [0, 2^24-2] ns, about
-// 16.8 ms. A stage outside that range is stored as escaped, and a Total
-// that is not the (wrapping int64) sum of its stages sets flagTotal; both
-// append the exact value to an overflow list.
+// Add stages samples as plain uint64 columns in one buffer of
+// recorderChunk rows, allocated by the first Add. A full buffer is
+// sealed into a chunk, one exact-size allocation in which each column is
+// bit-packed at the width that minimizes that chunk's bytes, and the
+// buffer is reused; Seal seals a partial buffer and frees it. The
+// columns are the four stages; Total less their (wrapping int64) sum,
+// zigzag-encoded, so that a simulated request's Total costs nothing; and
+// the two flags, at most 2 bits. A value too wide for its column's width
+// is kept, with its row, in its chunk's exception lists.
 // It is not safe for concurrent use; the simulation is single-threaded.
 type Recorder struct {
-	chunks []*chunk
-	n      int
-	// wide holds, for each column in recording order, the values that
-	// column stores as escaped, then the Totals of the samples flagged
-	// flagTotal.
-	wide [numCols + 1][]int64
+	chunks []chunk
+	// staging holds the staged samples, the first staged rows of each
+	// column; nil before the first Add and after Seal.
+	staging *[numCols][recorderChunk]uint64
+	staged  int
+	n       int
 	// start/end bound the measurement window for throughput.
 	start, end int64
 	redirects  int
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	r := &Recorder{}
-	backing := make([]int64, len(r.wide)*wideCap)
-	for k := range r.wide {
-		r.wide[k] = backing[k*wideCap : k*wideCap : (k+1)*wideCap]
-	}
-	return r
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Add records one completed request finishing at virtual time now.
 func (r *Recorder) Add(s Sample, now int64) {
@@ -125,20 +81,16 @@ func (r *Recorder) Add(s Sample, now int64) {
 	if now > r.end {
 		r.end = now
 	}
-	c, i := r.n/recorderChunk, r.n%recorderChunk
-	if c == len(r.chunks) {
-		r.chunks = append(r.chunks, new(chunk))
+	if r.staging == nil {
+		r.staging = new([numCols][recorderChunk]uint64)
 	}
-	ch := r.chunks[c]
-	r.narrow(ch, colNetIn, i, s.NetIn)
-	r.narrow(ch, colQueue, i, s.Queue)
-	r.narrow(ch, colDevice, i, s.Device)
-	r.narrow(ch, colNetOut, i, s.NetOut)
-	var flags uint8
-	if s.Total != s.NetIn+s.Queue+s.Device+s.NetOut {
-		flags |= flagTotal
-		r.wide[wideTotal] = append(r.wide[wideTotal], s.Total)
-	}
+	b, i := r.staging, r.staged
+	b[colNetIn][i] = uint64(s.NetIn)
+	b[colQueue][i] = uint64(s.Queue)
+	b[colDevice][i] = uint64(s.Device)
+	b[colNetOut][i] = uint64(s.NetOut)
+	b[colTotal][i] = zigzag(s.Total - (s.NetIn + s.Queue + s.Device + s.NetOut))
+	var flags uint64
 	if s.Write {
 		flags |= flagWrite
 	}
@@ -146,54 +98,64 @@ func (r *Recorder) Add(s Sample, now int64) {
 		flags |= flagRedirected
 		r.redirects++
 	}
-	ch.flags[i] = flags
+	b[colFlags][i] = flags
 	r.n++
-}
-
-// narrow stores v as row i of column col of ch.
-func (r *Recorder) narrow(ch *chunk, col, i int, v int64) {
-	if uint64(v) >= escaped {
-		r.wide[col] = append(r.wide[col], v)
-		v = escaped
+	if r.staged++; r.staged == recorderChunk {
+		r.seal()
 	}
-	ch.lo[col][i] = uint16(v)
-	ch.hi[col][i] = uint8(v >> 16)
 }
 
-// cursor counts, for each overflow list, the entries read so far in
-// recording order.
-type cursor [numCols + 1]int
-
-// stage returns the value of row i of column col of ch.
-func (r *Recorder) stage(ch *chunk, col, i int, next *cursor) int64 {
-	v := int64(ch.lo[col][i]) | int64(ch.hi[col][i])<<16
-	if v != escaped {
-		return v
+// Seal packs the staged samples into a chunk of their own and frees the
+// staging buffer, so that the recorder holds only what its samples need.
+// Call it when a run has finished recording; a later Add stages anew.
+func (r *Recorder) Seal() {
+	if r.staged > 0 {
+		r.seal()
 	}
-	return r.pop(col, next)
+	r.staging = nil
 }
 
-// total returns the Total of a sample with flags f whose stages sum to
-// sum.
-func (r *Recorder) total(f uint8, sum int64, next *cursor) int64 {
-	if f&flagTotal == 0 {
-		return sum
+// seal packs the staged samples into a new chunk.
+func (r *Recorder) seal() {
+	r.chunks = append(r.chunks, sealChunk(r.stagedColumns()))
+	r.staged = 0
+}
+
+// stagedColumns returns the staged rows of every column.
+func (r *Recorder) stagedColumns() *[numCols][]uint64 {
+	var cols [numCols][]uint64
+	for c := range cols {
+		cols[c] = r.staging[c][:r.staged]
 	}
-	return r.pop(wideTotal, next)
+	return &cols
 }
 
-// pop returns the next unread entry of overflow list k.
-func (r *Recorder) pop(k int, next *cursor) int64 {
-	w := r.wide[k][next[k]]
-	next[k]++
-	return w
+// zigzag maps small negative and positive v alike to small values.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// each calls f with the rows of every chunk in recording order, the
+// staged ones last: cols[c] holds them for each column c in need, decoded
+// into a buffer that f must not keep.
+func (r *Recorder) each(need []int, f func(cols *[numCols][]uint64)) {
+	var buf, cols [numCols][]uint64
+	for i := range r.chunks {
+		ch := &r.chunks[i]
+		for _, c := range need {
+			if buf[c] == nil {
+				buf[c] = make([]uint64, recorderChunk)
+			}
+			cols[c] = buf[c][:ch.n]
+			ch.column(c, cols[c])
+		}
+		f(&cols)
+	}
+	if r.staged > 0 {
+		f(r.stagedColumns())
+	}
 }
-
-// rows returns how many samples chunk c holds.
-func (r *Recorder) rows(c int) int { return min(recorderChunk, r.n-c*recorderChunk) }
-
-// used returns how many chunks hold samples.
-func (r *Recorder) used() int { return (r.n + recorderChunk - 1) / recorderChunk }
 
 // Len returns the number of recorded samples.
 func (r *Recorder) Len() int { return r.n }
@@ -201,43 +163,38 @@ func (r *Recorder) Len() int { return r.n }
 // Redirects returns how many samples were redirected by the switch.
 func (r *Recorder) Redirects() int { return r.redirects }
 
-// Reset clears all samples while keeping the allocated chunks.
-func (r *Recorder) Reset() {
-	r.n = 0
-	for k := range r.wide {
-		r.wide[k] = r.wide[k][:0]
-	}
-	r.start, r.end, r.redirects = 0, 0, 0
-}
-
-// stages lists every column; their sum is Total.
+// stages lists the stage columns; Total is their sum.
 var stages = []int{colNetIn, colQueue, colDevice, colNetOut}
 
 // dist returns the sorted distribution, over the samples whose flags
-// masked by mask equal want, of the sum of the given columns, or of Total
-// when cols is empty. It reads only the flags and the columns it sums.
-func (r *Recorder) dist(mask, want uint8, cols ...int) Dist {
+// masked by mask equal want, of the sum of the given stage columns, or of
+// Total when cols is empty. It decodes only the flags and the columns it
+// sums.
+func (r *Recorder) dist(mask, want uint64, cols ...int) Dist {
 	isTotal := len(cols) == 0
 	if isTotal {
 		cols = stages
 	}
+	need := append([]int{colFlags}, cols...)
+	if isTotal {
+		need = append(need, colTotal)
+	}
 	out := make([]int64, 0, r.n)
-	var next cursor
-	for c := range r.used() {
-		ch := r.chunks[c]
-		for i, f := range ch.flags[:r.rows(c)] {
+	r.each(need, func(c *[numCols][]uint64) {
+		for i, f := range c[colFlags] {
+			if f&mask != want {
+				continue
+			}
 			var v int64
 			for _, col := range cols {
-				v += r.stage(ch, col, i, &next)
+				v += int64(c[col][i])
 			}
 			if isTotal {
-				v = r.total(f, v, &next)
+				v += unzigzag(c[colTotal][i])
 			}
-			if f&mask == want {
-				out = append(out, v)
-			}
+			out = append(out, v)
 		}
-	}
+	})
 	slices.Sort(out)
 	return Dist{out}
 }
@@ -317,39 +274,12 @@ func (d Dist) P95() int64  { return d.Percentile(95) }
 func (d Dist) P99() int64  { return d.Percentile(99) }
 func (d Dist) P999() int64 { return d.Percentile(99.9) }
 
-// CDFPoint is one (percentile, latency) point of a tail CDF.
-type CDFPoint struct {
-	Pct     float64
-	Latency int64
-}
-
-// TailCDF evaluates the distribution at the percentiles used in Figs. 16
-// and 19 (98.5, 99, 99.5, 99.9) unless explicit points are given.
-func (d Dist) TailCDF(pcts ...float64) []CDFPoint {
-	if len(pcts) == 0 {
-		pcts = []float64{98.5, 99, 99.5, 99.9}
-	}
-	out := make([]CDFPoint, len(pcts))
-	for i, p := range pcts {
-		out[i] = CDFPoint{Pct: p, Latency: d.Percentile(p)}
-	}
-	return out
-}
-
 // Ms formats a nanosecond latency as milliseconds with two decimals,
 // the unit used in the paper's figures.
 func Ms(ns int64) string { return fmt.Sprintf("%.2fms", float64(ns)/1e6) }
 
 // Us formats a nanosecond latency as microseconds.
 func Us(ns int64) string { return fmt.Sprintf("%.1fus", float64(ns)/1e3) }
-
-// Normalize returns v/base, guarding against a zero base.
-func Normalize(v, base int64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return float64(v) / float64(base)
-}
 
 // Speedup returns base/v (how many times faster v is than base).
 func Speedup(base, v int64) float64 {
@@ -363,21 +293,19 @@ func Speedup(base, v int64) float64 {
 // for diagnostic tooling.
 func RawSamples(r *Recorder) []Sample {
 	out := make([]Sample, 0, r.n)
-	var next cursor
-	for c := range r.used() {
-		ch := r.chunks[c]
-		for i, f := range ch.flags[:r.rows(c)] {
+	r.each([]int{colNetIn, colQueue, colDevice, colNetOut, colTotal, colFlags}, func(c *[numCols][]uint64) {
+		for i, f := range c[colFlags] {
 			s := Sample{
-				NetIn:      r.stage(ch, colNetIn, i, &next),
-				Queue:      r.stage(ch, colQueue, i, &next),
-				Device:     r.stage(ch, colDevice, i, &next),
-				NetOut:     r.stage(ch, colNetOut, i, &next),
+				NetIn:      int64(c[colNetIn][i]),
+				Queue:      int64(c[colQueue][i]),
+				Device:     int64(c[colDevice][i]),
+				NetOut:     int64(c[colNetOut][i]),
 				Write:      f&flagWrite != 0,
 				Redirected: f&flagRedirected != 0,
 			}
-			s.Total = r.total(f, s.NetIn+s.Queue+s.Device+s.NetOut, &next)
+			s.Total = s.NetIn + s.Queue + s.Device + s.NetOut + unzigzag(c[colTotal][i])
 			out = append(out, s)
 		}
-	}
+	})
 	return out
 }

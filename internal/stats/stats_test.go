@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,35 +133,6 @@ func TestRedirectCounting(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := rec(1, 2, 3)
-	r.Reset()
-	if r.Len() != 0 || r.Throughput() != 0 {
-		t.Fatal("reset did not clear recorder")
-	}
-}
-
-func TestTailCDFDefaults(t *testing.T) {
-	vals := make([]int64, 1000)
-	for i := range vals {
-		vals[i] = int64(i + 1)
-	}
-	d := rec(vals...).All()
-	pts := d.TailCDF()
-	if len(pts) != 4 {
-		t.Fatalf("default CDF points = %d, want 4", len(pts))
-	}
-	wantPcts := []float64{98.5, 99, 99.5, 99.9}
-	for i, p := range pts {
-		if p.Pct != wantPcts[i] {
-			t.Errorf("point %d pct = %f, want %f", i, p.Pct, wantPcts[i])
-		}
-		if p.Latency != int64(wantPcts[i]*10) {
-			t.Errorf("P%.1f = %d, want %d", p.Pct, p.Latency, int64(wantPcts[i]*10))
-		}
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Ms(2_500_000) != "2.50ms" {
 		t.Fatalf("Ms = %q", Ms(2_500_000))
@@ -173,12 +143,6 @@ func TestFormatters(t *testing.T) {
 }
 
 func TestNormalizeAndSpeedup(t *testing.T) {
-	if Normalize(50, 100) != 0.5 {
-		t.Fatal("normalize")
-	}
-	if Normalize(50, 0) != 0 {
-		t.Fatal("normalize zero base")
-	}
 	if Speedup(100, 50) != 2 {
 		t.Fatal("speedup")
 	}
@@ -246,10 +210,9 @@ func TestPercentileMembershipProperty(t *testing.T) {
 	}
 }
 
-// edges are the values at and beyond the bounds of a chunk's 24-bit
-// columns, where 2^24-1 is the escape marker, and of 32 and 64 bits: no
-// int64 may be lost.
-var edges = []int64{math.MinInt64, -1 << 32, -1, 0, 1, escaped - 1, escaped, escaped + 1,
+// edges are values at and beyond the ends of common column widths, 24,
+// 32 and 64 bits: no int64 may be lost.
+var edges = []int64{math.MinInt64, -1 << 32, -1, 0, 1, 1<<24 - 2, 1<<24 - 1, 1 << 24,
 	math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 1, math.MaxInt64}
 
 // stageSum is the wrapping int64 sum of the stages of s: a Total equal to
@@ -340,12 +303,17 @@ func sliceModelMismatch(r *Recorder, model []Sample, start, end int64) string {
 	return ""
 }
 
-// Property: a Recorder spanning at least three chunks answers exactly as
-// one sample slice does, with stages drawn across the column edges and
-// three Totals in four the (wrapping) sum of their stages, and, after
-// Reset, refills its kept chunks the same way. Each seed must draw Totals
-// rebuilt from sums that wrap int64 and Totals stored apart, so every
-// path is taken.
+// Property: a Recorder answers exactly as one sample slice does while
+// it stages samples, after Seal, and after Adds that follow a Seal. Each
+// seed records four full chunks, one per regime in a random order, and a
+// partial one, seals, then adds up to two chunks more and seals again.
+// The regimes are: stages across the edges with three Totals in four the
+// (wrapping) sum of their stages; all zero, so each stage column packs
+// to width 0; negative, so each packs to width 64; and below 2^12 but
+// one in 200 exactly 2^12, so each stage column packs to width 12 with
+// exceptions at its boundary. Each seed must draw Totals rebuilt from
+// sums that wrap int64 and Totals stored apart, and seal stage columns of
+// widths 0, 12 and 64, so every path is taken.
 func TestRecorderChunksMatchSliceModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -359,43 +327,88 @@ func TestRecorderChunksMatchSliceModel(t *testing.T) {
 				return int64(rng.Intn(scale))
 			}
 		}
-		r := NewRecorder()
-		chunks, wrapped, apart := 0, 0, 0
-		for _, n := range []int{3*recorderChunk + rng.Intn(recorderChunk), 1 + rng.Intn(2*recorderChunk)} {
-			r.Reset()
-			var model []Sample
-			var start, last int64
-			for i := 0; i < n; i++ {
-				s := Sample{NetIn: field(1e4), Queue: field(1e4), Device: field(2e7), NetOut: field(1e4),
-					Write: rng.Intn(3) == 0, Redirected: rng.Intn(5) == 0}
-				if s.Total = stageSum(s); rng.Intn(4) == 0 {
+		boundary := func() int64 {
+			if rng.Intn(200) == 0 {
+				return 1 << 12
+			}
+			return rng.Int63n(1 << 12)
+		}
+		regimes := []func(s *Sample){
+			func(s *Sample) {
+				*s = Sample{NetIn: field(1e4), Queue: field(1e4), Device: field(2e7), NetOut: field(1e4)}
+				if rng.Intn(4) == 0 {
 					s.Total = field(1e6)
+					return
 				}
+				s.Total = stageSum(*s)
+			},
+			func(s *Sample) { *s = Sample{} },
+			func(s *Sample) {
+				*s = Sample{NetIn: -1 - rng.Int63n(1e4), Queue: -rng.Int63(), Device: math.MinInt64, NetOut: -1}
+				s.Total = stageSum(*s)
+			},
+			func(s *Sample) {
+				*s = Sample{NetIn: boundary(), Queue: boundary(), Device: boundary(), NetOut: boundary()}
+				s.Total = stageSum(*s)
+			},
+		}
+		r := NewRecorder()
+		var model []Sample
+		var start, last int64
+		wrapped, apart := 0, 0
+		record := func(regime, n int) {
+			for range n {
+				var s Sample
+				regimes[regime](&s)
+				s.Write, s.Redirected = rng.Intn(3) == 0, rng.Intn(5) == 0
 				if s.Total != stageSum(s) {
 					apart++
 				} else if sumWraps(s) {
 					wrapped++
 				}
 				last += int64(rng.Intn(1e4))
-				if i == 0 {
+				if len(model) == 0 {
 					start = last
 				}
 				r.Add(s, last)
 				model = append(model, s)
 			}
+		}
+		check := func(when string) bool {
 			if msg := sliceModelMismatch(r, model, start, last); msg != "" {
-				t.Logf("seed %d, %d samples: %s", seed, n, msg)
+				t.Logf("seed %d, %d samples %s: %s", seed, len(model), when, msg)
 				return false
 			}
-			if chunks == 0 {
-				chunks = len(r.chunks)
-			} else if len(r.chunks) != chunks {
-				t.Logf("seed %d: the refill after Reset allocated chunks", seed)
-				return false
+			return true
+		}
+		for _, regime := range rng.Perm(len(regimes)) {
+			record(regime, recorderChunk)
+		}
+		record(0, 1+rng.Intn(recorderChunk-1))
+		if !check("staged") {
+			return false
+		}
+		r.Seal()
+		if !check("sealed") {
+			return false
+		}
+		record(0, 1+rng.Intn(2*recorderChunk))
+		if !check("added after a seal") {
+			return false
+		}
+		r.Seal()
+		if !check("sealed twice") {
+			return false
+		}
+		widths := map[uint8]bool{}
+		for _, ch := range r.chunks {
+			for _, c := range stages {
+				widths[ch.width[c]] = true
 			}
 		}
-		if wrapped == 0 || apart == 0 {
-			t.Logf("seed %d drew %d Totals from wrapping sums and %d apart from their sums", seed, wrapped, apart)
+		if wrapped == 0 || apart == 0 || !widths[0] || !widths[12] || !widths[64] {
+			t.Logf("seed %d drew %d Totals from wrapping sums and %d apart from their sums, and sealed stage widths %v",
+				seed, wrapped, apart, widths)
 			return false
 		}
 		return true
@@ -409,16 +422,17 @@ func TestRecorderChunksMatchSliceModel(t *testing.T) {
 // chunks.
 const maxFuzzSamples = 3*recorderChunk + 100
 
-// decodeSamples reads fuzz input as records. A record's head byte holds
-// Write (bit 0), Redirected (bit 1), sum (bit 2) and k (bits 4-7): the
-// sample repeats 2^k times, so short inputs cross chunk boundaries. Its
-// fields follow: Total, unless sum is set and Total is the wrapping sum
-// of the stages, then NetIn to NetOut. Each is a tag byte t and its
-// payload: t%4 = 0 is the value t/4, 1 is edges[t/4 % len(edges)], 2 a
-// little-endian uint32 of the next 4 bytes and 3 an int64 of the next 8.
-// A truncated record ends the input.
-func decodeSamples(data []byte) []Sample {
-	var out []Sample
+// decodeSamples reads fuzz input as records, and returns their samples
+// and, in order, the sample indices before which the recorder is sealed.
+// A record's head byte holds Write (bit 0), Redirected (bit 1), sum (bit
+// 2), seal (bit 3) and k (bits 4-7): the sample repeats 2^k times, so
+// short inputs cross chunk boundaries, and when seal is set the recorder
+// is sealed before the first repeat. Its fields follow: Total, unless sum
+// is set and Total is the wrapping sum of the stages, then NetIn to
+// NetOut. Each is a tag byte t and its payload: t%4 = 0 is the value t/4,
+// 1 is edges[t/4 % len(edges)], 2 a little-endian uint32 of the next 4
+// bytes and 3 an int64 of the next 8. A truncated record ends the input.
+func decodeSamples(data []byte) (out []Sample, seals []int) {
 	for len(data) > 0 && len(out) < maxFuzzSamples {
 		head := data[0]
 		data = data[1:]
@@ -429,7 +443,7 @@ func decodeSamples(data []byte) []Sample {
 		}
 		for _, field := range fields {
 			if len(data) == 0 {
-				return out
+				return out, seals
 			}
 			t := data[0]
 			data = data[1:]
@@ -440,13 +454,13 @@ func decodeSamples(data []byte) []Sample {
 				*field = edges[int(t/4)%len(edges)]
 			case 2:
 				if len(data) < 4 {
-					return out
+					return out, seals
 				}
 				*field = int64(binary.LittleEndian.Uint32(data))
 				data = data[4:]
 			case 3:
 				if len(data) < 8 {
-					return out
+					return out, seals
 				}
 				*field = int64(binary.LittleEndian.Uint64(data))
 				data = data[8:]
@@ -455,33 +469,19 @@ func decodeSamples(data []byte) []Sample {
 		if head&4 != 0 {
 			s.Total = stageSum(s)
 		}
+		if head&8 != 0 {
+			seals = append(seals, len(out))
+		}
 		for range min(1<<(head>>4), maxFuzzSamples-len(out)) {
 			out = append(out, s)
 		}
 	}
-	return out
+	return out, seals
 }
 
-// renderMismatch renders d as a histogram and as a CDF, width columns
-// wide, and describes the first bar wider than that or a histogram whose
-// bucket counts do not add up to d.Len(); "" means neither.
+// renderMismatch renders d as a CDF, width columns wide, and describes
+// the first bar wider than that; "" means none.
 func renderMismatch(d Dist, width int) string {
-	n := 0
-	for _, line := range strings.Split(strings.TrimSuffix(d.Histogram(10, width), "\n"), "\n") {
-		if bar := strings.Count(line, "#"); bar > width {
-			return fmt.Sprintf("histogram bar of %d in %d columns: %q", bar, width, line)
-		}
-		if d.Len() > 0 {
-			c, err := strconv.Atoi(line[strings.LastIndexByte(line, ' ')+1:])
-			if err != nil {
-				return fmt.Sprintf("histogram line %q: %v", line, err)
-			}
-			n += c
-		}
-	}
-	if n != d.Len() {
-		return fmt.Sprintf("histogram counts %d of %d values", n, d.Len())
-	}
 	for _, line := range strings.Split(d.PlotCDF("cdf", width), "\n") {
 		if bar := strings.Count(line, "#"); bar > width {
 			return fmt.Sprintf("CDF bar of %d in %d columns: %q", bar, width, line)
@@ -491,7 +491,8 @@ func renderMismatch(d Dist, width int) string {
 }
 
 // FuzzRecorderRoundTrip: byte-decoded samples, recorded one per
-// nanosecond, give a Recorder that answers exactly as their slice does,
+// nanosecond with the seals the input asks for, give a Recorder that
+// answers exactly as their slice does, before and after a final Seal,
 // and every distribution renders.
 func FuzzRecorderRoundTrip(f *testing.F) {
 	le32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
@@ -499,11 +500,12 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 	edge := func(i byte) byte { return 0x01 | i<<2 }
 	f.Add([]byte{})
 	// One write: 40, MinInt64, 2^24-2, 2^24-1, MinInt64.
-	f.Add(slices.Concat([]byte{0x01, 40 << 2, edge(0), 0x02}, le32(escaped-1), []byte{0x02},
-		le32(escaped), []byte{0x03}, le64(math.MinInt64)))
-	// A redirected read with escaped fields (2^24-1, MaxInt64, -5, 0, -1)
-	// 2^15 times, across two chunk boundaries, then a read 1, 7, 2^24, 0,
-	// 0. Neither Total is the sum of its stages.
+	f.Add(slices.Concat([]byte{0x01, 40 << 2, edge(0), 0x02}, le32(1<<24-2), []byte{0x02},
+		le32(1<<24-1), []byte{0x03}, le64(math.MinInt64)))
+	// A redirected read 2^24-1, MaxInt64, -5, 0, -1 2^15 times, across
+	// two chunk boundaries (its Queue and NetOut columns pack to width 64),
+	// then a read 1, 7, 2^24, 0, 0. Neither Total is the sum of its
+	// stages.
 	f.Add(slices.Concat([]byte{0xF2, edge(6), edge(11), 0x03}, le64(-5), []byte{0x00, edge(2)},
 		[]byte{0x00, 1 << 2, 0x02}, le32(7), []byte{edge(7), 0x00, 0x00}))
 	// Totals that are the sums of their stages, around one stored apart:
@@ -516,14 +518,30 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 		0x01, 5 << 2, 1 << 2, 1 << 2, 1 << 2, 1 << 2,
 		0xF6, edge(5), edge(2), edge(7), 3 << 2,
 		0x35, edge(0), edge(0), 0x00, 0x00})
+	// Exceptions at a width's boundary: reads with stages 3, 0, 0, 0 2^13
+	// times, 4 = 2^2, 0, 0, 0 16 times, and 3, 0, 0, 0 2^13 times again,
+	// so chunk 0 packs NetIn to width 2 with 16 exceptions of exactly 2^2;
+	// then a seal, which seals the 16 reads left over as a chunk, and a
+	// read with stages MinInt64, MaxInt64, 0, 0 (the sum is -1).
+	f.Add([]byte{0xD4, 3 << 2, 0x00, 0x00, 0x00,
+		0x44, 4 << 2, 0x00, 0x00, 0x00,
+		0xD4, 3 << 2, 0x00, 0x00, 0x00,
+		0x0C, edge(0), edge(11), 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		model := decodeSamples(data)
+		model, seals := decodeSamples(data)
 		r := NewRecorder()
 		for i, s := range model {
+			for len(seals) > 0 && seals[0] == i {
+				r.Seal()
+				seals = seals[1:]
+			}
 			r.Add(s, int64(i))
 		}
-		if msg := sliceModelMismatch(r, model, 0, int64(len(model)-1)); msg != "" {
-			t.Fatalf("%d samples: %s", len(model), msg)
+		for _, when := range []string{"recorded", "sealed"} {
+			if msg := sliceModelMismatch(r, model, 0, int64(len(model)-1)); msg != "" {
+				t.Fatalf("%d samples %s: %s", len(model), when, msg)
+			}
+			r.Seal()
 		}
 		for _, c := range modelReaders {
 			if msg := renderMismatch(c.dist(r), 40); msg != "" {
@@ -533,56 +551,123 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 	})
 }
 
-// TestRecorderFootprint gates what recording costs. Over four chunks of
-// samples whose stages fit the 24-bit columns and sum to their Total, the
-// live heap grows by at most 13.5 bytes per sample (13 is the chunk
-// layout) and each chunk is exactly one allocation. In the second case
-// one sample in 1,000 has a stage beyond the columns: a 256.5 ms NetIn,
-// the largest latency the benchmark workloads record. Its escapes fit the
-// overflow lists allocated with the Recorder, so they add neither heap
-// nor allocations.
-func TestRecorderFootprint(t *testing.T) {
-	const chunks = 4
-	rng := rand.New(rand.NewSource(1))
-	inRange := make([]Sample, 1000)
-	for i := range inRange {
-		s := Sample{NetIn: rng.Int63n(escaped), Queue: rng.Int63n(escaped), Device: rng.Int63n(escaped),
-			NetOut: rng.Int63n(escaped), Write: i%2 == 0, Redirected: i%5 == 0}
-		s.Total = stageSum(s)
-		inRange[i] = s
+// Bit-length histograms of the stages of ycsb-c's seed-1 requests:
+// lengths[i] counts the stages of bit length i+first.
+var (
+	netHist    = bitHist{15, []int64{5, 15577, 381182, 328319, 20839, 37206, 16491, 603, 77, 10, 7, 2, 1}}
+	queueHist  = bitHist{0, []int64{5, 9, 12, 37, 70, 135, 282, 547, 996, 2095, 4053, 8097, 780617, 298, 588, 857, 953, 498, 154, 16}}
+	deviceHist = bitHist{17, []int64{658835, 133972, 7512}}
+)
+
+type bitHist struct {
+	first   int
+	lengths []int64
+}
+
+// draw returns a value whose bit length is drawn from h, uniform among
+// the values of that length.
+func (h bitHist) draw(rng *rand.Rand) int64 {
+	var total int64
+	for _, n := range h.lengths {
+		total += n
 	}
-	oneEscape := slices.Clone(inRange)
-	oneEscape[0].NetIn = 256_500_000
-	oneEscape[0].Total = stageSum(oneEscape[0])
+	x := rng.Int63n(total)
+	b := h.first
+	for _, n := range h.lengths {
+		if x < n {
+			break
+		}
+		x -= n
+		b++
+	}
+	if b == 0 {
+		return 0
+	}
+	return 1<<(b-1) | rng.Int63n(1<<(b-1))
+}
+
+// TestRecorderFootprint gates what recording costs: the live heap a
+// sealed Recorder grows by per sample, and one allocation per sealed
+// chunk besides the staging buffer, which the first Add allocates and
+// Seal frees. Each case records four and a half chunks, so that Seal
+// seals a partial one, of stages that sum to their Totals, in two shapes:
+//   - workload: stages drawn from the bit-length histograms of a
+//     simulated run (NetIn and NetOut near 2^17 with a congestion tail to
+//     2^27, Queue near 2^12, Device 2^17 to 2^19), at most 10 bytes per
+//     sample;
+//   - in-range: stages uniform in [0, 2^24-2], at most 13.5 bytes per
+//     sample.
+//
+// Each shape is recorded as drawn and with one NetIn per 1,000 samples
+// of 256.5 ms, the largest latency the benchmark workloads record.
+func TestRecorderFootprint(t *testing.T) {
+	const n = 4*recorderChunk + recorderChunk/2
+	const chunks = 5
+	workload := func(rng *rand.Rand) Sample {
+		return Sample{NetIn: netHist.draw(rng), Queue: queueHist.draw(rng),
+			Device: deviceHist.draw(rng), NetOut: netHist.draw(rng)}
+	}
+	inRange := func(rng *rand.Rand) Sample {
+		return Sample{NetIn: rng.Int63n(1<<24 - 1), Queue: rng.Int63n(1<<24 - 1),
+			Device: rng.Int63n(1<<24 - 1), NetOut: rng.Int63n(1<<24 - 1)}
+	}
 	for _, tc := range []struct {
-		name    string
-		samples []Sample
-	}{{"in-range", inRange}, {"one-escape-per-1000", oneEscape}} {
+		name     string
+		draw     func(*rand.Rand) Sample
+		escapes  bool
+		maxBytes float64
+	}{
+		{"in-range", inRange, false, 13.5},
+		{"one-escape-per-1000", inRange, true, 13.5},
+		{"workload", workload, false, 10},
+		{"workload-one-escape-per-1000", workload, true, 10},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			samples := make([]Sample, n)
+			for i := range samples {
+				s := tc.draw(rng)
+				if tc.escapes && i%1000 == 0 {
+					s.NetIn = 256_500_000
+				}
+				s.Total, s.Write, s.Redirected = stageSum(s), i%2 == 0, i%5 == 0
+				samples[i] = s
+			}
 			r := NewRecorder()
 			// Size the chunk index up front, so the counts below are the chunks'.
-			r.chunks = make([]*chunk, 0, chunks)
+			r.chunks = make([]chunk, 0, chunks)
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			var before, recorded, after runtime.MemStats
+			var before, staged, recorded, after runtime.MemStats
 			runtime.GC()
 			runtime.GC() // the second cycle frees what sync.Pools kept through the first
 			runtime.ReadMemStats(&before)
-			for i := range chunks * recorderChunk {
-				r.Add(tc.samples[i%len(tc.samples)], int64(i))
+			r.Add(samples[0], 0)
+			runtime.ReadMemStats(&staged)
+			for i, s := range samples[1:] {
+				r.Add(s, int64(i+1))
 			}
+			r.Seal()
 			runtime.ReadMemStats(&recorded)
 			runtime.GC()
 			runtime.ReadMemStats(&after)
 			runtime.KeepAlive(r)
+			runtime.KeepAlive(samples)
 			perSample := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(r.Len())
-			mallocs := recorded.Mallocs - before.Mallocs
-			t.Logf("%d samples, %d escaped: %.3f heap bytes per sample, %d allocations for %d chunks",
-				r.Len(), len(r.wide[colNetIn]), perSample, mallocs, chunks)
-			if perSample > 13.5 {
-				t.Errorf("live heap grew %.3f bytes per sample, want at most 13.5", perSample)
+			mallocs := recorded.Mallocs - staged.Mallocs
+			excs := 0
+			for _, ch := range r.chunks {
+				for _, e := range ch.exc {
+					excs += int(e)
+				}
 			}
-			if mallocs != chunks {
-				t.Errorf("recording %d chunks made %d allocations, want one per chunk", chunks, mallocs)
+			t.Logf("%d samples, %d exceptions: %.3f heap bytes per sample, %d allocations for %d chunks",
+				r.Len(), excs, perSample, mallocs, len(r.chunks))
+			if perSample > tc.maxBytes {
+				t.Errorf("live heap grew %.3f bytes per sample, want at most %v", perSample, tc.maxBytes)
+			}
+			if len(r.chunks) != chunks || mallocs != chunks {
+				t.Errorf("recording %d chunks made %d allocations, want %d chunks, one allocation each",
+					len(r.chunks), mallocs, chunks)
 			}
 		})
 	}

@@ -1,9 +1,9 @@
-// Command wearsim runs the rack-scale wear-leveling simulations of §4.6
-// (Figs. 22 and 23) or a custom configuration.
+// Command wearsim runs one custom configuration of the rack-scale
+// wear-leveling simulation of §4.6. Figs. 22 and 23 themselves come from
+// `rackbench -exp fig22,fig23`.
 //
 // Example:
 //
-//	wearsim -exp fig22
 //	wearsim -weeks 104 -servers 32 -ssds 16 -local 12 -global 56
 package main
 
@@ -12,13 +12,11 @@ import (
 	"fmt"
 	"os"
 
-	"rackblox/internal/experiments"
 	"rackblox/internal/wear"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "fig22 | fig23 (empty = custom run)")
 		weeks   = flag.Int("weeks", 80, "simulation horizon in weeks")
 		servers = flag.Int("servers", 32, "servers in the rack")
 		ssds    = flag.Int("ssds", 16, "SSDs per server")
@@ -28,18 +26,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "placement seed")
 	)
 	flag.Parse()
-
-	if *exp != "" {
-		tables, err := experiments.ByID(*exp, 1, experiments.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wearsim:", err)
-			os.Exit(1)
-		}
-		for _, t := range tables {
-			fmt.Println(t.Format())
-		}
-		return
-	}
 
 	cfg := wear.DefaultConfig()
 	cfg.Servers = *servers

@@ -138,7 +138,7 @@ func (r *Rack) spanFor(seq uint64) *trace.Span {
 func (r *Rack) clientSend(pkt packet.Packet, tor *switchsim.Switch) {
 	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Latency(0, tor.RackID())
 	if tor.RackID() != 0 {
-		hop += r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
+		hop += r.spine.MeterForeground(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
 	r.toTor(hop, labelNetClientSend, tor, pkt)
@@ -163,7 +163,7 @@ func (r *Rack) deliverFromTor(torRack int, pkt packet.Packet) {
 	if torRack != dstRack {
 		// Leaving the rack: the packet pays for (and occupies) the
 		// shared spine alongside repair transfers.
-		hop += r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
+		hop += r.spine.MeterForeground(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
 	}
 	pkt.AddLatency(hop)
 	r.sendHop(hop, labelNetDeliver, hopDeliver, pkt, nil, dstSrv, torRack)

@@ -46,7 +46,7 @@ func (r *Rack) handoff(pkt packet.Packet, rack int) {
 		h.EndAt(r.eng.Now() + r.spine.Propagation())
 		h.Annotate(trace.Int("to_rack", int64(rack)))
 	}
-	delay := r.spine.Propagation() + r.spine.MeterForegroundTraced(r.spine.FrameBytes(pkt), sp)
+	delay := r.spine.Propagation() + r.spine.MeterForeground(r.spine.FrameBytes(pkt), sp)
 	pkt.AddLatency(delay)
 	r.toTor(delay, labelNetHandoff, r.tors[rack], pkt)
 }

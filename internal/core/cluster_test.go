@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	"rackblox/internal/packet"
 	"rackblox/internal/sim"
+	"rackblox/internal/stats"
+	"rackblox/internal/trace"
 )
 
 // clusterConfig is a three-rack, six-servers-per-rack cluster running
@@ -181,5 +186,60 @@ func TestMultiRackReplicationPairsCrossRacks(t *testing.T) {
 	}
 	if res.Recorder.Len() < 3000 {
 		t.Fatalf("only %d samples", res.Recorder.Len())
+	}
+}
+
+// TestCrossRackReplicationIsObserverOnly holds Hermes's cross-rack
+// messages, which meter the spine without a span, to the flight
+// recorder's contract: a traced and metered run of a replicated
+// two-rack cluster with a server failure equals the plain run in
+// everything but the recorder's own output.
+func TestCrossRackReplicationIsObserverOnly(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Racks = 2
+	cfg.StorageServers = 3
+	cfg.Warmup = 50 * sim.Millisecond
+	cfg.Duration = 300 * sim.Millisecond
+	cfg.Scenario = []Event{FailServer(0, 120*sim.Millisecond)}
+
+	r, err := NewRack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(r.pairs, func(p *pair) bool {
+		return p.primary.server.rackIdx != p.replica.server.rackIdx
+	}) {
+		t.Fatal("no replication pair spans both racks")
+	}
+
+	off, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := cfg
+	traced.Trace = trace.Options{Enabled: true, SampleEvery: 4}
+	traced.MetricsInterval = sim.Millisecond
+	on, err := Run(traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if on.Trace == nil || len(on.Trace.Spans) == 0 || on.Timelines == nil || on.Timelines.Len() == 0 {
+		t.Fatal("traced and metered run recorded nothing")
+	}
+	if !slices.Equal(stats.RawSamples(off.Recorder), stats.RawSamples(on.Recorder)) {
+		t.Fatal("traced run's latency samples differ from the plain run's")
+	}
+	on.Trace, on.Timelines, on.TailAttribution = nil, nil, nil
+	on.Config.Trace, on.Config.MetricsInterval = trace.Options{}, 0
+	a, err := json.Marshal(off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(on)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("traced run's Result differs from plain run's\noff: %.400s\non:  %.400s", a, b)
 	}
 }

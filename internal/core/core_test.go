@@ -117,9 +117,6 @@ func TestPreconditionLeavesTargetFreeRatio(t *testing.T) {
 			}
 		}
 	}
-	if r.Keyspace() <= 0 {
-		t.Fatal("keyspace not positive")
-	}
 }
 
 func TestEndToEndSystemOrdering(t *testing.T) {

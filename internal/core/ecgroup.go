@@ -116,17 +116,6 @@ func (g *ecGroup) memberIndex(inst *instance) (int, bool) {
 // are per-rack local parity holders.
 func (g *ecGroup) hasLocalParity() bool { return len(g.insts) > g.spec.Width() }
 
-// localParityOf returns the group's local parity holder for one rack
-// (nil outside the LRC family or for an unoccupied rack).
-func (g *ecGroup) localParityOf(rack int) *instance {
-	for _, m := range g.insts[g.spec.Width():] {
-		if m.server.rackIdx == rack {
-			return m
-		}
-	}
-	return nil
-}
-
 // memberTable derives the per-rack stripe-table rows — member ids and
 // their racks, in placement order. Both the initial registration
 // (buildGroups) and the revival replay (replayToR) install exactly

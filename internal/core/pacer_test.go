@@ -93,10 +93,11 @@ func TestPacedRepairAlwaysCompletes(t *testing.T) {
 }
 
 // TestSpineByteCountersReconcileMidRun is the regression test for the
-// enqueue-time byte accounting bug (sim.Bandwidth counted bytes at
-// Transfer time): stopping the engine mid-run must show delivered <=
-// offered — strictly less while a repair batch is on the wire — and
-// draining the engine reconciles the two exactly.
+// enqueue-time byte accounting bug, which counted spine bytes as moved
+// once their transfer was reserved. The Spine counts delivered bytes in
+// each transfer's completion record, so stopping the engine mid-run must
+// show delivered <= offered — strictly less while a repair batch is on
+// the wire — and draining the engine reconciles the two exactly.
 func TestSpineByteCountersReconcileMidRun(t *testing.T) {
 	cfg := recoveryConfig()
 	cfg.Duration = 200 * sim.Millisecond

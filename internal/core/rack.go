@@ -469,7 +469,7 @@ func (r *Rack) hermesTransport(pri, rep *instance) replication.Transport {
 			// Cross-rack replication is foreground spine traffic too:
 			// invalidations carry the written page, acks a bare header.
 			delay += r.spine.MeterForeground(
-				r.spine.MessageBytes(msg.Type == replication.MsgInv))
+				r.spine.MessageBytes(msg.Type == replication.MsgInv), nil)
 		}
 		m := r.msgs.Get()
 		m.dst, m.msg = dst, msg
@@ -535,17 +535,6 @@ func (r *Rack) precondition() {
 			}
 		}
 	}
-}
-
-// Keyspace returns the per-volume logical key count the workload touches.
-func (r *Rack) Keyspace() int {
-	if len(r.groups) > 0 {
-		g := r.groups[0]
-		perChunk := int(float64(g.insts[0].v.FTL.LogicalPages()) * r.cfg.KeyspaceFrac)
-		return perChunk * g.spec.K
-	}
-	ftl := r.pairs[0].primary.v.FTL
-	return int(float64(ftl.LogicalPages()) * r.cfg.KeyspaceFrac)
 }
 
 // peerOf returns the other member of a two-member channel group, nil when

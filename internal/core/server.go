@@ -67,7 +67,7 @@ func (s *server) receive(pkt packet.Packet) {
 		inst.idle.OnRequest(now)
 
 		req := s.rack.requests.Get()
-		req.Seq, req.Write, req.Arrival, req.Data = pkt.Seq, pkt.Op == packet.OpWrite, now, inst
+		req.Seq, req.Write, req.Arrival = pkt.Seq, pkt.Op == packet.OpWrite, now
 		if s.rack.cfg.coordinated() {
 			req.NetTime = sim.Time(pkt.LatencyNS())
 			req.Predict = inst.pred.Predict(req.Write)

@@ -100,15 +100,10 @@ func (s *Spine) FrameBytes(pkt packet.Packet) int64 {
 // propagation latency: queueing behind earlier transfers — repair
 // batches included, so client and repair traffic contend realistically —
 // plus the transfer time itself. Free (and zero-delay) with one rack.
-func (s *Spine) MeterForeground(bytes int64) sim.Time {
-	return s.MeterForegroundTraced(bytes, nil)
-}
-
-// MeterForegroundTraced is MeterForeground plus flight-recorder detail:
-// a non-nil sp gets the spine queueing wait and the transfer window as
+// A non-nil sp gets the spine queueing wait and the transfer window as
 // child spans. Recording only reads the transfer's reservation times, so
 // traced behavior is byte-identical to untraced.
-func (s *Spine) MeterForegroundTraced(bytes int64, sp *trace.Span) sim.Time {
+func (s *Spine) MeterForeground(bytes int64, sp *trace.Span) sim.Time {
 	if s.link == nil || bytes <= 0 {
 		return 0
 	}

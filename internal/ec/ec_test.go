@@ -3,6 +3,7 @@ package ec
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -161,7 +162,7 @@ func TestReconstructor(t *testing.T) {
 	}
 	total := 0
 	for {
-		task, ok := r.Next()
+		task, ok := r.NextUpTo(math.MaxInt)
 		if !ok {
 			break
 		}

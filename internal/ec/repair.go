@@ -20,7 +20,7 @@ type RepairTask struct {
 // Reconstructor queues and accounts chunk-repair work for one stripe
 // group. It is deliberately passive: the rack decides *when* a task may
 // run (only in switch-observed GC idle windows, the same gate soft-GC
-// requests pass) and calls Next to claim work; the reconstructor only
+// requests pass) and calls NextUpTo to claim work; the reconstructor only
 // tracks what remains. Per-holder remaining counts let the caller close
 // the repair loop: Done reports when the last stripe of a holder has
 // been rebuilt, the moment its replacement can be re-registered in the
@@ -78,17 +78,6 @@ func (r *Reconstructor) EnqueueChunk(holder, stripes, batch int) {
 		}
 		r.Enqueue(RepairTask{Holder: holder, FirstStripe: first, Stripes: n})
 	}
-}
-
-// Next claims the oldest pending task; ok is false when the queue is
-// drained.
-func (r *Reconstructor) Next() (t RepairTask, ok bool) {
-	if len(r.pending) == 0 {
-		return RepairTask{}, false
-	}
-	t = r.pending[0]
-	r.pending = r.pending[1:]
-	return t, true
 }
 
 // NextUpTo claims at most limit stripes of the oldest pending task,

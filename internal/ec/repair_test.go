@@ -1,6 +1,7 @@
 package ec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,7 +15,7 @@ import (
 func TestDoneIdempotentAfterHolderComplete(t *testing.T) {
 	r := NewReconstructor()
 	r.EnqueueChunk(3, 64, 64)
-	task, ok := r.Next()
+	task, ok := r.NextUpTo(math.MaxInt)
 	if !ok {
 		t.Fatal("no task")
 	}
@@ -32,7 +33,7 @@ func TestDoneIdempotentAfterHolderComplete(t *testing.T) {
 	}
 	// A fresh enqueue for the same holder starts clean.
 	r.EnqueueChunk(3, 10, 64)
-	task, _ = r.Next()
+	task, _ = r.NextUpTo(math.MaxInt)
 	if !r.Done(task) {
 		t.Fatal("re-enqueued holder did not complete")
 	}
@@ -81,7 +82,7 @@ func TestTraceHookVoidBalance(t *testing.T) {
 
 	// The holder's re-enqueued rebuild completes normally.
 	r.EnqueueChunk(1, 20, 64)
-	task, _ := r.Next()
+	task, _ := r.NextUpTo(math.MaxInt)
 	if !r.Done(task) {
 		t.Fatal("re-enqueued rebuild did not complete")
 	}
@@ -253,7 +254,7 @@ func TestNextUpToResetProperty(t *testing.T) {
 		// Drain: complete everything still queued or in flight, then the
 		// stripe ledger must balance exactly.
 		for {
-			task, ok := r.Next()
+			task, ok := r.NextUpTo(math.MaxInt)
 			if !ok {
 				break
 			}

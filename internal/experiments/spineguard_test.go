@@ -6,16 +6,16 @@ import (
 	"rackblox/internal/core"
 )
 
-// TestSpineBytesSelfConsistent is the core-level guard for the PR 7
-// sim.Bandwidth.TransferTime rounding fix: across every figmr and figslo
-// run, the spine's delivered bytes must reconcile with its offered bytes
-// and — because transfers serialize on one link whose occupancy is now
-// rounded UP to whole nanoseconds — the delivered byte total can never
-// imply a rate above the configured spine capacity. Before the fix,
-// truncation let back-to-back transfers finish early, so a saturated
-// spine "moved" more bytes per elapsed second than it was configured
-// for, quietly inflating the repair-throughput side of the figmr and
-// figslo tables.
+// TestSpineBytesSelfConsistent guards the spine byte counts of every
+// figmr and figslo run. core.Spine counts each traffic class's bytes as
+// offered when a transfer is reserved and as delivered when its last
+// byte clears the link, so delivered must not exceed offered. Transfers
+// serialize on one sim.Bandwidth link, whose TransferTime rounds
+// occupancy UP to whole nanoseconds, so the delivered total can never
+// imply a rate above the configured spine capacity. Truncating instead
+// let back-to-back transfers finish early: a saturated spine "moved"
+// more bytes per elapsed second than it was configured for, quietly
+// inflating the repair-throughput side of the figmr and figslo tables.
 func TestSpineBytesSelfConsistent(t *testing.T) {
 	for _, id := range []string{"figmr", "figslo"} {
 		var runs int

@@ -48,18 +48,6 @@ type Geometry struct {
 	PageSize int
 }
 
-// DefaultGeometry is a small but structurally faithful SSD used by the
-// experiments: GC frequency matters, raw capacity does not.
-func DefaultGeometry() Geometry {
-	return Geometry{
-		Channels:        8,
-		ChipsPerChannel: 4,
-		BlocksPerChip:   64,
-		PagesPerBlock:   64,
-		PageSize:        4096,
-	}
-}
-
 // Validate reports whether every dimension is positive.
 func (g Geometry) Validate() error {
 	if g.Channels <= 0 || g.ChipsPerChannel <= 0 || g.BlocksPerChip <= 0 ||

@@ -10,6 +10,12 @@ func tinyGeo() Geometry {
 	return Geometry{Channels: 2, ChipsPerChannel: 2, BlocksPerChip: 4, PagesPerBlock: 8, PageSize: 4096}
 }
 
+// experimentGeo is the geometry of core.DefaultConfig, which every
+// experiment runs on.
+func experimentGeo() Geometry {
+	return Geometry{Channels: 8, ChipsPerChannel: 4, BlocksPerChip: 16, PagesPerBlock: 32, PageSize: 4096}
+}
+
 func TestGeometryCounts(t *testing.T) {
 	g := tinyGeo()
 	if g.TotalChips() != 4 {
@@ -27,8 +33,8 @@ func TestGeometryCounts(t *testing.T) {
 }
 
 func TestGeometryValidate(t *testing.T) {
-	if err := DefaultGeometry().Validate(); err != nil {
-		t.Fatalf("default geometry invalid: %v", err)
+	if err := experimentGeo().Validate(); err != nil {
+		t.Fatalf("experiment geometry invalid: %v", err)
 	}
 	bad := tinyGeo()
 	bad.Channels = 0
@@ -38,7 +44,7 @@ func TestGeometryValidate(t *testing.T) {
 }
 
 func TestPPNRoundTripProperty(t *testing.T) {
-	g := DefaultGeometry()
+	g := experimentGeo()
 	f := func(ch, chip, blk, pg uint8) bool {
 		a := Addr{
 			Channel: int(ch) % g.Channels,

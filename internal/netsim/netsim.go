@@ -136,40 +136,3 @@ func (n *Network) PathLatency(now sim.Time, hops int) sim.Time {
 	}
 	return total
 }
-
-// Trace is a recorded latency sequence that can be replayed, standing in
-// for the released datacenter traces the paper replays.
-type Trace struct {
-	Name    string
-	Samples []sim.Time
-	next    int
-}
-
-// Record samples count path latencies at the given interarrival spacing.
-func Record(n *Network, count int, spacing sim.Time, hops int) *Trace {
-	t := &Trace{Name: n.prof.Name}
-	now := sim.Time(0)
-	for i := 0; i < count; i++ {
-		t.Samples = append(t.Samples, n.PathLatency(now, hops))
-		now += spacing
-	}
-	return t
-}
-
-// Next replays the trace cyclically.
-func (t *Trace) Next() sim.Time {
-	if len(t.Samples) == 0 {
-		return 0
-	}
-	v := t.Samples[t.next]
-	t.next = (t.next + 1) % len(t.Samples)
-	return v
-}
-
-// Scale multiplies every sample by k, mirroring the paper's trace scaling
-// ("we scale the trace in [67] following the latency patterns in [32,59]").
-func (t *Trace) Scale(k float64) {
-	for i := range t.Samples {
-		t.Samples[i] = sim.Time(float64(t.Samples[i]) * k)
-	}
-}

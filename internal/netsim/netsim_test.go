@@ -143,37 +143,3 @@ func TestDeterminism(t *testing.T) {
 		now += 10 * sim.Microsecond
 	}
 }
-
-func TestTraceRecordReplay(t *testing.T) {
-	n := New(ProfileFast(), sim.NewRNG(8))
-	tr := Record(n, 100, sim.Millisecond, 2)
-	if len(tr.Samples) != 100 {
-		t.Fatalf("recorded %d samples, want 100", len(tr.Samples))
-	}
-	first := make([]sim.Time, 150)
-	for i := range first {
-		first[i] = tr.Next()
-	}
-	// Replay wraps around after 100.
-	if first[100] != first[0] || first[149] != first[49] {
-		t.Fatal("trace replay does not cycle")
-	}
-}
-
-func TestTraceScale(t *testing.T) {
-	tr := &Trace{Samples: []sim.Time{100, 200, 300}}
-	tr.Scale(2.5)
-	want := []sim.Time{250, 500, 750}
-	for i := range want {
-		if tr.Samples[i] != want[i] {
-			t.Fatalf("scaled sample %d = %d, want %d", i, tr.Samples[i], want[i])
-		}
-	}
-}
-
-func TestEmptyTraceNext(t *testing.T) {
-	tr := &Trace{}
-	if tr.Next() != 0 {
-		t.Fatal("empty trace Next != 0")
-	}
-}

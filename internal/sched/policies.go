@@ -8,15 +8,13 @@ import (
 // fifo is a single queue: arrival order, or Prio_sched order when
 // coordinated ("RackBlox (FIFO)").
 type fifo struct {
-	q    queue
-	base string
+	q queue
 }
 
 func newFIFO(cfg Config) *fifo {
-	return &fifo{q: queue{coordinated: cfg.Coordinated}, base: name("FIFO", cfg.Coordinated)}
+	return &fifo{q: queue{coordinated: cfg.Coordinated}}
 }
 
-func (f *fifo) Name() string                  { return f.base }
 func (f *fifo) Enqueue(r *Request)            { f.q.push(r) }
 func (f *fifo) Dequeue(now sim.Time) *Request { return f.q.pop() }
 func (f *fifo) OnComplete(bool, sim.Time)     {}
@@ -28,7 +26,6 @@ func (f *fifo) Len() int                      { return f.q.Len() }
 type deadline struct {
 	reads, writes queue
 	cfg           Config
-	label         string
 }
 
 func newDeadline(cfg Config) *deadline {
@@ -36,11 +33,8 @@ func newDeadline(cfg Config) *deadline {
 		reads:  queue{coordinated: cfg.Coordinated},
 		writes: queue{coordinated: cfg.Coordinated},
 		cfg:    cfg,
-		label:  name("Deadline", cfg.Coordinated),
 	}
 }
-
-func (d *deadline) Name() string { return d.label }
 
 func (d *deadline) Enqueue(r *Request) {
 	if r.Write {
@@ -79,7 +73,6 @@ func (d *deadline) Len() int                  { return d.reads.Len() + d.writes.
 type kyber struct {
 	reads, writes  queue
 	cfg            Config
-	label          string
 	readLat        []sim.Time // sliding sample window
 	writeBudget    int
 	inflightWrites int
@@ -96,12 +89,9 @@ func newKyber(cfg Config) *kyber {
 		reads:       queue{coordinated: cfg.Coordinated},
 		writes:      queue{coordinated: cfg.Coordinated},
 		cfg:         cfg,
-		label:       name("Kyber", cfg.Coordinated),
 		writeBudget: kyberStartBudget,
 	}
 }
-
-func (k *kyber) Name() string { return k.label }
 
 func (k *kyber) Enqueue(r *Request) {
 	if r.Write {
@@ -164,7 +154,6 @@ func (k *kyber) WriteBudget() int { return k.writeBudget }
 // I/O). Within a class the queue honours coordination like the others.
 type cfq struct {
 	reads, writes queue
-	label         string
 	// quantum counts remaining dispatches for the active class.
 	readWeight, writeWeight int
 	servingReads            bool
@@ -180,15 +169,12 @@ func newCFQ(cfg Config) *cfq {
 	return &cfq{
 		reads:        queue{coordinated: cfg.Coordinated},
 		writes:       queue{coordinated: cfg.Coordinated},
-		label:        name("CFQ", cfg.Coordinated),
 		readWeight:   cfqReadWeight,
 		writeWeight:  cfqWriteWeight,
 		servingReads: true,
 		quantum:      cfqReadWeight,
 	}
 }
-
-func (c *cfq) Name() string { return c.label }
 
 func (c *cfq) Enqueue(r *Request) {
 	if r.Write {

@@ -58,10 +58,6 @@ type Request struct {
 	NetTime sim.Time
 	// Predict is the predicted return latency from the sliding window.
 	Predict sim.Time
-	// Data carries caller context through the queue.
-	Data any
-
-	index int // heap index
 }
 
 // prioKey is the static part of Prio_sched (see the package comment).
@@ -113,8 +109,6 @@ func (c *Config) applyDefaults() {
 
 // Scheduler orders the storage I/O queue.
 type Scheduler interface {
-	// Name identifies the configured policy, e.g. "RackBlox (Kyber)".
-	Name() string
 	// Enqueue adds a request to the queue.
 	Enqueue(r *Request)
 	// Dequeue removes and returns the next request to dispatch at now,
@@ -143,13 +137,6 @@ func New(cfg Config) Scheduler {
 	}
 }
 
-func name(base string, coordinated bool) string {
-	if coordinated {
-		return "RackBlox (" + base + ")"
-	}
-	return base
-}
-
 // queue is a reorderable request queue: FIFO by arrival, or max-Prio_sched
 // when coordinated.
 type queue struct {
@@ -173,12 +160,9 @@ func (q *queue) Less(i, j int) bool {
 }
 func (q *queue) Swap(i, j int) {
 	q.items[i], q.items[j] = q.items[j], q.items[i]
-	q.items[i].index = i
-	q.items[j].index = j
 }
 func (q *queue) Push(x interface{}) {
 	r := x.(*Request)
-	r.index = len(q.items)
 	q.items = append(q.items, r)
 }
 func (q *queue) Pop() interface{} {

@@ -20,23 +20,6 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{Policy: FIFO}, "FIFO"},
-		{Config{Policy: FIFO, Coordinated: true}, "RackBlox (FIFO)"},
-		{Config{Policy: Deadline}, "Deadline"},
-		{Config{Policy: Kyber, Coordinated: true}, "RackBlox (Kyber)"},
-	}
-	for _, c := range cases {
-		if got := New(c.cfg).Name(); got != c.want {
-			t.Errorf("name = %q, want %q", got, c.want)
-		}
-	}
-}
-
 func TestUnknownPolicyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -284,9 +267,6 @@ func TestCoordinatedOrderProperty(t *testing.T) {
 
 func TestCFQAlternatesClasses(t *testing.T) {
 	s := New(Config{Policy: CFQ})
-	if s.Name() != "CFQ" {
-		t.Fatalf("name = %q", s.Name())
-	}
 	for i := 0; i < 8; i++ {
 		s.Enqueue(req(uint64(i), false, sim.Time(i), 0, 0))    // reads 0..7
 		s.Enqueue(req(uint64(100+i), true, sim.Time(i), 0, 0)) // writes 100..107
@@ -330,11 +310,5 @@ func TestCFQDrainsWhenOneClassEmpty(t *testing.T) {
 	}
 	if s.Dequeue(0) != nil {
 		t.Fatal("empty CFQ returned a request")
-	}
-}
-
-func TestCFQCoordinatedName(t *testing.T) {
-	if New(Config{Policy: CFQ, Coordinated: true}).Name() != "RackBlox (CFQ)" {
-		t.Fatal("coordinated CFQ name")
 	}
 }

@@ -4,17 +4,12 @@ package sim
 // spine/aggregation uplink): transfers serialize FIFO on an underlying
 // Resource, each occupying the link for bytes/rate. Because the link is a
 // serial resource, the achieved throughput can never exceed the configured
-// rate — the property the cross-rack repair experiments rely on.
+// rate — the property the cross-rack repair experiments rely on. The link
+// keeps no byte counts of its own: callers count their bytes in their
+// done handlers, as core.Spine does per traffic class.
 type Bandwidth struct {
 	res         *Resource
 	bytesPerSec float64
-	// offered counts bytes at enqueue time (the transfer has been
-	// reserved on the link); delivered counts them only once the last
-	// byte has cleared it. delivered <= offered always, with equality
-	// once every reserved transfer has completed.
-	offered    int64
-	delivered  int64
-	deliveries Pool[delivery]
 }
 
 // NewBandwidth returns an idle link moving bytesPerSec bytes per second.
@@ -50,13 +45,7 @@ func (b *Bandwidth) TransferTime(bytes int64) Time {
 // fires done (which may be nil) when the last byte clears the link.
 // Waiting behind earlier transfers is implicit in the returned start time.
 func (b *Bandwidth) Reserve(bytes int64, done Handler) (start, end Time) {
-	b.offered += bytes
-	// Delivered bytes are counted at completion, not enqueue, so a
-	// simulation that stops mid-transfer never reports bytes the link
-	// did not actually move.
-	d := b.deliveries.Get()
-	d.link, d.bytes, d.done = b, bytes, done
-	return b.res.Reserve(b.TransferTime(bytes), d)
+	return b.res.Reserve(b.TransferTime(bytes), done)
 }
 
 // Transfer is Reserve with a callback that receives the transfer window:
@@ -70,36 +59,6 @@ func (b *Bandwidth) Transfer(bytes int64, done func(start, end Time)) (start, en
 	w.start, w.end = b.Reserve(bytes, w)
 	return w.start, w.end
 }
-
-// delivery is the pooled completion record of one transfer: it counts the
-// bytes as delivered, then fires the caller's handler.
-type delivery struct {
-	link  *Bandwidth
-	bytes int64
-	done  Handler
-}
-
-func (d *delivery) Fire(now Time) {
-	b, done := d.link, d.done
-	b.delivered += d.bytes
-	*d = delivery{}
-	b.deliveries.Put(d)
-	if done != nil {
-		done.Fire(now)
-	}
-}
-
-// Bytes returns the bytes the link has fully delivered: transfers still
-// queued or in flight are excluded until their last byte clears the link.
-func (b *Bandwidth) Bytes() int64 { return b.delivered }
-
-// OfferedBytes returns the total bytes ever offered to the link — the
-// old meaning of Bytes, counted at enqueue. OfferedBytes() - Bytes() is
-// the backlog still queued or in flight.
-func (b *Bandwidth) OfferedBytes() int64 { return b.offered }
-
-// BytesPerSec returns the configured capacity.
-func (b *Bandwidth) BytesPerSec() float64 { return b.bytesPerSec }
 
 // Utilization returns cumulative busy time over elapsed time, <= 1.
 func (b *Bandwidth) Utilization() float64 { return b.res.Utilization() }

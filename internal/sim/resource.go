@@ -14,7 +14,6 @@ type Resource struct {
 	busyUntil Time
 	// busy tracks cumulative busy time, for utilization reporting.
 	busy Time
-	ops  uint64
 }
 
 // NewResource returns an idle serial resource bound to eng.
@@ -49,9 +48,6 @@ func (r *Resource) Utilization() float64 {
 	return float64(b) / float64(r.eng.Now())
 }
 
-// Ops returns the number of completed or reserved operations.
-func (r *Resource) Ops() uint64 { return r.ops }
-
 // labelResource counts the completions Reserve schedules.
 var labelResource = NewLabel("resource")
 
@@ -66,7 +62,6 @@ func (r *Resource) Reserve(dur Time, done Handler) (start, end Time) {
 	end = start + dur
 	r.busyUntil = end
 	r.busy += dur
-	r.ops++
 	if done != nil {
 		r.eng.Schedule(end, labelResource, done)
 	}

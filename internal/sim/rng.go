@@ -27,14 +27,8 @@ func (g *RNG) Fork(label int64) *RNG {
 // Float64 returns a uniform value in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// Intn returns a uniform value in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
 // Int63n returns a uniform value in [0, n).
 func (g *RNG) Int63n(n int64) int64 { return g.r.Int63n(n) }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Exp returns an exponentially distributed duration with the given mean.
 // Used for Poisson arrival processes.
@@ -63,11 +57,6 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 		u = g.r.Float64()
 	}
 	return xm / math.Pow(u, 1/alpha)
-}
-
-// Norm returns a normally distributed value.
-func (g *RNG) Norm(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
 }
 
 // Bool returns true with probability p.

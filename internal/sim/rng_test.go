@@ -158,15 +158,3 @@ func TestZipfN(t *testing.T) {
 		t.Fatalf("N = %d, want 777", z.N())
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	g := NewRNG(13)
-	p := g.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-}

@@ -117,15 +117,6 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 // Device returns the device this FTL allocates on.
 func (f *FTL) Device() *Device { return f.dev }
 
-// Chips returns the chip set owned by the FTL.
-func (f *FTL) Chips() []ChipRef {
-	refs := make([]ChipRef, len(f.chips))
-	for i, c := range f.chips {
-		refs[i] = c.ref
-	}
-	return refs
-}
-
 // Channels returns the distinct channels the FTL's chips live on, in
 // chip order. The slice is computed once and shared: callers must not
 // modify it.
@@ -157,9 +148,6 @@ func (f *FTL) FreeRatio() float64 {
 
 // HostWrites returns pages written by the host.
 func (f *FTL) HostWrites() int64 { return f.hostWrites }
-
-// GCMoves returns pages relocated by GC.
-func (f *FTL) GCMoves() int64 { return f.gcMoves }
 
 // GCErases returns blocks erased by GC.
 func (f *FTL) GCErases() int64 { return f.gcErases }
@@ -362,6 +350,3 @@ func (f *FTL) GiveBack(blocks []BlockRef) {
 
 // BorrowedInUse returns how many borrowed blocks currently hold data.
 func (f *FTL) BorrowedInUse() int { return len(f.borrowedInUse) }
-
-// BorrowedFree returns how many borrowed blocks remain unused.
-func (f *FTL) BorrowedFree() int { return len(f.borrowed) }

@@ -11,8 +11,6 @@ import (
 
 // GCResult describes the work of one garbage-collection step.
 type GCResult struct {
-	// Victim is the reclaimed block.
-	Victim BlockRef
 	// Moved counts valid pages relocated out of the victim.
 	Moved int
 	// Duration is the flash time consumed: Moved*(read+program) + erase.
@@ -131,7 +129,7 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 	if err := arr.Erase(vaddr); err != nil {
 		// The block wore out on this erase; it is retired, not freed.
 		f.gcErases++
-		return GCResult{Victim: v, Moved: moved, Duration: f.stepDuration(moved), Channel: v.Chip.Channel}, nil
+		return GCResult{Moved: moved, Duration: f.stepDuration(moved), Channel: v.Chip.Channel}, nil
 	}
 	f.gcErases++
 	for _, ca := range f.chips {
@@ -141,7 +139,7 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 			break
 		}
 	}
-	return GCResult{Victim: v, Moved: moved, Duration: f.stepDuration(moved), Channel: v.Chip.Channel}, nil
+	return GCResult{Moved: moved, Duration: f.stepDuration(moved), Channel: v.Chip.Channel}, nil
 }
 
 // CollectBurst reclaims blocks until FreeRatio reaches target, no victim

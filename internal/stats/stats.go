@@ -67,7 +67,6 @@ type Recorder struct {
 	n       int
 	// start/end bound the measurement window for throughput.
 	start, end int64
-	redirects  int
 }
 
 // NewRecorder returns an empty recorder.
@@ -96,7 +95,6 @@ func (r *Recorder) Add(s Sample, now int64) {
 	}
 	if s.Redirected {
 		flags |= flagRedirected
-		r.redirects++
 	}
 	b[colFlags][i] = flags
 	r.n++
@@ -159,9 +157,6 @@ func (r *Recorder) each(need []int, f func(cols *[numCols][]uint64)) {
 
 // Len returns the number of recorded samples.
 func (r *Recorder) Len() int { return r.n }
-
-// Redirects returns how many samples were redirected by the switch.
-func (r *Recorder) Redirects() int { return r.redirects }
 
 // stages lists the stage columns; Total is their sum.
 var stages = []int{colNetIn, colQueue, colDevice, colNetOut}

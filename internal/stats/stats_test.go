@@ -123,16 +123,6 @@ func TestThroughputDegenerate(t *testing.T) {
 	}
 }
 
-func TestRedirectCounting(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Sample{Redirected: true}, 0)
-	r.Add(Sample{}, 1)
-	r.Add(Sample{Redirected: true}, 2)
-	if r.Redirects() != 2 {
-		t.Fatalf("redirects = %d, want 2", r.Redirects())
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Ms(2_500_000) != "2.50ms" {
 		t.Fatalf("Ms = %q", Ms(2_500_000))
@@ -249,7 +239,7 @@ func total(s Sample) int64  { return s.Total }
 
 // sliceModelMismatch describes how r differs from the slice model, the
 // samples it was given in order, of which the first finished at start and
-// the last at end; "" means Len, RawSamples, Redirects, Throughput and
+// the last at end; "" means Len, RawSamples, Throughput and
 // every distribution's length, mean, extremes and percentiles agree
 // exactly.
 func sliceModelMismatch(r *Recorder, model []Sample, start, end int64) string {
@@ -262,15 +252,6 @@ func sliceModelMismatch(r *Recorder, model []Sample, start, end int64) string {
 			i++
 		}
 		return fmt.Sprintf("RawSamples[%d] = %+v, model %+v", i, got[i], model[i])
-	}
-	redirects := 0
-	for _, s := range model {
-		if s.Redirected {
-			redirects++
-		}
-	}
-	if r.Redirects() != redirects {
-		return fmt.Sprintf("Redirects %d, model %d", r.Redirects(), redirects)
 	}
 	wantIOPS := 0.0
 	if dur := end - start; dur > 0 && len(model) > 1 {

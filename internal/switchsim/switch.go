@@ -75,6 +75,15 @@ func (s *Stats) Add(o Stats) {
 	s.Reintegrated += o.Reintegrated
 }
 
+const (
+	// pipelineLatency is the per-packet match-action latency (Tofino-class
+	// switches process in under a microsecond).
+	pipelineLatency = 800 * sim.Nanosecond
+	// recirculateLatency is the extra pipeline pass taken by soft gc_op
+	// packets, which must read the replica's state and update their own.
+	recirculateLatency = 800 * sim.Nanosecond
+)
+
 // Switch is the programmable ToR switch.
 type Switch struct {
 	eng     *sim.Engine
@@ -110,13 +119,6 @@ type Switch struct {
 	stats   Stats
 	passes  sim.Pool[pass]
 
-	// PipelineLatency is the per-packet match-action latency (Tofino-class
-	// switches process in under a microsecond).
-	PipelineLatency sim.Time
-	// RecirculateLatency is the extra pipeline pass taken by soft gc_op
-	// packets, which must read the replica's state and update their own.
-	RecirculateLatency sim.Time
-
 	// dropRate injects gc_op reply loss (link failure testing, §3.5.1:
 	// the vSSD retries three times then collects anyway).
 	dropRate float64
@@ -141,8 +143,9 @@ type TraceEvent struct {
 	Op   packet.Op
 	// Rack is the switch's rack id.
 	Rack int
-	// Arrived is when the packet entered the egress queue; the pipeline
-	// released it at Arrived+Dwell-PipelineLatency.
+	// Arrived is when the packet entered the egress queue. Dwell is its
+	// queueing wait plus the match-action latency, so the queue released
+	// it at Arrived+Dwell-pipelineLatency.
 	Arrived sim.Time
 	Dwell   sim.Time
 }
@@ -153,18 +156,16 @@ func New(eng *sim.Engine, q Qdisc, fwd Forwarder) *Switch {
 		q = Passthrough{}
 	}
 	return &Switch{
-		eng:                eng,
-		replica:            make(map[uint32]*replicaEntry),
-		dest:               make(map[uint32]*destEntry),
-		failover:           make(map[uint32]uint32),
-		stripe:             make(map[uint32][]uint32),
-		memberRack:         make(map[uint32]int),
-		remoteDead:         make(map[uint32]bool),
-		replaced:           make(map[uint32]uint32),
-		qdisc:              q,
-		forward:            fwd,
-		PipelineLatency:    800 * sim.Nanosecond,
-		RecirculateLatency: 800 * sim.Nanosecond,
+		eng:        eng,
+		replica:    make(map[uint32]*replicaEntry),
+		dest:       make(map[uint32]*destEntry),
+		failover:   make(map[uint32]uint32),
+		stripe:     make(map[uint32][]uint32),
+		memberRack: make(map[uint32]int),
+		remoteDead: make(map[uint32]bool),
+		replaced:   make(map[uint32]uint32),
+		qdisc:      q,
+		forward:    fwd,
 	}
 }
 
@@ -534,7 +535,7 @@ func (p *pass) Fire(now sim.Time) {
 
 // runPipeline applies Algorithm 1 after the packet clears the egress queue.
 func (s *Switch) runPipeline(pkt packet.Packet, arrived, now sim.Time) {
-	dwell := now - arrived + s.PipelineLatency
+	dwell := now - arrived + pipelineLatency
 	if s.TraceHook != nil {
 		s.TraceHook(TraceEvent{Seq: pkt.Seq, VSSD: pkt.VSSD, Op: pkt.Op,
 			Rack: s.rackID, Arrived: arrived, Dwell: dwell})
@@ -621,7 +622,7 @@ func (s *Switch) handleGC(pkt packet.Packet, dwell sim.Time) {
 		// one extra pipeline pass (recirculation) keeps the two register
 		// accesses consistent.
 		s.stats.Recirculations++
-		dwell += s.RecirculateLatency
+		dwell += recirculateLatency
 		replicaBusy := false
 		if group, ecOK := s.stripe[pkt.VSSD]; ecOK {
 			// Rack-aware staggering: a chunk holder may soft-collect only

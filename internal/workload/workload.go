@@ -24,8 +24,6 @@ type Generator interface {
 	Next() Op
 	// NextGap returns the interarrival time before the next request.
 	NextGap() sim.Time
-	// WriteFraction returns the configured write ratio.
-	WriteFraction() float64
 }
 
 // Write ratios from Table 2.
@@ -64,28 +62,8 @@ func NewYCSB(rng *sim.RNG, n uint64, writeFrac float64, meanGap sim.Time) Genera
 	}
 }
 
-// Standard YCSB core workloads used in §4.5.3.
-func NewYCSBA(rng *sim.RNG, n uint64, meanGap sim.Time) Generator {
-	g := NewYCSB(rng, n, 0.5, meanGap).(*ycsb)
-	g.name = "YCSB-A"
-	return g
-}
-
-func NewYCSBB(rng *sim.RNG, n uint64, meanGap sim.Time) Generator {
-	g := NewYCSB(rng, n, 0.05, meanGap).(*ycsb)
-	g.name = "YCSB-B"
-	return g
-}
-
-func NewYCSBC(rng *sim.RNG, n uint64, meanGap sim.Time) Generator {
-	g := NewYCSB(rng, n, 0.0, meanGap).(*ycsb)
-	g.name = "YCSB-C"
-	return g
-}
-
-func (y *ycsb) Name() string           { return y.name }
-func (y *ycsb) WriteFraction() float64 { return y.writeFrac }
-func (y *ycsb) NextGap() sim.Time      { return y.rng.Exp(y.meanGap) }
+func (y *ycsb) Name() string      { return y.name }
+func (y *ycsb) NextGap() sim.Time { return y.rng.Exp(y.meanGap) }
 
 func (y *ycsb) Next() Op {
 	return Op{
@@ -118,8 +96,7 @@ type profile struct {
 	burstFrac float64  // fraction of requests arriving at burst spacing
 }
 
-func (p *profile) Name() string           { return p.name }
-func (p *profile) WriteFraction() float64 { return p.writeFrac }
+func (p *profile) Name() string { return p.name }
 
 func (p *profile) NextGap() sim.Time {
 	if p.burstFrac > 0 && p.rng.Bool(p.burstFrac) {

@@ -57,26 +57,6 @@ func TestYCSBSkewed(t *testing.T) {
 	}
 }
 
-func TestYCSBVariants(t *testing.T) {
-	cases := []struct {
-		g    Generator
-		name string
-		frac float64
-	}{
-		{NewYCSBA(sim.NewRNG(4), keyspace, sim.Millisecond), "YCSB-A", 0.5},
-		{NewYCSBB(sim.NewRNG(5), keyspace, sim.Millisecond), "YCSB-B", 0.05},
-		{NewYCSBC(sim.NewRNG(6), keyspace, sim.Millisecond), "YCSB-C", 0.0},
-	}
-	for _, c := range cases {
-		if c.g.Name() != c.name {
-			t.Errorf("name = %q, want %q", c.g.Name(), c.name)
-		}
-		if c.g.WriteFraction() != c.frac {
-			t.Errorf("%s frac = %f", c.name, c.g.WriteFraction())
-		}
-	}
-}
-
 func TestMixLabel(t *testing.T) {
 	if Mix(95) != "95/5" || Mix(0) != "0/100" {
 		t.Fatal("mix labels")

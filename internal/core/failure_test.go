@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"rackblox/internal/sim"
@@ -103,4 +105,69 @@ func TestFailureOfReplicaServerOnly(t *testing.T) {
 	if res.Recorder.Len() < 5000 {
 		t.Fatalf("only %d samples", res.Recorder.Len())
 	}
+}
+
+// TestReplicatedClusterOutages drives a replicated two-rack cluster
+// through a ToR outage with revival and through the loss of both copies
+// of one pair. Pairs sit on servers 2p and 2p+1 of a 2×3 layout, so pair
+// 1 straddles the racks: primary on server 2 (rack 0), replica on server
+// 3 (rack 1). Each timeline must replay identically at its seed.
+func TestReplicatedClusterOutages(t *testing.T) {
+	base := DefaultConfig()
+	base.Racks = 2
+	base.StorageServers = 3
+	base.VSSDPairs = 3
+	base.Warmup = 50 * sim.Millisecond
+	base.Duration = 350 * sim.Millisecond
+	ms := sim.Millisecond
+
+	// (a) Rack 0 goes dark while one of its servers is already down.
+	// Once the ToR failure is detected the client enters pair 1 through
+	// the replica's rack, whose ToR rewrites the dark primary's traffic;
+	// the revived ToR replays every rack-0 registration.
+	cfg := base
+	cfg.Scenario = []Event{FailServer(0, 100*ms), FailToR(0, 120*ms), ReviveToR(0, 300*ms)}
+	r, res := runReplayed(t, cfg)
+	if got := r.tors[1].Stats().FailedOver; got == 0 {
+		t.Error("rack 1's ToR rewrote no traffic for pair 1's dark primary")
+	}
+	if res.ToRRevivals != 1 || r.tors[0].Down() {
+		t.Fatalf("ToRRevivals = %d, ToR 0 down = %v; want one revival", res.ToRRevivals, r.tors[0].Down())
+	}
+	for _, inst := range r.insts {
+		if inst.server.rackIdx == 0 && !r.tors[0].Registered(inst.id) {
+			t.Errorf("revived ToR lost the registration of vSSD %d", inst.id)
+		}
+	}
+
+	// (b) Both copies of pair 1 crash; the primary's server returns
+	// while the replica's is still down, so it serves the pair alone.
+	cfg = base
+	cfg.Scenario = []Event{FailServer(2, 100*ms), FailServer(3, 110*ms), ReviveServer(2, 250*ms)}
+	if _, res := runReplayed(t, cfg); res.ServerRevivals != 1 {
+		t.Fatalf("ServerRevivals = %d, want 1", res.ServerRevivals)
+	}
+}
+
+// runReplayed runs cfg, checks that a second same-seed run reproduces its
+// Result and latency samples byte for byte, and returns the first run.
+func runReplayed(t *testing.T, cfg Config) (*Rack, *Result) {
+	t.Helper()
+	r, err := NewRack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.Run()
+	first, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := json.Marshal(stats.RawSamples(res.Recorder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := runBytes(t, cfg); !bytes.Equal(append(first, samples...), again) {
+		t.Fatalf("same-seed run diverged: %v", cfg.Scenario)
+	}
+	return r, res
 }

@@ -94,7 +94,7 @@ var scheduling = map[string]map[string]bool{
 	"ShardGroup":     {"Post": true, "Send": true},
 	"Resource":       {"Reserve": true, "Acquire": true},
 	"Bandwidth":      {"Reserve": true, "Transfer": true},
-	"PacedBandwidth": {"Admit": true, "Transfer": true},
+	"PacedBandwidth": {"Admit": true},
 }
 
 func (s sink) describe() string {

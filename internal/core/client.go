@@ -8,23 +8,23 @@ import (
 	"rackblox/internal/trace"
 )
 
-// startClients schedules the first request of every pair. Each pair's
-// client issues its workload open-loop (Poisson-style gaps from the
-// generator) until stopIssuing. In the software-isolated mode the
+// startClients schedules the first request of every volume. Each
+// volume's client issues its workload open-loop (Poisson-style gaps from
+// the generator) until stopIssuing. In the software-isolated mode the
 // collocated tenant of each channel group also runs a background write
 // load (Fig. 21 runs YCSB on both group members).
 func (r *Rack) startClients() {
 	for _, g := range r.groups {
 		g := g
-		g.issueEv = func(sim.Time) { r.issueEC(g) }
+		g.issueEv = func(sim.Time) { r.issue(&g.volume, g) }
 		r.eng.ScheduleAfter(g.gen.NextGap(), labelClientIssueEC, g.issueEv)
 	}
 	for i, pr := range r.pairs {
 		pr := pr
-		pr.issueEv = func(sim.Time) { r.issue(pr) }
+		pr.issueEv = func(sim.Time) { r.issue(pr, nil) }
 		r.eng.ScheduleAfter(pr.gen.NextGap(), labelClientIssue, pr.issueEv)
 		if r.cfg.SoftwareIsolated {
-			for j, inst := range []*instance{pr.primary, pr.replica} {
+			for j, inst := range pr.insts {
 				inst := inst
 				rng := r.rng.Fork(int64(400 + 2*i + j))
 				keys := uint64(float64(inst.peer.FTL.LogicalPages()) * r.cfg.KeyspaceFrac)
@@ -59,57 +59,78 @@ func (r *Rack) peerLoad(inst *instance, z *sim.Zipf, rng *sim.RNG) {
 	inst.server.dev.TimeProgram(addr, nil)
 }
 
-// issue sends one request from the pair's generator and schedules the
-// next one. A full client window skips this arrival (semi-open loop).
-func (r *Rack) issue(pr *pair) {
+// issue sends one request from a volume's generator and schedules the
+// next arrival; g is the volume's erasure-coded group, nil for a
+// replicated pair. A full client window skips this arrival (semi-open
+// loop).
+func (r *Rack) issue(v *volume, g *ecGroup) {
 	now := r.eng.Now()
 	if now < r.stopIssuing {
-		r.eng.ScheduleAfter(pr.gen.NextGap(), labelClientIssue, pr.issueEv)
+		l := labelClientIssue
+		if g != nil {
+			l = labelClientIssueEC
+		}
+		r.eng.ScheduleAfter(v.gen.NextGap(), l, v.issueEv)
 	}
-	if r.cfg.MaxClientInflight > 0 && pr.inflight >= r.cfg.MaxClientInflight {
+	if r.cfg.MaxClientInflight > 0 && v.inflight >= r.cfg.MaxClientInflight {
 		return
 	}
 
-	op := pr.gen.Next()
+	op := v.gen.Next()
 	r.seq++
 	st := r.states.Get()
-	st.seq, st.write, st.lpn, st.pair = r.seq, op.Write, op.LPN, pr
+	st.seq, st.write, st.vol, st.group = r.seq, op.Write, v, g
+	st.lpn, st.userLPN = op.LPN, op.LPN
 	st.issue, st.lastIssue = now, now
 	st.span = r.tracer.StartRequest(st.seq, reqKind(op.Write), now)
-	st.span.Annotate(trace.Int("lpn", int64(op.LPN)), trace.Int("volume", int64(pr.idx)))
+	st.span.Annotate(trace.Int("lpn", int64(op.LPN)), trace.Int("volume", int64(v.idx)))
 	r.reqs.put(st)
-	pr.inflight++
+	v.inflight++
 	r.watchTimeout(st.seq)
-
-	pkt := packet.Packet{
-		SrcIP: r.clientIP,
-		DstIP: pr.primary.server.ip,
-		Port:  packet.ReservedPort,
-		VSSD:  pr.primary.id,
-		LPN:   op.LPN,
-		Seq:   st.seq,
+	switch {
+	case g != nil:
+		r.sendEC(st)
+	case op.Write:
+		r.sendTo(st, v.insts[0], packet.OpWrite)
+	default:
+		r.sendTo(st, v.insts[0], packet.OpRead)
 	}
-	if op.Write {
-		pkt.Op = packet.OpWrite
-	} else {
-		pkt.Op = packet.OpRead
-	}
-
-	// Client -> ToR hop; INT accumulates the measured latency.
-	r.clientSend(pkt, r.clientTorForPair(pr))
 }
 
-// clientTorForPair picks the ToR a pair's client traffic enters: the
-// primary's rack, or — once a ToR failure is detected — the replica's,
-// whose failover table rewrites the isolated primary's traffic.
-func (r *Rack) clientTorForPair(pr *pair) *switchsim.Switch {
-	tor := r.torOf(pr.primary.server)
-	if r.torDetected[pr.primary.server.rackIdx] {
-		if rep := r.torOf(pr.replica.server); !rep.Down() {
-			return rep
+// sendTo emits one client packet of st toward member inst. It enters
+// the network at inst's ToR or, once that rack's ToR failure is
+// detected, at the first up ToR serving the volume, whose failover (and,
+// for erasure coding, handoff) tables route around the dark rack. A
+// detected ToR is down, so a pair whose primary's rack went dark enters
+// at the replica's ToR when that is another, live one. The client homes
+// next to rack 0: entering any other rack's ToR also crosses the spine,
+// metered as foreground traffic on the shared link.
+func (r *Rack) sendTo(st *reqState, inst *instance, op packet.Op) {
+	pkt := packet.Packet{
+		Op:    op,
+		SrcIP: r.clientIP,
+		DstIP: inst.server.ip,
+		Port:  packet.ReservedPort,
+		VSSD:  inst.id,
+		LPN:   st.lpn,
+		Seq:   st.seq,
+	}
+	tor := r.torOf(inst.server)
+	if r.torDetected[inst.server.rackIdx] {
+		for _, alt := range st.vol.tors {
+			if !alt.Down() {
+				tor = alt
+				break
+			}
 		}
 	}
-	return tor
+	// Client -> ToR hop; INT accumulates the measured latency.
+	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Latency(0, tor.RackID())
+	if tor.RackID() != 0 {
+		hop += r.spine.MeterForeground(r.spine.FrameBytes(pkt), st.span)
+	}
+	pkt.AddLatency(hop)
+	r.toTor(hop, labelNetClientSend, tor, pkt)
 }
 
 // reqKind names a request's root span kind.
@@ -130,18 +151,6 @@ func (r *Rack) spanFor(seq uint64) *trace.Span {
 		return st.span
 	}
 	return nil
-}
-
-// clientSend ships a client packet into a ToR: one edge hop, plus the
-// spine crossing — metered as foreground traffic on the shared link —
-// when the ToR is not in the client's rack (rack 0).
-func (r *Rack) clientSend(pkt packet.Packet, tor *switchsim.Switch) {
-	hop := r.net.HopLatency(r.eng.Now()) + r.spine.Latency(0, tor.RackID())
-	if tor.RackID() != 0 {
-		hop += r.spine.MeterForeground(r.spine.FrameBytes(pkt), r.spanFor(pkt.Seq))
-	}
-	pkt.AddLatency(hop)
-	r.toTor(hop, labelNetClientSend, tor, pkt)
 }
 
 // forwarderFor builds the delivery path out of one rack's ToR: packets
@@ -197,7 +206,7 @@ func (r *Rack) arrive(torRack int, dstSrv *server, pkt packet.Packet) {
 	if dstSrv == nil {
 		return
 	}
-	if dstSrv.rackIdx != torRack && r.torFailed[dstSrv.rackIdx] {
+	if dstSrv.rackIdx != torRack && r.tors[dstSrv.rackIdx].Down() {
 		return // cross-rack delivery dead-ends at the failed ToR
 	}
 	// RackBlox (Software) redirection happens here, at the server
@@ -302,7 +311,7 @@ func (r *Rack) clientReceive(pkt packet.Packet) {
 	}
 	r.reqs.del(pkt.Seq)
 	defer r.retire(st)
-	st.decInflight()
+	st.vol.inflight--
 	now := r.eng.Now()
 	if r.pacer != nil && !st.write {
 		// The controller's latency sensor sees every completed foreground

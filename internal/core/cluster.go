@@ -23,7 +23,6 @@ import (
 func (r *Rack) buildToRs() {
 	racks := r.cfg.racks()
 	r.tors = make([]*switchsim.Switch, racks)
-	r.torFailed = make([]bool, racks)
 	r.torDetected = make([]bool, racks)
 	r.torCrashes = make([]int, racks)
 	for j := range r.tors {
@@ -53,7 +52,6 @@ func (r *Rack) handoff(pkt packet.Packet, rack int) {
 
 // failToR takes one rack's ToR down at the injection instant.
 func (r *Rack) failToR(rack int) {
-	r.torFailed[rack] = true
 	r.torCrashes[rack]++
 	r.tors[rack].SetDown(true)
 }
@@ -198,10 +196,9 @@ func (r *Rack) ReviveServer(idx int) bool {
 // revived rack's now-reachable members. Reviving an up ToR is a no-op,
 // as is a second revival of the same ToR; both return false.
 func (r *Rack) ReviveToR(rack int) bool {
-	if rack < 0 || rack >= len(r.tors) || !r.torFailed[rack] {
+	if rack < 0 || rack >= len(r.tors) || !r.tors[rack].Down() {
 		return false
 	}
-	r.torFailed[rack] = false
 	r.torDetected[rack] = false
 	r.res.ToRRevivals++
 	tor := r.tors[rack]
@@ -214,7 +211,7 @@ func (r *Rack) ReviveToR(rack int) bool {
 // reachable reports whether a server can exchange traffic with the rest
 // of the cluster: it must be alive and its rack's ToR must be up.
 func (s *server) reachable() bool {
-	return !s.failed && !s.rack.torFailed[s.rackIdx]
+	return !s.failed && !s.rack.tors[s.rackIdx].Down()
 }
 
 // torOf returns the ToR switch serving a server's rack.

@@ -206,8 +206,8 @@ func TestCrossRackReplicationIsObserverOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.ContainsFunc(r.pairs, func(p *pair) bool {
-		return p.primary.server.rackIdx != p.replica.server.rackIdx
+	if !slices.ContainsFunc(r.pairs, func(p *volume) bool {
+		return p.insts[0].server.rackIdx != p.insts[1].server.rackIdx
 	}) {
 		t.Fatal("no replication pair spans both racks")
 	}

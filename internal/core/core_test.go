@@ -110,7 +110,7 @@ func TestPreconditionLeavesTargetFreeRatio(t *testing.T) {
 	}
 	want := r.cfg.SoftThreshold + 0.06
 	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
+		for _, inst := range pr.insts {
 			got := inst.v.FTL.FreeRatio()
 			if got > want+0.06 || got < GCThreshold {
 				t.Fatalf("vSSD %d preconditioned to %f, want ~%f", inst.id, got, want)

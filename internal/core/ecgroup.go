@@ -8,9 +8,7 @@ import (
 	"rackblox/internal/packet"
 	"rackblox/internal/sched"
 	"rackblox/internal/sim"
-	"rackblox/internal/switchsim"
 	"rackblox/internal/trace"
-	"rackblox/internal/workload"
 )
 
 // Erasure-coding datapath constants.
@@ -36,19 +34,12 @@ const (
 // zero-spine single-loss repair and per-rack aggregated multi-loss
 // repair.
 type ecGroup struct {
-	idx     int
+	// volume's insts holds the k+m global chunk holders in placement
+	// order, followed (LRC only) by the local parity holders in rack
+	// order; an instance's slot is its holder index.
+	volume
 	spec    ec.Spec
 	striper ec.Striper
-	// insts holds the k+m global chunk holders in placement order,
-	// followed (LRC only) by the local parity holders in rack order.
-	insts []*instance
-	// tors lists each ToR serving a member once, ordered by the first
-	// member it serves.
-	tors     []*switchsim.Switch
-	gen      workload.Generator
-	inflight int
-	// issueEv is the volume's next client arrival, bound once.
-	issueEv sim.EventFunc
 
 	// usedStripes is how many stripes the preconditioned keyspace
 	// touches; reconstruction of a lost chunk covers exactly these.
@@ -72,11 +63,9 @@ type ecGroup struct {
 	// chunks go to it directly, no longer degraded. crashed marks the
 	// holders whose server died and was queued for repair at least once
 	// (a darkened ToR does not crash holders); repairing marks the
-	// holders with a rebuild outstanding right now, so repeated
-	// fail/heal cycles keep the cumulative failedHolders and
-	// reintegratedHolders counts balanced; reintegratedAt is when the
-	// last outstanding holder completed. These tables are indexed by
-	// holder.
+	// holders with a rebuild outstanding right now; reintegratedAt is
+	// when the last outstanding holder completed. These tables are
+	// indexed by holder.
 	replacement []*instance
 	crashed     []bool
 	repairing   []bool
@@ -86,30 +75,8 @@ type ecGroup struct {
 	// chunks landed from where reads are steered afterwards. A catch-up
 	// repair after server revival pins the original holder itself — the
 	// returning box is blank, so the rebuild targets it directly.
-	adopterFor          []*instance
-	failedHolders       int
-	reintegratedHolders int
-	reintegratedAt      sim.Time
-}
-
-// holderIndex resolves a member id to its group-local holder index.
-func (g *ecGroup) holderIndex(id uint32) (int, bool) {
-	for i, m := range g.insts {
-		if m.id == id {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// memberIndex resolves a member instance to its group-local index.
-func (g *ecGroup) memberIndex(inst *instance) (int, bool) {
-	for i, m := range g.insts {
-		if m == inst {
-			return i, true
-		}
-	}
-	return 0, false
+	adopterFor     []*instance
+	reintegratedAt sim.Time
 }
 
 // hasLocalParity reports the LRC family: members past the global k+m
@@ -131,22 +98,10 @@ func (g *ecGroup) memberTable() (ids []uint32, racks []int) {
 }
 
 // reintegrated reports whether every holder this group lost has been
-// rebuilt and re-registered.
+// rebuilt and re-registered. A holder is queued for repair only once its
+// server crashed, so some holder crashed exactly when one was ever lost.
 func (g *ecGroup) reintegrated() bool {
-	return g.failedHolders > 0 && g.reintegratedHolders == g.failedHolders
-}
-
-// servesDirect reports whether inst is the re-integrated replacement for
-// the holder a read was addressed to: the rebuilt chunk lives here, so
-// the switch-rewritten read is served like any healthy read instead of a
-// k-fetch reconstruction.
-func (g *ecGroup) servesDirect(inst *instance, homeID uint32) bool {
-	for i, m := range g.insts {
-		if m.id == homeID {
-			return g.replacement[i] == inst
-		}
-	}
-	return false
+	return slices.Contains(g.crashed, true) && !slices.Contains(g.repairing, true)
 }
 
 // buildGroups creates the erasure-coded volumes: for each group, k+m
@@ -161,7 +116,7 @@ func (r *Rack) buildGroups() error {
 
 	for gidx := 0; gidx < cfg.VSSDPairs; gidx++ {
 		g := &ecGroup{
-			idx:     gidx,
+			volume:  volume{idx: gidx},
 			spec:    spec,
 			striper: ec.Striper{Spec: spec},
 			recon:   ec.NewReconstructor(),
@@ -184,10 +139,7 @@ func (r *Rack) buildGroups() error {
 			if err != nil {
 				return err
 			}
-			g.insts = append(g.insts, inst)
-			if tor := r.torOf(srv); !slices.Contains(g.tors, tor) {
-				g.tors = append(g.tors, tor)
-			}
+			r.addMember(&g.volume, inst)
 		}
 		// Each holder's partner is the next member in group order. The
 		// software controller only consults that one peer's GC state — a
@@ -317,7 +269,7 @@ func (g *ecGroup) adopter(holder int) *instance {
 func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
 	width := g.spec.Width()
 	out := g.sources[:0]
-	if ci, ok := g.memberIndex(coord); ok && ci < width {
+	if coord.slot < width {
 		out = append(out, coord)
 	}
 	// One pass per class keeps each class in group order: idle
@@ -353,15 +305,14 @@ func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
 // decode from any k global survivors (readSources order). It returns
 // the sources, how many are needed, and whether the rack-local plan was
 // chosen.
-func (g *ecGroup) degradedSources(coord *instance, homeID uint32, now sim.Time) ([]*instance, int, bool) {
+func (g *ecGroup) degradedSources(coord *instance, home int, now sim.Time) ([]*instance, int, bool) {
 	if g.hasLocalParity() {
-		if hIdx, ok := g.holderIndex(homeID); ok &&
-			g.insts[hIdx] != coord && g.insts[hIdx].server.rackIdx == coord.server.rackIdx {
+		if h := g.insts[home]; h != coord && h.server.rackIdx == coord.server.rackIdx {
 			rack := coord.server.rackIdx
 			local := append(g.sources[:0], coord)
 			complete := true
 			for j, m := range g.insts {
-				if m.server.rackIdx != rack || m == coord || j == hIdx {
+				if m.server.rackIdx != rack || m == coord || j == home {
 					continue
 				}
 				if !m.server.reachable() || g.repairing[j] {
@@ -410,7 +361,7 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 	}
 	width := g.spec.Width()
 	sources := g.sources[:0]
-	if ai, ok := g.memberIndex(adopter); ok && ai < width && adopter != g.insts[holder] {
+	if adopter.slot < width && adopter != g.insts[holder] {
 		sources = append(sources, adopter)
 	}
 	for pass := 0; pass < 2; pass++ {
@@ -433,30 +384,6 @@ func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, boo
 	return sources, false
 }
 
-// issueEC sends one request from an erasure-coded volume's generator and
-// schedules the next arrival (semi-open loop, like issue for pairs).
-func (r *Rack) issueEC(g *ecGroup) {
-	now := r.eng.Now()
-	if now < r.stopIssuing {
-		r.eng.ScheduleAfter(g.gen.NextGap(), labelClientIssueEC, g.issueEv)
-	}
-	if r.cfg.MaxClientInflight > 0 && g.inflight >= r.cfg.MaxClientInflight {
-		return
-	}
-
-	op := g.gen.Next()
-	r.seq++
-	st := r.states.Get()
-	st.seq, st.write, st.group, st.userLPN = r.seq, op.Write, g, op.LPN
-	st.issue, st.lastIssue = now, now
-	st.span = r.tracer.StartRequest(st.seq, reqKind(op.Write), now)
-	st.span.Annotate(trace.Int("lpn", int64(op.LPN)), trace.Int("volume", int64(g.idx)))
-	r.reqs.put(st)
-	g.inflight++
-	r.watchTimeout(st.seq)
-	r.sendEC(st)
-}
-
 // sendEC fans one logical request out to its chunk holders. A write
 // updates the data chunk and all m parity chunks (the RS small-write
 // amplification); a read goes to the data chunk's holder, and the switch
@@ -472,40 +399,14 @@ func (r *Rack) sendEC(st *reqState) {
 		st.ecPending = len(targets)
 		r.res.ECSubWrites += int64(len(targets))
 		for _, t := range targets {
-			r.sendECPacket(st, t, packet.OpWrite)
+			r.sendTo(st, t, packet.OpWrite)
 		}
 		return
 	}
 	home := g.insts[g.striper.DataHolder(stripe, pos)]
-	st.homeID = home.id
+	st.home = uint32(home.slot)
 	st.ecPending = 1
-	r.sendECPacket(st, home, packet.OpRead)
-}
-
-// sendECPacket emits one sub-operation toward a chunk holder via its
-// rack's ToR. Once a ToR failure is detected the client enters through
-// another rack of the group instead; that ToR's failover and handoff
-// tables route around the dark rack.
-func (r *Rack) sendECPacket(st *reqState, inst *instance, op packet.Op) {
-	pkt := packet.Packet{
-		Op:    op,
-		SrcIP: r.clientIP,
-		DstIP: inst.server.ip,
-		Port:  packet.ReservedPort,
-		VSSD:  inst.id,
-		LPN:   st.lpn,
-		Seq:   st.seq,
-	}
-	tor := r.torOf(inst.server)
-	if r.torDetected[inst.server.rackIdx] {
-		for _, alt := range st.group.tors {
-			if !alt.Down() {
-				tor = alt
-				break
-			}
-		}
-	}
-	r.clientSend(pkt, tor)
+	r.sendTo(st, home, packet.OpRead)
 }
 
 // startDegradedRead reconstructs a chunk at a surviving holder: the
@@ -538,15 +439,15 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	// GC burst that steered it may have ended before this coordinator
 	// started. Holders isolated by a dark ToR are not counted: no repair
 	// was queued for them, so there is nothing to have re-integrated.
-	if hIdx, ok := g.holderIndex(st.homeID); ok && g.crashed[hIdx] &&
-		g.reintegrated() && st.issue > g.reintegratedAt && !st.gcSteered {
-		repl := g.replacement[hIdx]
+	home := int(st.home)
+	if g.crashed[home] && g.reintegrated() && st.issue > g.reintegratedAt && !st.gcSteered {
+		repl := g.replacement[home]
 		if repl == nil || repl.server.reachable() {
 			r.res.DegradedReadsPostRepair++
 		}
 	}
 
-	sources, needed, localPlan := g.degradedSources(inst, st.homeID, now)
+	sources, needed, localPlan := g.degradedSources(inst, home, now)
 	if localPlan {
 		r.res.LocalDegradedReads++
 	} else if len(sources) < needed {
@@ -935,15 +836,18 @@ func (d *repairDone) Fire(now sim.Time) {
 
 // reintegrate closes the repair loop for one fully rebuilt holder: the
 // member the reconstructor rebuilt onto becomes the holder's
-// replacement. The client's volume map updates immediately (new reads
-// and writes go to the replacement directly), and after the
-// control-plane propagation delay every ToR serving the group updates
-// its stripe table: an adopting member is swapped in for the dead one
-// (switchsim.ReplaceStripeMember), while a catch-up repair that landed
-// the chunks back on the revived original re-registers the holder under
-// its own id (switchsim.RestoreStripeMember). Either way the failover
-// and remote-dead entries are cleared, so post-repair reads stop paying
-// the degraded-reconstruction cost.
+// replacement. After the control-plane propagation delay every ToR
+// serving the group updates its stripe table: an adopting member is
+// swapped in for the dead one (switchsim.ReplaceStripeMember), while a
+// catch-up repair that landed the chunks back on the revived original
+// re-registers the holder under its own id
+// (switchsim.RestoreStripeMember). Either way the failover and
+// remote-dead entries are cleared, so post-repair reads stop paying the
+// degraded-reconstruction cost. The client's volume map never changes
+// (writeHolders): the ToRs rewrite its traffic, and only the last
+// deferred update, once the slowest ToR has the replacement installed,
+// records it in g.replacement, where servers look up who serves a
+// rewritten read directly.
 func (r *Rack) reintegrate(g *ecGroup, holder int) {
 	// Register the member the repair actually rebuilt onto — never
 	// recomputed, so the replacement always holds the chunks.
@@ -985,10 +889,7 @@ func (r *Rack) reintegrate(g *ecGroup, holder int) {
 			return
 		}
 		g.replacement[holder] = adopter
-		if g.repairing[holder] {
-			g.repairing[holder] = false
-			g.reintegratedHolders++
-		}
+		g.repairing[holder] = false
 		g.reintegratedAt = r.eng.Now()
 		// Every holder stores one chunk of each of the group's
 		// usedStripes stripes, so one completed holder re-integrates

@@ -34,7 +34,7 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 	dead.detected = true
 	r.res.Failovers++
 	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
+		for _, inst := range pr.insts {
 			if inst.server != dead {
 				continue
 			}
@@ -95,15 +95,11 @@ func (r *Rack) onServerDetectedDead(dead *server) {
 // enqueueHolderRepair (re)queues the full reconstruction of one lost
 // holder onto the given adopter, discarding any progress a previous
 // repair generation had made (the chunks it rebuilt are lost or stale),
-// and arms the repair pump. The repairing flag keeps the group's
-// failed/reintegrated holder accounting balanced across repeated
-// fail/heal cycles.
+// and arms the repair pump. The holder stays marked repairing until
+// reintegrate registers the rebuilt chunks.
 func (r *Rack) enqueueHolderRepair(g *ecGroup, holder int, adopter *instance) {
 	g.adopterFor[holder] = adopter
-	if !g.repairing[holder] {
-		g.repairing[holder] = true
-		g.failedHolders++
-	}
+	g.repairing[holder] = true
 	g.recon.Reset(holder)
 	g.recon.EnqueueChunk(holder, g.usedStripes, repairBatchStripes)
 	r.scheduleRepair(g)
@@ -171,13 +167,13 @@ func (r *Rack) onToRDetectedDead(rackIdx int) {
 	// A ToR revived before the heartbeat detector fired was a transient
 	// blip: installing failovers for a healthy rack would steer reads
 	// away from reachable members forever.
-	if r.torDetected[rackIdx] || !r.torFailed[rackIdx] {
+	if r.torDetected[rackIdx] || !r.tors[rackIdx].Down() {
 		return
 	}
 	r.torDetected[rackIdx] = true
 	r.res.Failovers++
 	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
+		for _, inst := range pr.insts {
 			if inst.server.rackIdx != rackIdx {
 				continue
 			}
@@ -221,7 +217,7 @@ func (r *Rack) replayToR(rackIdx int) {
 	// buildGroups registers so non-stripe paths never leak remote IPs
 	// into the wrong destination table).
 	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
+		for _, inst := range pr.insts {
 			if inst.server.rackIdx != rackIdx {
 				continue
 			}
@@ -272,7 +268,7 @@ func (r *Rack) replayToR(rackIdx int) {
 	// Replicated pairs: a locally-homed member whose server crashed (not
 	// merely darkened) keeps routing to its survivor.
 	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
+		for _, inst := range pr.insts {
 			if inst.server.rackIdx != rackIdx || inst.server.reachable() {
 				continue
 			}
@@ -312,7 +308,7 @@ func (r *Rack) replayToR(rackIdx int) {
 // (switchsim.RestoreStripeMember, via the usual reintegrate path).
 func (r *Rack) onServerRevived(srv *server) {
 	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
+		for _, inst := range pr.insts {
 			if inst.server != srv {
 				continue
 			}
@@ -407,7 +403,7 @@ func (r *Rack) requestTimedOut(seq uint64) {
 		r.sendEC(st)
 		return
 	}
-	st.decInflight()
+	st.vol.inflight--
 	r.res.LostRequests++
 	if !st.write {
 		r.res.LostReads++

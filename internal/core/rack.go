@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rackblox/internal/ec"
 	"rackblox/internal/netsim"
@@ -34,6 +35,8 @@ type instance struct {
 	id     uint32
 	v      *vssd.VSSD
 	server *server
+	// slot is the instance's index among its volume's members.
+	slot int
 	// partner is the instance this one pairs with: the other member of
 	// a replicated pair, or the next member in group order for an
 	// erasure-coded holder. The VDC controller consults its GC state,
@@ -75,25 +78,40 @@ type instance struct {
 	replicaIdleHint bool
 }
 
-// pair is a primary+replica vSSD pair with its client-side generator.
-type pair struct {
-	idx      int
-	primary  *instance
-	replica  *instance
+// volume is one logical volume with its client: the members it spans,
+// the workload generator and the client's window of requests in flight.
+// A replicated volume is a Hermes pair, primary then replica; an
+// erasure-coded one is the client half of an ecGroup.
+type volume struct {
+	idx int
+	// insts holds the members in placement order.
+	insts []*instance
+	// tors lists each ToR serving a member once, ordered by the first
+	// member it serves.
+	tors     []*switchsim.Switch
 	gen      workload.Generator
 	inflight int
-	// issueEv is the pair's next client arrival, bound once.
+	// issueEv is the volume's next client arrival, bound once.
 	issueEv sim.EventFunc
 }
 
+// addMember appends inst to the volume's members and notes its ToR.
+func (r *Rack) addMember(v *volume, inst *instance) {
+	inst.slot = len(v.insts)
+	v.insts = append(v.insts, inst)
+	if tor := r.torOf(inst.server); !slices.Contains(v.tors, tor) {
+		v.tors = append(v.tors, tor)
+	}
+}
+
 // reqState tracks one request across the rack for latency breakdown.
-// Exactly one of pair and group is set: pair for replicated volumes,
-// group for erasure-coded ones.
+// vol is the volume that issued it; group is also set when that volume
+// is erasure-coded.
 type reqState struct {
 	seq        uint64
 	write      bool
 	lpn        uint32
-	pair       *pair
+	vol        *volume
 	group      *ecGroup
 	issue      sim.Time
 	arrival    sim.Time // at storage server
@@ -109,11 +127,12 @@ type reqState struct {
 	netIn     sim.Time
 
 	// Erasure-coded requests: userLPN is the client's logical page (lpn
-	// holds the chunk-local page, i.e. the stripe index), homeID the data
-	// chunk's holder, ecPending the outstanding fan-out sub-operations,
-	// and retries the client retransmission count after a timeout.
+	// holds the chunk-local page, i.e. the stripe index), home the data
+	// chunk holder's slot, ecPending the outstanding fan-out
+	// sub-operations, and retries the client retransmission count after
+	// a timeout.
 	userLPN   uint32
-	homeID    uint32
+	home      uint32
 	ecPending int
 	retries   int
 
@@ -125,15 +144,6 @@ type reqState struct {
 	span      *trace.Span
 	lastIssue sim.Time
 	degraded  bool
-}
-
-// decInflight releases the client-window slot of the owning volume.
-func (st *reqState) decInflight() {
-	if st.pair != nil {
-		st.pair.inflight--
-	} else if st.group != nil {
-		st.group.inflight--
-	}
 }
 
 // Rack is one end-to-end experiment instance. Despite the historical
@@ -152,19 +162,20 @@ type Rack struct {
 	eng *sim.Engine
 	net *netsim.Network
 	// tors holds one ToR switch per rack, and spine is the cross-rack
-	// boundary (spine.go). ToR failure injection: torFailed flips at the
-	// configured instant, torDetected when the heartbeat detector
-	// notices and the surviving ToRs take over; torCrashes counts each
-	// ToR's failures so a detection timer armed by one outage cannot
-	// fire for a later one.
+	// boundary (spine.go). ToR failure injection: a ToR goes Down() at
+	// the configured instant, torDetected flips when the heartbeat
+	// detector notices and the surviving ToRs take over; torCrashes
+	// counts each ToR's failures so a detection timer armed by one
+	// outage cannot fire for a later one.
 	tors        []*switchsim.Switch
 	spine       *Spine
-	torFailed   []bool
 	torDetected []bool
 	torCrashes  []int
 	servers     []*server
-	pairs       []*pair
-	groups      []*ecGroup
+	// pairs holds the replicated volumes, groups the erasure-coded ones;
+	// one of the two is empty.
+	pairs  []*volume
+	groups []*ecGroup
 	// insts lists every vSSD instance in creation order: pairs, then
 	// erasure-coded groups, each in member order.
 	insts []*instance
@@ -362,8 +373,10 @@ func (r *Rack) buildPairs() error {
 		pri.repl = replication.NewNode(0, peers, r.hermesTransport(pri, rep))
 		rep.repl = replication.NewNode(1, peers, r.hermesTransport(pri, rep))
 
-		pr := &pair{idx: p, primary: pri, replica: rep}
-		pr.gen = r.newGenerator(p, pri)
+		pr := &volume{idx: p}
+		r.addMember(pr, pri)
+		r.addMember(pr, rep)
+		pr.gen = r.makeGenerator(p, uint64(float64(pri.v.FTL.LogicalPages())*cfg.KeyspaceFrac))
 		r.pairs = append(r.pairs, pr)
 
 		// Register both instances in their racks' ToR tables (create_vssd).
@@ -477,21 +490,14 @@ func (r *Rack) hermesTransport(pri, rep *instance) replication.Transport {
 	}
 }
 
-// newGenerator builds the pair's workload generator sized to the primary's
-// preconditioned key space.
-func (r *Rack) newGenerator(p int, pri *instance) workload.Generator {
-	keys := uint64(float64(pri.v.FTL.LogicalPages()) * r.cfg.KeyspaceFrac)
-	return r.makeGenerator(p, keys)
-}
-
-// makeGenerator builds one volume's workload generator over keys logical
-// pages.
-func (r *Rack) makeGenerator(volume int, keys uint64) workload.Generator {
+// makeGenerator builds the workload generator of volume idx over keys
+// logical pages.
+func (r *Rack) makeGenerator(idx int, keys uint64) workload.Generator {
 	cfg := r.cfg
 	if keys < 64 {
 		keys = 64
 	}
-	rng := r.rng.Fork(int64(200 + volume))
+	rng := r.rng.Fork(int64(200 + idx))
 	if cfg.Workload.Name == "" || cfg.Workload.Name == "YCSB" {
 		return workload.NewYCSB(rng, keys, cfg.Workload.WriteFrac, cfg.Workload.MeanGap)
 	}

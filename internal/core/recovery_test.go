@@ -128,7 +128,7 @@ func TestToRRevivalClearsSiblingState(t *testing.T) {
 			}
 		}
 	}
-	if r2.torFailed[darkRack] || r2.tors[darkRack].Down() {
+	if r2.tors[darkRack].Down() {
 		t.Fatal("revived ToR still down")
 	}
 	if res.DegradedReadsPostRepair != 0 {

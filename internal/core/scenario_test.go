@@ -361,7 +361,7 @@ func TestReplicationRevivalRepairs(t *testing.T) {
 	}
 	repaired := 0
 	for _, pr := range r.pairs {
-		for _, inst := range []*instance{pr.primary, pr.replica} {
+		for _, inst := range pr.insts {
 			if inst.server != r.servers[0] {
 				continue
 			}

@@ -57,7 +57,7 @@ func (s *server) receive(pkt packet.Packet) {
 			st.netIn = now - st.issue
 		}
 		s.rack.perRackReqs[s.rackIdx]++
-		if st.pair != nil && pkt.VSSD != st.pair.primary.id {
+		if st.group == nil && pkt.VSSD != st.vol.insts[0].id {
 			st.redirected = true
 		}
 		st.gcSteered = pkt.GCSteered
@@ -169,7 +169,7 @@ func (s *server) startRead(inst *instance, req *sched.Request, attempt int) {
 	// holder coordinates the degraded reconstruction from k chunks —
 	// unless it is the home's re-integrated replacement, in which case
 	// the rebuilt chunk lives here and the read is served directly.
-	if st.group != nil && inst.id != st.homeID && !st.group.servesDirect(inst, st.homeID) {
+	if g := st.group; g != nil && inst != g.insts[st.home] && inst != g.replacement[st.home] {
 		s.startDegradedRead(inst, req)
 		return
 	}

@@ -24,16 +24,17 @@ func (f *fifo) Len() int                      { return f.q.Len() }
 // their class deadline are promoted, with expired writes served ahead of
 // fresh reads (reads are otherwise preferred, as in Linux's mq-deadline).
 type deadline struct {
-	reads, writes queue
-	cfg           Config
+	reads, writes           queue
+	readTarget, writeTarget sim.Time
 }
 
 func newDeadline(cfg Config) *deadline {
-	return &deadline{
+	d := &deadline{
 		reads:  queue{coordinated: cfg.Coordinated},
 		writes: queue{coordinated: cfg.Coordinated},
-		cfg:    cfg,
 	}
+	d.readTarget, d.writeTarget = cfg.targets()
+	return d
 }
 
 func (d *deadline) Enqueue(r *Request) {
@@ -46,12 +47,12 @@ func (d *deadline) Enqueue(r *Request) {
 
 func (d *deadline) Dequeue(now sim.Time) *Request {
 	wOldest, wOK := d.writes.oldestArrival()
-	writeExpired := wOK && now-wOldest >= d.cfg.WriteTarget
+	writeExpired := wOK && now-wOldest >= d.writeTarget
 	if writeExpired {
 		// An expired write preempts fresh reads; expired reads still win
 		// over expired writes (read latency is the primary SLO).
 		rOldest, rOK := d.reads.oldestArrival()
-		if rOK && now-rOldest >= d.cfg.ReadTarget {
+		if rOK && now-rOldest >= d.readTarget {
 			return d.reads.pop()
 		}
 		return d.writes.pop()
@@ -71,8 +72,10 @@ func (d *deadline) Len() int                  { return d.reads.Len() + d.writes.
 // This mirrors Linux Kyber's token-based throttling at the fidelity the
 // evaluation needs.
 type kyber struct {
-	reads, writes  queue
-	cfg            Config
+	reads, writes queue
+	// readTarget is the read P95 that throttles writes; Kyber has no
+	// write target of its own.
+	readTarget     sim.Time
 	readLat        []sim.Time // sliding sample window
 	writeBudget    int
 	inflightWrites int
@@ -85,10 +88,11 @@ const (
 )
 
 func newKyber(cfg Config) *kyber {
+	read, _ := cfg.targets()
 	return &kyber{
 		reads:       queue{coordinated: cfg.Coordinated},
 		writes:      queue{coordinated: cfg.Coordinated},
-		cfg:         cfg,
+		readTarget:  read,
 		writeBudget: kyberStartBudget,
 	}
 }
@@ -129,12 +133,12 @@ func (k *kyber) OnComplete(write bool, lat sim.Time) {
 	p95 := stats.Select(k.readLat, stats.Rank(95, len(k.readLat)))
 	k.readLat = k.readLat[:0]
 	switch {
-	case p95 > k.cfg.ReadTarget:
+	case p95 > k.readTarget:
 		k.writeBudget /= 2
 		if k.writeBudget < 1 {
 			k.writeBudget = 1
 		}
-	case p95 < k.cfg.ReadTarget*8/10 && k.writeBudget < kyberMaxBudget:
+	case p95 < k.readTarget*8/10 && k.writeBudget < kyberMaxBudget:
 		// Reads comfortably under target: admit writes again, two tokens
 		// per window so recovery is not glacial after one GC spike.
 		k.writeBudget += 2

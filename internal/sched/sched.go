@@ -68,11 +68,6 @@ type Config struct {
 	Policy Policy
 	// Coordinated enables RackBlox's network-aware in-queue reordering.
 	Coordinated bool
-	// ReadTarget / WriteTarget are the per-class latency goals: deadlines
-	// for Deadline, throttling targets for Kyber. Zero selects the paper's
-	// defaults for the policy (larger when coordinated, §4.1).
-	ReadTarget  sim.Time
-	WriteTarget sim.Time
 }
 
 // Paper defaults (§4.1, §4.5.1).
@@ -87,24 +82,23 @@ const (
 	CoordKyberWriteTarget    = 4 * sim.Millisecond
 )
 
-func (c *Config) applyDefaults() {
-	if c.ReadTarget != 0 || c.WriteTarget != 0 {
-		return
-	}
+// targets returns the per-class latency goals of the policy: deadlines
+// for Deadline, throttling targets for Kyber, larger when coordinated
+// (§4.1). Other policies have none.
+func (c Config) targets() (read, write sim.Time) {
 	switch c.Policy {
 	case Deadline:
 		if c.Coordinated {
-			c.ReadTarget, c.WriteTarget = CoordDeadlineReadTarget, CoordDeadlineWriteTarget
-		} else {
-			c.ReadTarget, c.WriteTarget = DeadlineReadTarget, DeadlineWriteTarget
+			return CoordDeadlineReadTarget, CoordDeadlineWriteTarget
 		}
+		return DeadlineReadTarget, DeadlineWriteTarget
 	case Kyber:
 		if c.Coordinated {
-			c.ReadTarget, c.WriteTarget = CoordKyberReadTarget, CoordKyberWriteTarget
-		} else {
-			c.ReadTarget, c.WriteTarget = KyberReadTarget, KyberWriteTarget
+			return CoordKyberReadTarget, CoordKyberWriteTarget
 		}
+		return KyberReadTarget, KyberWriteTarget
 	}
+	return 0, 0
 }
 
 // Scheduler orders the storage I/O queue.
@@ -122,7 +116,6 @@ type Scheduler interface {
 
 // New builds a scheduler for the configuration.
 func New(cfg Config) Scheduler {
-	cfg.applyDefaults()
 	switch cfg.Policy {
 	case FIFO:
 		return newFIFO(cfg)

@@ -116,31 +116,25 @@ func TestDeadlineExpiredReadBeatsExpiredWrite(t *testing.T) {
 }
 
 func TestDeadlineDefaults(t *testing.T) {
-	d := newDeadline(func() Config { c := Config{Policy: Deadline}; c.applyDefaults(); return c }())
-	if d.cfg.ReadTarget != DeadlineReadTarget || d.cfg.WriteTarget != DeadlineWriteTarget {
-		t.Fatalf("defaults = %+v", d.cfg)
+	d := newDeadline(Config{Policy: Deadline})
+	if d.readTarget != DeadlineReadTarget || d.writeTarget != DeadlineWriteTarget {
+		t.Fatalf("defaults = %d, %d", d.readTarget, d.writeTarget)
 	}
-	dc := newDeadline(func() Config {
-		c := Config{Policy: Deadline, Coordinated: true}
-		c.applyDefaults()
-		return c
-	}())
-	if dc.cfg.ReadTarget != CoordDeadlineReadTarget {
+	dc := newDeadline(Config{Policy: Deadline, Coordinated: true})
+	if dc.readTarget != CoordDeadlineReadTarget || dc.writeTarget != CoordDeadlineWriteTarget {
 		t.Fatal("coordinated deadline defaults")
 	}
 }
 
 func TestKyberDefaults(t *testing.T) {
 	k := New(Config{Policy: Kyber}).(*kyber)
-	if k.cfg.ReadTarget != KyberReadTarget || k.cfg.WriteTarget != KyberWriteTarget {
-		t.Fatalf("kyber defaults = %+v", k.cfg)
+	read, write := Config{Policy: Kyber}.targets()
+	if k.readTarget != KyberReadTarget || read != KyberReadTarget || write != KyberWriteTarget {
+		t.Fatalf("kyber defaults = %d (scheduler %d), %d", read, k.readTarget, write)
 	}
-}
-
-func TestExplicitTargetsRespected(t *testing.T) {
-	k := New(Config{Policy: Kyber, ReadTarget: 1, WriteTarget: 2}).(*kyber)
-	if k.cfg.ReadTarget != 1 || k.cfg.WriteTarget != 2 {
-		t.Fatal("explicit targets overwritten")
+	read, write = Config{Policy: Kyber, Coordinated: true}.targets()
+	if read != CoordKyberReadTarget || write != CoordKyberWriteTarget {
+		t.Fatal("coordinated kyber defaults")
 	}
 }
 

@@ -133,14 +133,6 @@ func (p *PacedBandwidth) Consume(deltaBytes int64) {
 	p.pump()
 }
 
-// Transfer admits bytes through the token gate and then moves them over
-// the underlying link, firing done (which may be nil) when the last byte
-// clears it. The transfer window is unknowable before admission, so
-// unlike Bandwidth.Reserve it returns nothing; done fires at its end.
-func (p *PacedBandwidth) Transfer(bytes int64, done Handler) {
-	p.Admit(bytes, func(Time) { p.link.Reserve(bytes, done) })
-}
-
 // refill matures tokens up to now at the current rate, capped at burst.
 func (p *PacedBandwidth) refill(now Time) {
 	if now > p.last {

@@ -136,9 +136,10 @@ func TestPacedConsumeSettlesDebtAndRefund(t *testing.T) {
 	}
 }
 
-// TestPacedTransferSharesLink checks that Transfer occupies the shared
-// link after admission, so paced and unpaced traffic serialize FIFO on
-// the same capacity.
+// TestPacedTransferSharesLink checks that a paced transfer — an
+// admission whose grant reserves the underlying link — occupies the
+// shared link, so paced and unpaced traffic serialize FIFO on the same
+// capacity.
 func TestPacedTransferSharesLink(t *testing.T) {
 	eng := NewEngine()
 	link := NewBandwidth(eng, 1e6) // 1 MB/s: 1000 bytes take 1ms
@@ -146,10 +147,12 @@ func TestPacedTransferSharesLink(t *testing.T) {
 
 	var pacedEnd, fgEnd Time
 	var delivered int64
-	p.Transfer(1000, EventFunc(func(end Time) {
-		pacedEnd = end
-		delivered += 1000
-	}))
+	p.Admit(1000, func(Time) {
+		link.Reserve(1000, EventFunc(func(end Time) {
+			pacedEnd = end
+			delivered += 1000
+		}))
+	})
 	link.Transfer(1000, func(_, end Time) { // foreground, direct
 		fgEnd = end
 		delivered += 1000

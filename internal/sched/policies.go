@@ -73,8 +73,8 @@ func (d *deadline) Len() int                  { return d.reads.Len() + d.writes.
 // evaluation needs.
 type kyber struct {
 	reads, writes queue
-	// readTarget is the read P95 that throttles writes; Kyber has no
-	// write target of its own.
+	// readTarget is the read P95 goal the write budget adapts to; this
+	// model does not use Kyber's write target.
 	readTarget     sim.Time
 	readLat        []sim.Time // sliding sample window
 	writeBudget    int

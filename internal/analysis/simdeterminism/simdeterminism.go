@@ -87,14 +87,15 @@ const (
 )
 
 // scheduling lists, per sim receiver type, the methods that schedule
-// engine events.
+// engine events. A PacedBandwidth schedules its next wakeup from pump,
+// which both admission forms, SetRate and Consume all reach.
 var scheduling = map[string]map[string]bool{
 	"Engine": {"At": true, "After": true, "AtNamed": true, "AfterNamed": true,
 		"Schedule": true, "ScheduleAfter": true, "SetTick": true},
 	"ShardGroup":     {"Post": true, "Send": true},
 	"Resource":       {"Reserve": true, "Acquire": true},
 	"Bandwidth":      {"Reserve": true, "Transfer": true},
-	"PacedBandwidth": {"Admit": true},
+	"PacedBandwidth": {"Admit": true, "AdmitHandler": true, "SetRate": true, "Consume": true},
 }
 
 func (s sink) describe() string {

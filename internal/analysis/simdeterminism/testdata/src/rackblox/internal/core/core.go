@@ -38,6 +38,32 @@ func namedInMapOrder(eng *sim.Engine, m map[int]sim.Time) {
 	}
 }
 
+// Each admission, retune and settlement of a paced link may schedule
+// its wakeup.
+func admitsInMapOrder(p *sim.PacedBandwidth, m map[int]int64) {
+	for _, b := range m { // want "map iteration order .* schedules engine events"
+		p.Admit(b, func(sim.Time) {})
+	}
+}
+
+func admitsHandlersInMapOrder(p *sim.PacedBandwidth, m map[int]int64, h sim.Handler) {
+	for _, b := range m { // want "map iteration order .* schedules engine events"
+		p.AdmitHandler(b, h)
+	}
+}
+
+func retunesInMapOrder(p *sim.PacedBandwidth, m map[int]float64) {
+	for _, rate := range m { // want "map iteration order .* schedules engine events"
+		p.SetRate(rate)
+	}
+}
+
+func settlesInMapOrder(p *sim.PacedBandwidth, m map[int]int64) {
+	for _, d := range m { // want "map iteration order .* schedules engine events"
+		p.Consume(d)
+	}
+}
+
 func writesResultInMapOrder(res *Result, m map[int]int64) {
 	for _, v := range m { // want "map iteration order .* writes exported result state"
 		res.Total = res.Total*31 + v

@@ -65,6 +65,35 @@ func (g *ShardGroup) Send(src, dst int, at Time, label string, fn EventFunc) {
 	g.Post(src, dst, at, labelFor(label), fn)
 }
 
+// PacedBandwidth is the fixture token-bucket pacer. Every admission
+// path, and every call that settles or retunes the bucket, pumps the
+// queue, whose wakeups are scheduled events.
+type PacedBandwidth struct {
+	eng  *Engine
+	wake func(Time)
+}
+
+func (p *PacedBandwidth) Admit(bytes int64, grant func(now Time)) {
+	p.AdmitHandler(bytes, EventFunc(grant))
+}
+
+func (p *PacedBandwidth) AdmitHandler(bytes int64, grant Handler) {
+	_, _ = bytes, grant
+	p.pump()
+}
+
+func (p *PacedBandwidth) SetRate(rateBytesPerSec float64) {
+	_ = rateBytesPerSec
+	p.pump()
+}
+
+func (p *PacedBandwidth) Consume(deltaBytes int64) {
+	_ = deltaBytes
+	p.pump()
+}
+
+func (p *PacedBandwidth) pump() { p.eng.ScheduleAfter(0, labelFor("paced.wake"), EventFunc(p.wake)) }
+
 // RNG is the fixture per-component random stream.
 type RNG struct{ state uint64 }
 

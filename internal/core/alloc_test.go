@@ -118,3 +118,58 @@ func TestRunSealsRecorder(t *testing.T) {
 		t.Errorf("the Recorder holds %.3f bytes per sample after Run, want at most 13.5", perSample)
 	}
 }
+
+// TestRackStateFootprint: the rack's own per-vSSD tables hold only what
+// their vSSD uses. On a multirack-shaped cluster (2 racks x 4 servers,
+// 4 pairs, so one vSSD per server) and on its read-only twin, after Run
+// each Hermes node's key pages hold at most 16 bytes per key they cover
+// and the read-only run allocates none; each FTL's reverse map covers
+// no more than the pages of its channels; and a device's chips hold
+// page state only where an FTL took them.
+func TestRackStateFootprint(t *testing.T) {
+	for _, writeFrac := range []float64{DefaultConfig().Workload.WriteFrac, 0} {
+		cfg := DefaultConfig()
+		cfg.Racks = 2
+		cfg.CrossRackMBps = 2000
+		cfg.Workload.WriteFrac = writeFrac
+		cfg.Warmup = 50 * sim.Millisecond
+		cfg.Duration = 200 * sim.Millisecond
+		r, err := NewRack(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Run()
+		geo := cfg.Geometry
+		channelPages := geo.ChipsPerChannel * geo.BlocksPerChip * geo.PagesPerBlock
+		for _, s := range r.servers {
+			if len(s.insts) != 1 {
+				t.Fatalf("writes %.2f: server %d holds %d vSSDs, want 1", writeFrac, s.index, len(s.insts))
+			}
+			taken := map[int]bool{}
+			for _, inst := range s.insts {
+				keys, bytes := inst.repl.Footprint()
+				t.Logf("writes %.2f: vSSD %d: %d Hermes keys in %d bytes, reverse map of %d pages",
+					writeFrac, inst.id, keys, bytes, inst.v.FTL.ReverseLen())
+				if writeFrac == 0 && (keys != 0 || bytes != 0) {
+					t.Errorf("read-only vSSD %d holds a Hermes table of %d keys in %d bytes, want none", inst.id, keys, bytes)
+				}
+				if writeFrac > 0 && (keys == 0 || bytes > 16*keys) {
+					t.Errorf("vSSD %d holds %d Hermes keys in %d bytes, want at most 16 bytes per key", inst.id, keys, bytes)
+				}
+				chs := inst.v.FTL.Channels()
+				if n, limit := inst.v.FTL.ReverseLen(), len(chs)*channelPages; n > limit {
+					t.Errorf("vSSD %d's reverse map covers %d pages, its %d channels hold %d", inst.id, n, len(chs), limit)
+				}
+				for _, ch := range chs {
+					taken[ch] = true
+				}
+			}
+			for i, chip := range s.dev.Array().Chips {
+				if ch := i / geo.ChipsPerChannel; (chip.Blocks != nil) != taken[ch] {
+					t.Errorf("server %d chip %d (channel %d): holds state %v, taken by an FTL %v",
+						s.index, i, ch, chip.Blocks != nil, taken[ch])
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"rackblox/internal/sim"
 	"rackblox/internal/stats"
 	"rackblox/internal/switchsim"
@@ -188,7 +190,11 @@ func (r *Rack) Run() *Result {
 	res.ForegroundCrossRackBytesOffered = r.spine.foregroundOffered
 	if r.pacer != nil {
 		res.SLOViolationFraction = r.pacer.violationFraction()
-		res.RepairRateTimeline = append([]RatePoint(nil), r.pacer.timeline...)
+		// The pacer never appends after the engine drains, so the
+		// Result shares its timeline, clipped so that an append by a
+		// caller copies instead of writing into the pacer's spare
+		// capacity.
+		res.RepairRateTimeline = slices.Clip(r.pacer.timeline)
 	}
 	for _, g := range r.groups {
 		res.RepairedStripes += int64(g.recon.RepairedStripes())

@@ -136,9 +136,11 @@ func (g Geometry) AddrOf(ppn int) Addr {
 	return Addr{Channel: ch, Chip: c, Block: b, Page: p}
 }
 
-// Block is one erase block: page states plus wear accounting.
+// Block is one erase block: page states plus wear accounting. A chip's
+// blocks exist once an FTL takes the chip (Array.Take).
 type Block struct {
-	// State holds the per-page lifecycle.
+	// State holds the per-page lifecycle, capped at the block's own
+	// pages of its chip's one page-state allocation.
 	State []PageState
 	// WritePtr is the next free page index; pages program sequentially.
 	WritePtr int
@@ -159,7 +161,8 @@ var ErrBlockFull = errors.New("flash: block has no free pages")
 // ErrNotErased is returned when programming a non-free page.
 var ErrNotErased = errors.New("flash: page is not erased")
 
-// Chip is an independently addressable flash die.
+// Chip is an independently addressable flash die. Blocks is nil until
+// the chip is taken.
 type Chip struct {
 	Blocks []Block
 }
@@ -176,25 +179,32 @@ type Array struct {
 	programs int64
 }
 
-// NewArray builds an erased array.
+// NewArray builds an erased array. Its chips hold no state until taken:
+// a device carved into fewer vSSDs than it has chips allocates the
+// blocks and page states of the chips its FTLs use, not of all of them.
 func NewArray(geo Geometry, prof Profile) (*Array, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Array{Geo: geo, Profile: prof}
-	a.Chips = make([]Chip, geo.TotalChips())
-	// One allocation holds every block's page states; each block's slice
-	// is capped at its own pages, so no append can run into the next.
-	states, ppb := make([]PageState, geo.TotalPages()), geo.PagesPerBlock
-	for i := range a.Chips {
-		blocks := make([]Block, geo.BlocksPerChip)
-		for b := range blocks {
-			blocks[b].State = states[:ppb:ppb]
-			states = states[ppb:]
-		}
-		a.Chips[i].Blocks = blocks
+	return &Array{Geo: geo, Profile: prof, Chips: make([]Chip, geo.TotalChips())}, nil
+}
+
+// Take allocates the erased blocks of a chip that holds no state yet;
+// an FTL takes each of its chips before it addresses them. Taking a
+// taken chip changes nothing.
+func (a *Array) Take(channel, chip int) {
+	c := &a.Chips[a.chipIndex(channel, chip)]
+	if c.Blocks != nil {
+		return
 	}
-	return a, nil
+	// One allocation holds the chip's page states; each block's slice is
+	// capped at its own pages, so no append can run into the next.
+	ppb := a.Geo.PagesPerBlock
+	states := make([]PageState, a.Geo.BlocksPerChip*ppb)
+	c.Blocks = make([]Block, a.Geo.BlocksPerChip)
+	for b := range c.Blocks {
+		c.Blocks[b].State = states[b*ppb : (b+1)*ppb : (b+1)*ppb]
+	}
 }
 
 // chipIndex maps (channel, chip) to the flat chip slice.
@@ -270,23 +280,19 @@ func (a *Array) Erases() int64 { return a.erases }
 func (a *Array) Programs() int64 { return a.programs }
 
 // AvgEraseCount returns the mean per-block erase count, the paper's wear
-// metric φ (§3.6).
+// metric φ (§3.6). The blocks of untaken chips count as never erased.
 func (a *Array) AvgEraseCount() float64 {
 	total := 0
-	n := 0
 	for i := range a.Chips {
 		for b := range a.Chips[i].Blocks {
 			total += a.Chips[i].Blocks[b].EraseCount
-			n++
 		}
 	}
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
+	return float64(total) / float64(a.Geo.TotalBlocks())
 }
 
-// MaxEraseCount returns the largest per-block erase count.
+// MaxEraseCount returns the largest per-block erase count, 0 for the
+// never-erased blocks of untaken chips.
 func (a *Array) MaxEraseCount() int {
 	max := 0
 	for i := range a.Chips {

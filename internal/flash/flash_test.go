@@ -95,13 +95,67 @@ func TestProfiles(t *testing.T) {
 	}
 }
 
+// newTestArray builds a tiny array with every chip taken.
 func newTestArray(t *testing.T) *Array {
 	t.Helper()
 	a, err := NewArray(tinyGeo(), ProfilePSSD())
 	if err != nil {
 		t.Fatal(err)
 	}
+	for ch := 0; ch < a.Geo.Channels; ch++ {
+		for c := 0; c < a.Geo.ChipsPerChannel; c++ {
+			a.Take(ch, c)
+		}
+	}
 	return a
+}
+
+// An untaken chip holds no blocks or page states; taking it allocates
+// them once, and the wear averages count the blocks of untaken chips as
+// never erased.
+func TestUntakenChipsHoldNoState(t *testing.T) {
+	a, err := NewArray(tinyGeo(), ProfilePSSD())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range a.Chips {
+		if c.Blocks != nil {
+			t.Fatalf("chip %d of a new array holds %d blocks", i, len(c.Blocks))
+		}
+	}
+	if a.AvgEraseCount() != 0 || a.MaxEraseCount() != 0 {
+		t.Fatal("an array of untaken chips has wear")
+	}
+	taken := Addr{Channel: 1, Chip: 0}
+	a.Take(taken.Channel, taken.Chip)
+	first := &a.BlockAt(taken).State[0]
+	a.Take(taken.Channel, taken.Chip)
+	if &a.BlockAt(taken).State[0] != first {
+		t.Fatal("taking a taken chip reallocated its state")
+	}
+	for i, c := range a.Chips {
+		if want := i == a.chipIndex(taken.Channel, taken.Chip); (c.Blocks != nil) != want {
+			t.Fatalf("chip %d holds state: %v, want %v", i, c.Blocks != nil, want)
+		}
+	}
+	blocks := a.Chips[a.chipIndex(taken.Channel, taken.Chip)].Blocks
+	if len(blocks) != a.Geo.BlocksPerChip {
+		t.Fatalf("taken chip holds %d blocks, want %d", len(blocks), a.Geo.BlocksPerChip)
+	}
+	for b := range blocks {
+		if len(blocks[b].State) != a.Geo.PagesPerBlock || cap(blocks[b].State) != a.Geo.PagesPerBlock {
+			t.Fatalf("block %d page states len %d cap %d, want %d", b, len(blocks[b].State), cap(blocks[b].State), a.Geo.PagesPerBlock)
+		}
+	}
+	a.Erase(taken)
+	a.Erase(taken)
+	a.Erase(Addr{Channel: taken.Channel, Chip: taken.Chip, Block: 1})
+	if a.MaxEraseCount() != 2 {
+		t.Fatalf("max erase = %d, want 2", a.MaxEraseCount())
+	}
+	if got, want := a.AvgEraseCount(), 3.0/float64(a.Geo.TotalBlocks()); got != want {
+		t.Fatalf("avg erase = %f, want %f over every block of the array", got, want)
+	}
 }
 
 func TestProgramSequential(t *testing.T) {
@@ -174,6 +228,7 @@ func TestEnduranceRetiresBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.Take(0, 0)
 	addr := Addr{}
 	for i := 0; i < 2; i++ {
 		if err := a.Erase(addr); err != nil {
@@ -229,6 +284,7 @@ func TestValidCountInvariantProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		a.Take(0, 0)
 		addr := Addr{}
 		var valids []int // pages currently valid
 		for _, op := range ops {

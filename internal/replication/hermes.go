@@ -12,9 +12,9 @@ package replication
 
 import (
 	"fmt"
+	"math"
 	"slices"
-
-	"rackblox/internal/sim"
+	"unsafe"
 )
 
 // State is the per-key replica state.
@@ -94,12 +94,36 @@ type Message struct {
 // it and charges network latency.
 type Transport func(msg Message)
 
-// keyState is one key's replica state. Its zero value — valid, never
-// written — is the state of every key the node has not touched.
-type keyState struct {
-	st State
-	ts Timestamp
+// pageBits sets the size of a node's key pages: 1024 keys, 16 KiB. A
+// vSSD's keyspace of a few thousand keys then takes a few pages, each
+// allocated once and never copied.
+const (
+	pageBits = 10
+	pageKeys = 1 << pageBits
+)
+
+// slot is one key's replica state in 16 bytes: the key's Timestamp,
+// flattened with its NodeID narrowed to int32, its State, and write, the
+// 1-based index in Node.writes of the key's in-flight coordinator write
+// (0 when none). The zero slot — valid, never written — is the state of
+// every key the node has not touched.
+type slot struct {
+	version uint64
+	node    int32
+	st      State
+	write   uint16
 }
+
+// ts returns the slot's timestamp.
+func (s slot) ts() Timestamp { return Timestamp{Version: s.version, NodeID: int(s.node)} }
+
+// set records state st at timestamp ts, keeping the in-flight write.
+func (s *slot) set(st State, ts Timestamp) {
+	s.version, s.node, s.st = ts.Version, int32(ts.NodeID), st
+}
+
+// keyPage holds the slots of pageKeys consecutive keys.
+type keyPage [pageKeys]slot
 
 // pendingWrite is one coordinator write waiting for acks. Finished writes
 // go back to the node's free list, so steady-state writes allocate
@@ -110,6 +134,10 @@ type pendingWrite struct {
 	// most, so a slice beats a map).
 	awaiting []int
 	onCommit func()
+	// idx is the write's 1-based index in Node.writes, the value a slot
+	// names it by; next chains the node's free writes.
+	idx  uint16
+	next *pendingWrite
 }
 
 // stopAwaiting removes peer from the outstanding acks, reporting whether
@@ -128,13 +156,16 @@ type Node struct {
 	id      int
 	peers   []int
 	version uint64
-	// keys and pending are indexed by LPN, grown to the highest key the
-	// node has touched; pending holds nil for keys with no write in
-	// flight.
-	keys    []keyState
-	pending []*pendingWrite
-	free    sim.Pool[pendingWrite]
-	send    Transport
+	// pages is the key table: page lpn>>pageBits holds lpn's slot. A
+	// page is allocated when the node first writes or invalidates one of
+	// its keys and is never copied, so a node that only serves reads
+	// allocates no table at all.
+	pages []*keyPage
+	// writes holds every pendingWrite the node has made, at index idx-1;
+	// free chains the finished ones for reuse.
+	writes []*pendingWrite
+	free   *pendingWrite
+	send   Transport
 }
 
 // NewNode creates replica id within a fixed peer group. peers lists every
@@ -142,6 +173,9 @@ type Node struct {
 func NewNode(id int, peers []int, send Transport) *Node {
 	if send == nil {
 		panic("replication: nil transport")
+	}
+	if id != int(int32(id)) {
+		panic(fmt.Sprintf("replication: node id %d overflows int32", id))
 	}
 	found := false
 	for _, p := range peers {
@@ -162,31 +196,59 @@ func NewNode(id int, peers []int, send Transport) *Node {
 // ID returns the node id.
 func (n *Node) ID() int { return n.id }
 
-// key returns lpn's replica state; untouched keys are valid.
-func (n *Node) key(lpn uint32) keyState {
-	if int(lpn) < len(n.keys) {
-		return n.keys[lpn]
-	}
-	return keyState{}
-}
-
-// setKey records lpn's replica state, growing the per-key tables to cover
-// it.
-func (n *Node) setKey(lpn uint32, k keyState) {
-	if int(lpn) >= len(n.keys) {
-		size := max(int(lpn)+1, 2*len(n.keys))
-		n.keys = append(n.keys, make([]keyState, size-len(n.keys))...)
-		n.pending = append(n.pending, make([]*pendingWrite, size-len(n.pending))...)
-	}
-	n.keys[lpn] = k
-}
-
-// pendingAt returns lpn's in-flight coordinator write, nil when none.
-func (n *Node) pendingAt(lpn uint32) *pendingWrite {
-	if int(lpn) < len(n.pending) {
-		return n.pending[lpn]
+// find returns lpn's slot, nil when its page was never touched.
+func (n *Node) find(lpn uint32) *slot {
+	if p := int(lpn >> pageBits); p < len(n.pages) && n.pages[p] != nil {
+		return &n.pages[p][lpn&(pageKeys-1)]
 	}
 	return nil
+}
+
+// key returns lpn's replica state; untouched keys are valid.
+func (n *Node) key(lpn uint32) slot {
+	if s := n.find(lpn); s != nil {
+		return *s
+	}
+	return slot{}
+}
+
+// slotOf returns lpn's slot, allocating its page on first touch.
+func (n *Node) slotOf(lpn uint32) *slot {
+	p := int(lpn >> pageBits)
+	if p >= len(n.pages) || n.pages[p] == nil {
+		n.addPage(p)
+	}
+	return &n.pages[p][lpn&(pageKeys-1)]
+}
+
+// addPage allocates page p of the key table.
+func (n *Node) addPage(p int) {
+	if p >= len(n.pages) {
+		n.pages = append(n.pages, make([]*keyPage, p+1-len(n.pages))...)
+	}
+	n.pages[p] = new(keyPage)
+}
+
+// pendingOf returns the in-flight coordinator write s names, nil when
+// none.
+func (n *Node) pendingOf(s slot) *pendingWrite {
+	if s.write == 0 {
+		return nil
+	}
+	return n.writes[s.write-1]
+}
+
+// Footprint reports the node's key table: the keys its allocated pages
+// cover and the bytes those pages hold, both zero until the node first
+// writes or invalidates a key (tests, introspection).
+func (n *Node) Footprint() (keys, bytes int) {
+	for _, pg := range n.pages {
+		if pg != nil {
+			keys += len(pg)
+			bytes += int(unsafe.Sizeof(*pg))
+		}
+	}
+	return keys, bytes
 }
 
 // CanRead reports whether this replica may serve a local read of lpn.
@@ -196,11 +258,31 @@ func (n *Node) CanRead(lpn uint32) bool { return n.key(lpn).st == Valid }
 // KeyState exposes the replica state of a key (tests, introspection).
 func (n *Node) KeyState(lpn uint32) State { return n.key(lpn).st }
 
+// acquire returns a free pendingWrite, making a new one when none is
+// free.
+func (n *Node) acquire() *pendingWrite {
+	if pw := n.free; pw != nil {
+		n.free, pw.next = pw.next, nil
+		return pw
+	}
+	return n.newWrite()
+}
+
+// newWrite makes a pendingWrite and gives it the next index.
+func (n *Node) newWrite() *pendingWrite {
+	if len(n.writes) == math.MaxUint16 {
+		panic(fmt.Sprintf("replication: node %d has %d writes in flight", n.id, len(n.writes)))
+	}
+	pw := &pendingWrite{idx: uint16(len(n.writes) + 1)}
+	n.writes = append(n.writes, pw)
+	return pw
+}
+
 // release returns a finished pending write to the free list, keeping its
 // awaiting slice's capacity for the next write.
 func (n *Node) release(pw *pendingWrite) {
 	pw.awaiting, pw.onCommit = pw.awaiting[:0], nil
-	n.free.Put(pw)
+	pw.next, n.free = n.free, pw
 }
 
 // Write starts a coordinator write of lpn at this node. onCommit fires
@@ -211,15 +293,17 @@ func (n *Node) release(pw *pendingWrite) {
 func (n *Node) Write(lpn uint32, onCommit func()) {
 	n.version++
 	ts := Timestamp{Version: n.version, NodeID: n.id}
-	n.setKey(lpn, keyState{st: Writing, ts: ts})
+	// Pages are never copied, so s stays valid across the callbacks.
+	s := n.slotOf(lpn)
+	s.set(Writing, ts)
 
-	if prev := n.pending[lpn]; prev != nil {
+	if prev := n.pendingOf(*s); prev != nil {
 		if prev.onCommit != nil {
 			prev.onCommit()
 		}
 		n.release(prev)
 	}
-	pw := n.free.Get()
+	pw := n.acquire()
 	pw.ts, pw.onCommit = ts, onCommit
 	for _, p := range n.peers {
 		if p == n.id {
@@ -228,16 +312,17 @@ func (n *Node) Write(lpn uint32, onCommit func()) {
 		pw.awaiting = append(pw.awaiting, p)
 		n.send(Message{Type: MsgInv, From: n.id, To: p, LPN: lpn, TS: ts})
 	}
-	n.pending[lpn] = pw
+	s.write = pw.idx
 	if len(pw.awaiting) == 0 {
-		n.commit(lpn, pw)
+		n.commit(s, lpn, pw)
 	}
 }
 
-func (n *Node) commit(lpn uint32, pw *pendingWrite) {
-	n.pending[lpn] = nil
-	if k := n.keys[lpn]; k.ts == pw.ts {
-		n.keys[lpn] = keyState{st: Valid, ts: k.ts}
+// commit completes pw, the in-flight write of lpn, whose slot is s.
+func (n *Node) commit(s *slot, lpn uint32, pw *pendingWrite) {
+	s.write = 0
+	if s.ts() == pw.ts {
+		s.st = Valid
 		for _, p := range n.peers {
 			if p != n.id {
 				n.send(Message{Type: MsgVal, From: n.id, To: p, LPN: lpn, TS: pw.ts})
@@ -275,17 +360,27 @@ func (n *Node) Peers() []int { return append([]int(nil), n.peers...) }
 // key order — each callback schedules events and draws randomness — so
 // no client waits on a commit that can never happen.
 func (n *Node) Rejoin() {
-	for lpn, pw := range n.pending {
-		if pw == nil {
+	for _, pg := range n.pages {
+		if pg == nil {
 			continue
 		}
-		n.pending[lpn] = nil
-		if pw.onCommit != nil {
-			pw.onCommit()
+		for i := range pg {
+			pw := n.pendingOf(pg[i])
+			if pw == nil {
+				continue
+			}
+			pg[i].write = 0
+			if pw.onCommit != nil {
+				pw.onCommit()
+			}
+			n.release(pw)
 		}
-		n.release(pw)
 	}
-	clear(n.keys)
+	for _, pg := range n.pages {
+		if pg != nil {
+			clear(pg[:])
+		}
+	}
 }
 
 // RemovePeer degrades the group after peer death: in-flight writes stop
@@ -302,9 +397,14 @@ func (n *Node) RemovePeer(dead int) {
 	n.peers = kept
 	// Writes that no longer wait for anyone commit in key order: each
 	// commit schedules events and draws randomness.
-	for lpn, pw := range n.pending {
-		if pw != nil && pw.stopAwaiting(dead) && len(pw.awaiting) == 0 {
-			n.commit(uint32(lpn), pw)
+	for p, pg := range n.pages {
+		if pg == nil {
+			continue
+		}
+		for i := range pg {
+			if pw := n.pendingOf(pg[i]); pw != nil && pw.stopAwaiting(dead) && len(pw.awaiting) == 0 {
+				n.commit(&pg[i], uint32(p<<pageBits|i), pw)
+			}
 		}
 	}
 }
@@ -321,22 +421,28 @@ func (n *Node) Handle(msg Message) {
 	}
 	switch msg.Type {
 	case MsgInv:
-		if n.key(msg.LPN).ts.Less(msg.TS) {
-			n.setKey(msg.LPN, keyState{st: Invalid, ts: msg.TS})
+		// An untouched key's zero timestamp precedes every write's, so
+		// taking the slot allocates only where the key is then set.
+		if s := n.slotOf(msg.LPN); s.ts().Less(msg.TS) {
+			s.set(Invalid, msg.TS)
 		}
 		n.send(Message{Type: MsgAck, From: n.id, To: msg.From, LPN: msg.LPN, TS: msg.TS})
 	case MsgAck:
-		pw := n.pendingAt(msg.LPN)
+		s := n.find(msg.LPN)
+		if s == nil {
+			return
+		}
+		pw := n.pendingOf(*s)
 		if pw == nil || pw.ts != msg.TS {
 			return // ack for a superseded write
 		}
 		pw.stopAwaiting(msg.From)
 		if len(pw.awaiting) == 0 {
-			n.commit(msg.LPN, pw)
+			n.commit(s, msg.LPN, pw)
 		}
 	case MsgVal:
-		if k := n.key(msg.LPN); k.ts == msg.TS && k.st == Invalid {
-			n.keys[msg.LPN] = keyState{st: Valid, ts: k.ts}
+		if s := n.find(msg.LPN); s != nil && s.ts() == msg.TS && s.st == Invalid {
+			s.st = Valid
 		}
 	}
 }

@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// timestampOf returns the timestamp n holds for lpn.
+func timestampOf(n *Node, lpn uint32) Timestamp { return n.key(lpn).ts() }
+
 func TestStateAndMsgStrings(t *testing.T) {
 	if Valid.String() != "valid" || Invalid.String() != "invalid" || Writing.String() != "writing" {
 		t.Fatal("state strings")
@@ -103,10 +106,10 @@ func TestConcurrentWritersConverge(t *testing.T) {
 	g.Nodes[1].Write(3, nil)
 	g.drain()
 	// All replicas converge on one timestamp and become valid.
-	ts := g.Nodes[0].keys[3].ts
+	ts := timestampOf(g.Nodes[0], 3)
 	for _, n := range g.Nodes {
-		if n.keys[3].ts != ts {
-			t.Fatalf("node %d ts %+v != %+v", n.ID(), n.keys[3].ts, ts)
+		if got := timestampOf(n, 3); got != ts {
+			t.Fatalf("node %d ts %+v != %+v", n.ID(), got, ts)
 		}
 		if !n.CanRead(3) {
 			t.Fatalf("node %d not readable after convergence", n.ID())
@@ -195,9 +198,9 @@ func TestConvergenceProperty(t *testing.T) {
 		}
 		g.drain()
 		for lpn := range keys {
-			ts := g.Nodes[0].keys[lpn].ts
+			ts := timestampOf(g.Nodes[0], lpn)
 			for _, n := range g.Nodes {
-				if !n.CanRead(lpn) || n.keys[lpn].ts != ts {
+				if !n.CanRead(lpn) || timestampOf(n, lpn) != ts {
 					return false
 				}
 			}
@@ -295,20 +298,26 @@ func TestPendingWritesReleaseInKeyOrder(t *testing.T) {
 	}
 }
 
-// mapNode is the map-keyed Node the LPN-indexed one replaced, kept as
-// the reference model of TestNodeMatchesMapModel.
+// refKey is one key's replica state in the reference model.
+type refKey struct {
+	st State
+	ts Timestamp
+}
+
+// mapNode is a map-keyed Node, the reference model of
+// TestNodeMatchesMapModel.
 type mapNode struct {
 	id      int
 	peers   []int
 	version uint64
-	keys    map[uint32]keyState
+	keys    map[uint32]refKey
 	pending map[uint32]*pendingWrite
 	send    Transport
 }
 
 func newMapNode(id int, peers []int, send Transport) *mapNode {
 	return &mapNode{id: id, peers: append([]int(nil), peers...),
-		keys: map[uint32]keyState{}, pending: map[uint32]*pendingWrite{}, send: send}
+		keys: map[uint32]refKey{}, pending: map[uint32]*pendingWrite{}, send: send}
 }
 
 func (n *mapNode) pendingLPNs() []uint32 {
@@ -323,7 +332,7 @@ func (n *mapNode) pendingLPNs() []uint32 {
 func (n *mapNode) Write(lpn uint32, onCommit func()) {
 	n.version++
 	ts := Timestamp{Version: n.version, NodeID: n.id}
-	n.keys[lpn] = keyState{st: Writing, ts: ts}
+	n.keys[lpn] = refKey{st: Writing, ts: ts}
 	if prev, ok := n.pending[lpn]; ok && prev.onCommit != nil {
 		prev.onCommit()
 	}
@@ -343,7 +352,7 @@ func (n *mapNode) Write(lpn uint32, onCommit func()) {
 func (n *mapNode) commit(lpn uint32, pw *pendingWrite) {
 	delete(n.pending, lpn)
 	if k := n.keys[lpn]; k.ts == pw.ts {
-		n.keys[lpn] = keyState{st: Valid, ts: k.ts}
+		n.keys[lpn] = refKey{st: Valid, ts: k.ts}
 		for _, p := range n.peers {
 			if p != n.id {
 				n.send(Message{Type: MsgVal, From: n.id, To: p, LPN: lpn, TS: pw.ts})
@@ -361,7 +370,7 @@ func (n *mapNode) Rejoin() {
 			pw.onCommit()
 		}
 	}
-	n.keys = map[uint32]keyState{}
+	n.keys = map[uint32]refKey{}
 	n.pending = map[uint32]*pendingWrite{}
 }
 
@@ -382,7 +391,7 @@ func (n *mapNode) Handle(msg Message) {
 	switch msg.Type {
 	case MsgInv:
 		if n.keys[msg.LPN].ts.Less(msg.TS) {
-			n.keys[msg.LPN] = keyState{st: Invalid, ts: msg.TS}
+			n.keys[msg.LPN] = refKey{st: Invalid, ts: msg.TS}
 		}
 		n.send(Message{Type: MsgAck, From: n.id, To: msg.From, LPN: msg.LPN, TS: msg.TS})
 	case MsgAck:
@@ -396,42 +405,56 @@ func (n *mapNode) Handle(msg Message) {
 		}
 	case MsgVal:
 		if k := n.keys[msg.LPN]; k.ts == msg.TS && k.st == Invalid {
-			n.keys[msg.LPN] = keyState{st: Valid, ts: k.ts}
+			n.keys[msg.LPN] = refKey{st: Valid, ts: k.ts}
 		}
 	}
 }
 
 // Property: on any sequence of writes, message deliveries and losses,
-// peer removals and rejoins, a group of two or three LPN-indexed Nodes
-// sends the same messages, fires the same commit callbacks in the same
-// order, and holds the same KeyState for every key as a group of
-// map-keyed reference nodes driven identically.
+// peer removals and rejoins, a group of two or three paged Nodes sends
+// the same messages, fires the same commit callbacks in the same order,
+// and holds the same KeyState and timestamp for every key as a group of
+// map-keyed reference nodes driven identically. The keys sit at both
+// edges and the middle of six pages, the highest 40 pages up, and each
+// node's first write goes to one of the highest, so page tables start
+// from a high first touch.
 func TestNodeMatchesMapModel(t *testing.T) {
-	const keys = 24
+	var lpns []uint32
+	for _, p := range []uint32{40, 9, 3, 2, 1, 0} {
+		for _, off := range []uint32{pageKeys - 1, pageKeys / 2, 1, 0} {
+			lpns = append(lpns, p*pageKeys+off)
+		}
+	}
+	// Keys never drawn, on drawn and undrawn pages, must stay valid.
+	probes := append([]uint32{2, pageKeys - 2, 5 * pageKeys, 41*pageKeys + 3, 1 << 20}, lpns...)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := 2 + rng.Intn(2)
 		var queue, refQueue []Message
 		var commits, refCommits []int
-		var dense []*Node
+		var paged []*Node
 		var ref []*mapNode
 		peers := []int{0, 1, 2}[:nodes]
 		for i := 0; i < nodes; i++ {
-			dense = append(dense, NewNode(i, peers, func(m Message) { queue = append(queue, m) }))
+			paged = append(paged, NewNode(i, peers, func(m Message) { queue = append(queue, m) }))
 			ref = append(ref, newMapNode(i, peers, func(m Message) { refQueue = append(refQueue, m) }))
 		}
 		for w := 0; w < 400; w++ {
 			n := rng.Intn(nodes)
-			lpn := uint32(rng.Intn(keys))
-			switch op := rng.Intn(20); {
+			lpn := lpns[rng.Intn(len(lpns))]
+			op := rng.Intn(20)
+			if w < nodes {
+				n, lpn, op = w, lpns[w], 0
+			}
+			switch {
 			case op < 9:
-				dense[n].Write(lpn, func() { commits = append(commits, w) })
+				paged[n].Write(lpn, func() { commits = append(commits, w) })
 				ref[n].Write(lpn, func() { refCommits = append(refCommits, w) })
 			case op < 17:
 				if len(queue) > 0 {
 					m := queue[0]
 					queue, refQueue = queue[1:], refQueue[1:]
-					dense[m.To].Handle(m)
+					paged[m.To].Handle(m)
 					ref[m.To].Handle(m)
 				}
 			case op == 17:
@@ -440,18 +463,20 @@ func TestNodeMatchesMapModel(t *testing.T) {
 				}
 			case op == 18:
 				dead := (n + 1 + rng.Intn(nodes-1)) % nodes
-				dense[n].RemovePeer(dead)
+				paged[n].RemovePeer(dead)
 				ref[n].RemovePeer(dead)
 			default:
-				dense[n].Rejoin()
+				paged[n].Rejoin()
 				ref[n].Rejoin()
 			}
 			if !slices.Equal(queue, refQueue) || !slices.Equal(commits, refCommits) {
 				return false
 			}
-			for i := range dense {
-				for k := uint32(0); k < keys+2; k++ {
-					if dense[i].KeyState(k) != ref[i].keys[k].st || dense[i].CanRead(k) != (ref[i].keys[k].st == Valid) {
+			for i := range paged {
+				for _, k := range probes {
+					want := ref[i].keys[k]
+					if paged[i].KeyState(k) != want.st || timestampOf(paged[i], k) != want.ts ||
+						paged[i].CanRead(k) != (want.st == Valid) {
 						return false
 					}
 				}

@@ -40,15 +40,26 @@ type chipAlloc struct {
 // §3.3). Chips are never shared between FTLs; software-isolated vSSDs
 // share channels, not chips.
 type FTL struct {
-	dev     *Device
-	chips   []*chipAlloc
-	mapping []int32 // LPN -> global PPN, -1 when unmapped
-	// reverse maps every global PPN of the device to the LPN this FTL
-	// stored there, -1 for pages it does not map. It is private to the
-	// FTL, not an out-of-band field of the flash page: a lender's victim
-	// scan can land on a block it lent out, and there the lookup must
-	// fail rather than hand the lender the borrower's pages.
-	reverse      []int32
+	dev   *Device
+	chips []*chipAlloc
+	// mapping and reverse address a page by its index among the pages
+	// of the channels the FTL covers: the page's PPN with its channel
+	// replaced by that channel's position in covered. The FTL covers its
+	// own channels, where a channel group lends blocks, and the channel
+	// of any block borrowed from elsewhere, so a vSSD's tables cover its
+	// share of the device, not all of it.
+	mapping []int32 // LPN -> page index, -1 when unmapped
+	// reverse maps each page index to the LPN this FTL stored there, -1
+	// for pages it does not map. It is private to the FTL, not an
+	// out-of-band field of the flash page: a lender's victim scan can
+	// land on a block it lent out, and there the lookup must fail rather
+	// than hand the lender the borrower's pages.
+	reverse []int32
+	// covered lists the channels the page indexes span, in index order;
+	// coverSlot maps a device channel to its position there, -1 when the
+	// FTL does not cover it.
+	covered      []int
+	coverSlot    []int
 	channels     []int // distinct channels of chips, in chip order
 	nextChip     int   // round-robin allocation cursor
 	logicalPages int
@@ -76,22 +87,18 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 		return nil, fmt.Errorf("ssd: utilization %f outside (0,1)", utilization)
 	}
 	geo := dev.Geometry()
-	devicePages := geo.TotalPages()
-	if devicePages > math.MaxInt32 {
+	if devicePages := geo.TotalPages(); devicePages > math.MaxInt32 {
 		return nil, fmt.Errorf("ssd: %d device pages overflow the int32 page maps", devicePages)
 	}
 	f := &FTL{
 		dev:           dev,
-		reverse:       make([]int32, devicePages),
 		borrowedInUse: make(map[BlockRef]int),
-	}
-	for i := range f.reverse {
-		f.reverse[i] = -1
 	}
 	for _, c := range chips {
 		if c.Channel < 0 || c.Channel >= geo.Channels || c.Chip < 0 || c.Chip >= geo.ChipsPerChannel {
 			return nil, fmt.Errorf("ssd: chip %+v out of range", c)
 		}
+		dev.Array().Take(c.Channel, c.Chip)
 		ca := &chipAlloc{ref: c, active: -1, isFree: make([]bool, geo.BlocksPerChip)}
 		for b := 0; b < geo.BlocksPerChip; b++ {
 			ca.free = append(ca.free, b)
@@ -102,15 +109,18 @@ func NewFTL(dev *Device, chips []ChipRef, utilization float64) (*FTL, error) {
 			f.channels = append(f.channels, c.Channel)
 		}
 	}
+	f.covered = slices.Clone(f.channels)
+	f.coverSlot = make([]int, geo.Channels)
+	for ch := range f.coverSlot {
+		f.coverSlot[ch] = slices.Index(f.covered, ch)
+	}
+	f.reverse = unmapped(nil, len(f.covered)*channelPages(geo))
 	raw := len(chips) * geo.BlocksPerChip * geo.PagesPerBlock
 	f.logicalPages = int(float64(raw) * utilization)
 	if f.logicalPages < 1 {
 		return nil, errors.New("ssd: logical space rounds to zero pages")
 	}
-	f.mapping = make([]int32, f.logicalPages)
-	for i := range f.mapping {
-		f.mapping[i] = -1
-	}
+	f.mapping = unmapped(nil, f.logicalPages)
 	return f, nil
 }
 
@@ -165,11 +175,11 @@ func (f *FTL) Read(lpn int) (flash.Addr, error) {
 	if lpn < 0 || lpn >= f.logicalPages {
 		return flash.Addr{}, fmt.Errorf("ssd: lpn %d out of range [0,%d)", lpn, f.logicalPages)
 	}
-	ppn := f.mapping[lpn]
-	if ppn < 0 {
+	idx := f.mapping[lpn]
+	if idx < 0 {
 		return flash.Addr{}, ErrUnmapped
 	}
-	return f.dev.Geometry().AddrOf(int(ppn)), nil
+	return f.addrAt(int(idx)), nil
 }
 
 // Write allocates a fresh physical page for the logical page, updating the
@@ -190,24 +200,58 @@ func (f *FTL) Write(lpn int) (flash.Addr, error) {
 
 // commitMapping points lpn at addr, invalidating the previous location.
 func (f *FTL) commitMapping(lpn int, addr flash.Addr) {
-	geo := f.dev.Geometry()
 	if old := f.mapping[lpn]; old >= 0 {
-		if err := f.dev.Array().Invalidate(geo.AddrOf(int(old))); err != nil {
+		if err := f.dev.Array().Invalidate(f.addrAt(int(old))); err != nil {
 			panic(fmt.Sprintf("ssd: corrupt mapping for lpn %d: %v", lpn, err))
 		}
 		f.reverse[old] = -1
 	}
-	ppn := geo.PPN(addr)
-	f.mapping[lpn] = int32(ppn)
-	f.reverse[ppn] = int32(lpn)
+	idx := f.pageIndex(addr)
+	f.mapping[lpn] = int32(idx)
+	f.reverse[idx] = int32(lpn)
 }
 
-// lpnAt returns the logical page this FTL stored at ppn, false when it
+// pageIndex returns the index of the page at addr, whose channel the FTL
+// must cover.
+func (f *FTL) pageIndex(addr flash.Addr) int {
+	addr.Channel = f.coverSlot[addr.Channel]
+	return f.dev.Geometry().PPN(addr)
+}
+
+// addrAt inverts pageIndex.
+func (f *FTL) addrAt(idx int) flash.Addr {
+	addr := f.dev.Geometry().AddrOf(idx)
+	addr.Channel = f.covered[addr.Channel]
+	return addr
+}
+
+// lpnAt returns the logical page this FTL stored at addr, false when it
 // maps nothing there.
-func (f *FTL) lpnAt(ppn int) (int, bool) {
-	lpn := f.reverse[ppn]
+func (f *FTL) lpnAt(addr flash.Addr) (int, bool) {
+	if f.coverSlot[addr.Channel] < 0 {
+		return 0, false
+	}
+	lpn := f.reverse[f.pageIndex(addr)]
 	return int(lpn), lpn >= 0
 }
+
+// unmapped appends n entries of -1 to s.
+func unmapped(s []int32, n int) []int32 {
+	s = slices.Grow(s, n)
+	for range n {
+		s = append(s, -1)
+	}
+	return s
+}
+
+// channelPages returns the page count of one channel.
+func channelPages(geo flash.Geometry) int {
+	return geo.ChipsPerChannel * geo.BlocksPerChip * geo.PagesPerBlock
+}
+
+// ReverseLen returns how many pages the reverse map covers (tests,
+// introspection).
+func (f *FTL) ReverseLen() int { return len(f.reverse) }
 
 // allocPage returns the next free physical page, rotating across chips for
 // parallelism and skipping the excluded block (the GC victim). forGC marks
@@ -329,8 +373,17 @@ func (f *FTL) Borrow(n int) []BlockRef {
 	return out
 }
 
-// AcceptBorrowed adds foreign free blocks to the allocation pool.
+// AcceptBorrowed adds foreign free blocks to the allocation pool. A
+// block on a channel the FTL does not cover extends its page indexes
+// over that channel.
 func (f *FTL) AcceptBorrowed(blocks []BlockRef) {
+	for _, br := range blocks {
+		if ch := br.Chip.Channel; f.coverSlot[ch] < 0 {
+			f.coverSlot[ch] = len(f.covered)
+			f.covered = append(f.covered, ch)
+			f.reverse = unmapped(f.reverse, channelPages(f.dev.Geometry()))
+		}
+	}
 	f.borrowed = append(f.borrowed, blocks...)
 }
 

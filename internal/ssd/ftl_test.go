@@ -565,12 +565,15 @@ func TestChannelsHelper(t *testing.T) {
 }
 
 // Property: under any interleaving of writes, GC, lending and vacating
-// between two FTLs on one device, each FTL's dense reverse table agrees
-// page for page with the map-based reverse mapping (the inverse of its
+// between a lender and two borrowers on one device — one on the
+// lender's channel, one on another channel, whose reverse table must
+// grow to cover the lent blocks — each FTL's reverse table agrees page
+// for page with the map-based reverse mapping (the inverse of its
 // forward map), and a block lent out never resolves in the lender's
 // table, so the lender's GC can never relocate the borrower's pages.
 func TestReverseTableMatchesMapModel(t *testing.T) {
 	lentPages := 0 // valid pages checked in lent blocks, over all runs
+	farPages := 0  // of those, pages in blocks lent across channels
 	f := func(ops []uint16) bool {
 		d, err := NewDevice(sim.NewEngine(), testGeo(), flash.ProfilePSSD())
 		if err != nil {
@@ -580,12 +583,17 @@ func TestReverseTableMatchesMapModel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		// A nearly full borrower runs out of its own blocks and spills
+		// Nearly full borrowers run out of their own blocks and spill
 		// into the lent ones.
-		borrower, err := NewFTL(d, []ChipRef{{Channel: 0, Chip: 1}}, 0.9)
+		near, err := NewFTL(d, []ChipRef{{Channel: 0, Chip: 1}}, 0.9)
 		if err != nil {
 			return false
 		}
+		far, err := NewFTL(d, []ChipRef{{Channel: 2, Chip: 0}}, 0.9)
+		if err != nil {
+			return false
+		}
+		borrowers := []*FTL{near, far}
 		geo := d.Geometry()
 		lent := map[BlockRef]bool{}
 		write := func(ftl *FTL, lpn, pages int) {
@@ -596,7 +604,9 @@ func TestReverseTableMatchesMapModel(t *testing.T) {
 			}
 		}
 		for _, op := range ops {
-			lpn := int(op >> 3)
+			// Bits 0-2 pick the operation, bit 3 the borrower, the rest
+			// the first LPN.
+			lpn, borrower := int(op>>4), borrowers[op>>3&1]
 			switch op % 8 {
 			case 0:
 				write(lender, lpn, 4)
@@ -619,15 +629,15 @@ func TestReverseTableMatchesMapModel(t *testing.T) {
 					delete(lent, b)
 				}
 			}
-			for _, ftl := range []*FTL{lender, borrower} {
+			for _, ftl := range []*FTL{lender, near, far} {
 				model := map[int]int{}
-				for l, ppn := range ftl.mapping {
-					if ppn >= 0 {
-						model[int(ppn)] = l
+				for l := 0; l < ftl.LogicalPages(); l++ {
+					if a, err := ftl.Read(l); err == nil {
+						model[geo.PPN(a)] = l
 					}
 				}
 				for ppn := 0; ppn < geo.TotalPages(); ppn++ {
-					got, ok := ftl.lpnAt(ppn)
+					got, ok := ftl.lpnAt(geo.AddrOf(ppn))
 					want, wantOK := model[ppn]
 					if ok != wantOK || (ok && got != want) {
 						return false
@@ -640,27 +650,31 @@ func TestReverseTableMatchesMapModel(t *testing.T) {
 					if d.Array().BlockAt(a).State[p] != flash.PageValid {
 						continue
 					}
-					if _, ok := lender.lpnAt(geo.PPN(a)); ok {
+					if _, ok := lender.lpnAt(a); ok {
 						return false
 					}
 					lentPages++
+					if _, ok := far.lpnAt(a); ok {
+						farPages++
+					}
 				}
 			}
 		}
 		return true
 	}
-	// A fixed run first: lend two blocks, then fill the borrower until it
-	// writes into them, so the lent-block lookup is checked on every run
-	// of the test, not only when the random inputs happen to reach it.
-	spill := []uint16{6}
+	// A fixed run first: lend two blocks to each borrower, then fill
+	// both until they write into them, so the lent-block lookups are
+	// checked on every run of the test, not only when the random inputs
+	// happen to reach them.
+	spill := []uint16{6, 8 | 6}
 	for lpn := uint16(0); lpn < 64; lpn++ {
-		spill = append(spill, lpn<<3|1)
+		spill = append(spill, lpn<<4|1, lpn<<4|8|1)
 	}
 	if !f(spill) {
-		t.Error("reverse tables disagree after the borrower spilled into lent blocks")
+		t.Error("reverse tables disagree after the borrowers spilled into lent blocks")
 	}
-	if lentPages == 0 {
-		t.Fatal("the fixed run wrote no lent block")
+	if lentPages == 0 || farPages == 0 {
+		t.Fatalf("the fixed run wrote %d pages of lent blocks, %d of them across channels; want both > 0", lentPages, farPages)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

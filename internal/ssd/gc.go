@@ -114,7 +114,7 @@ func (f *FTL) reclaim(v BlockRef) (GCResult, error) {
 		}
 		src := vaddr
 		src.Page = p
-		lpn, ok := f.lpnAt(geo.PPN(src))
+		lpn, ok := f.lpnAt(src)
 		if !ok {
 			return GCResult{}, fmt.Errorf("ssd: valid page %v has no reverse mapping", src)
 		}
@@ -203,7 +203,7 @@ func (f *FTL) VacateBorrowed() ([]BlockRef, sim.Time) {
 			}
 			src := vaddr
 			src.Page = p
-			lpn, ok := f.lpnAt(geo.PPN(src))
+			lpn, ok := f.lpnAt(src)
 			if !ok {
 				continue
 			}

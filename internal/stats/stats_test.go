@@ -286,15 +286,22 @@ func sliceModelMismatch(r *Recorder, model []Sample, start, end int64) string {
 
 // Property: a Recorder answers exactly as one sample slice does while
 // it stages samples, after Seal, and after Adds that follow a Seal. Each
-// seed records four full chunks, one per regime in a random order, and a
+// seed records six full chunks, one per regime in a random order, and a
 // partial one, seals, then adds up to two chunks more and seals again.
 // The regimes are: stages across the edges with three Totals in four the
 // (wrapping) sum of their stages; all zero, so each stage column packs
-// to width 0; negative, so each packs to width 64; and below 2^12 but
-// one in 200 exactly 2^12, so each stage column packs to width 12 with
-// exceptions at its boundary. Each seed must draw Totals rebuilt from
-// sums that wrap int64 and Totals stored apart, and seal stage columns of
-// widths 0, 12 and 64, so every path is taken.
+// to width 0; negative, so each packs to width 64; below 2^12 but one in
+// 200 exactly 2^12, so each stage column packs to width 12 with
+// exceptions at its boundary; Queue and Device dominated by one value,
+// the others below 2^11 but one in 50 of them 2^20, so each is split with
+// exceptions among its rest rows; and Queue 7 in the chunk's first
+// candidateRows rows and 3,000 after, so the candidate scan misses the
+// most frequent value, beside a Device of one value in every row. Each
+// seed must draw Totals rebuilt from sums that wrap int64 and Totals
+// stored apart, seal stage columns of widths 0, 12 and 64, split and
+// unsplit ones, a split one with exceptions and one with no rest rows,
+// and one whose value in most rows the candidate scan missed, so every
+// path is taken.
 func TestRecorderChunksMatchSliceModel(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -314,8 +321,19 @@ func TestRecorderChunksMatchSliceModel(t *testing.T) {
 			}
 			return rng.Int63n(1 << 12)
 		}
-		regimes := []func(s *Sample){
-			func(s *Sample) {
+		// dominated returns v, but in one row in others a value below
+		// 2^11, or 2^20 in one such row in 50.
+		dominated := func(v int64, others int) int64 {
+			switch {
+			case rng.Intn(others) != 0:
+				return v
+			case rng.Intn(50) == 0:
+				return 1 << 20
+			}
+			return rng.Int63n(1 << 11)
+		}
+		regimes := []func(s *Sample, row int){
+			func(s *Sample, _ int) {
 				*s = Sample{NetIn: field(1e4), Queue: field(1e4), Device: field(2e7), NetOut: field(1e4)}
 				if rng.Intn(4) == 0 {
 					s.Total = field(1e6)
@@ -323,13 +341,24 @@ func TestRecorderChunksMatchSliceModel(t *testing.T) {
 				}
 				s.Total = stageSum(*s)
 			},
-			func(s *Sample) { *s = Sample{} },
-			func(s *Sample) {
+			func(s *Sample, _ int) { *s = Sample{} },
+			func(s *Sample, _ int) {
 				*s = Sample{NetIn: -1 - rng.Int63n(1e4), Queue: -rng.Int63(), Device: math.MinInt64, NetOut: -1}
 				s.Total = stageSum(*s)
 			},
-			func(s *Sample) {
+			func(s *Sample, _ int) {
 				*s = Sample{NetIn: boundary(), Queue: boundary(), Device: boundary(), NetOut: boundary()}
+				s.Total = stageSum(*s)
+			},
+			func(s *Sample, _ int) {
+				*s = Sample{NetIn: field(1e4), Queue: dominated(3_000, 30), Device: dominated(95_000, 4), NetOut: field(1e4)}
+				s.Total = stageSum(*s)
+			},
+			func(s *Sample, row int) {
+				*s = Sample{NetIn: field(1e4), Queue: 3_000, Device: 95_000, NetOut: field(1e4)}
+				if row < candidateRows {
+					s.Queue = 7
+				}
 				s.Total = stageSum(*s)
 			},
 		}
@@ -340,7 +369,7 @@ func TestRecorderChunksMatchSliceModel(t *testing.T) {
 		record := func(regime, n int) {
 			for range n {
 				var s Sample
-				regimes[regime](&s)
+				regimes[regime](&s, len(model)%recorderChunk)
 				s.Write, s.Redirected = rng.Intn(3) == 0, rng.Intn(5) == 0
 				if s.Total != stageSum(s) {
 					apart++
@@ -382,9 +411,20 @@ func TestRecorderChunksMatchSliceModel(t *testing.T) {
 			return false
 		}
 		widths := map[uint8]bool{}
+		var split, unsplit, splitExc, allDominant, missed bool
+		col := make([]uint64, recorderChunk)
 		for _, ch := range r.chunks {
 			for _, c := range stages {
-				widths[ch.width[c]] = true
+				l := ch.cols[c]
+				widths[l.width] = true
+				split, unsplit = split || l.split, unsplit || !l.split
+				splitExc = splitExc || l.split && l.exc > 0
+				allDominant = allDominant || l.split && l.rest == 0
+				ch.column(c, col[:ch.n])
+				// The candidate scan missed a value held by most rows.
+				mode := modeCount(col[:ch.n])
+				dom, _, _, _ := candidate(col[:ch.n])
+				missed = missed || mode > ch.n/2 && count(col[:ch.n], dom) < mode
 			}
 		}
 		if wrapped == 0 || apart == 0 || !widths[0] || !widths[12] || !widths[64] {
@@ -392,11 +432,43 @@ func TestRecorderChunksMatchSliceModel(t *testing.T) {
 				seed, wrapped, apart, widths)
 			return false
 		}
+		if !split || !unsplit || !splitExc || !allDominant || !missed {
+			t.Logf("seed %d sealed split %v, unsplit %v, split with exceptions %v, split with no rest rows %v, candidate missed %v",
+				seed, split, unsplit, splitExc, allDominant, missed)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
 		t.Error(err)
 	}
+}
+
+// count returns how many values of col equal v.
+func count(col []uint64, v uint64) int {
+	n := 0
+	for _, u := range col {
+		if u == v {
+			n++
+		}
+	}
+	return n
+}
+
+// modeCount returns how many times the most frequent value of col occurs.
+func modeCount(col []uint64) int {
+	s := slices.Clone(col)
+	slices.Sort(s)
+	most := 0
+	for i := 0; i < len(s); {
+		j := i + 1
+		for j < len(s) && s[j] == s[i] {
+			j++
+		}
+		most = max(most, j-i)
+		i = j
+	}
+	return most
 }
 
 // maxFuzzSamples bounds one fuzz input's expansion to a little over three
@@ -499,15 +571,58 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 		0x01, 5 << 2, 1 << 2, 1 << 2, 1 << 2, 1 << 2,
 		0xF6, edge(5), edge(2), edge(7), 3 << 2,
 		0x35, edge(0), edge(0), 0x00, 0x00})
-	// Exceptions at a width's boundary: reads with stages 3, 0, 0, 0 2^13
-	// times, 4 = 2^2, 0, 0, 0 16 times, and 3, 0, 0, 0 2^13 times again,
-	// so chunk 0 packs NetIn to width 2 with 16 exceptions of exactly 2^2;
-	// then a seal, which seals the 16 reads left over as a chunk, and a
-	// read with stages MinInt64, MaxInt64, 0, 0 (the sum is -1).
-	f.Add([]byte{0xD4, 3 << 2, 0x00, 0x00, 0x00,
+	// Exceptions at a width's boundary: reads with stages 1, 0, 0, 0, then
+	// 2, 0, 0, 0 and 3, 0, 0, 0 2^12 times each, 4 = 2^2, 0, 0, 0 16 times,
+	// and 3, 0, 0, 0 2^12 times again, so chunk 0 packs NetIn, which no
+	// value dominates, to width 2 with 16 exceptions of exactly 2^2 in
+	// rows from 12288; then a seal, which seals the 16 reads left over as
+	// a chunk, and a read with stages MinInt64, MaxInt64, 0, 0 (the sum
+	// is -1).
+	f.Add([]byte{0xC4, 1 << 2, 0x00, 0x00, 0x00,
+		0xC4, 2 << 2, 0x00, 0x00, 0x00,
+		0xC4, 3 << 2, 0x00, 0x00, 0x00,
 		0x44, 4 << 2, 0x00, 0x00, 0x00,
-		0xD4, 3 << 2, 0x00, 0x00, 0x00,
+		0xC4, 3 << 2, 0x00, 0x00, 0x00,
 		0x0C, edge(0), edge(11), 0x00, 0x00})
+	u32 := func(v uint32) []byte { return append([]byte{0x02}, le32(v)...) }
+	// A split column and unsplit ones: reads with stages 0, 3000, 95000,
+	// 1 2^13 times, then 0, 1000, 100000, 1 and 0, 2000, 95000, 1 2^12
+	// times each, so chunk 0 splits Queue by 3000 and Device by 95000
+	// and packs NetIn and NetOut unsplit.
+	f.Add(slices.Concat([]byte{0xD4, 0x00}, u32(3000), u32(95000), []byte{1 << 2},
+		[]byte{0xC4, 0x00}, u32(1000), u32(100000), []byte{1 << 2},
+		[]byte{0xC4, 0x00}, u32(2000), u32(95000), []byte{1 << 2}))
+	// A split column with exceptions among its rest rows: reads with
+	// stages 0, 3000, 0, 0, then 0, 1000, 0, 0 and 0, 2000, 0, 0 2^12
+	// times each, 0, 2^24, 0, 0 16 times and 0, 3000, 0, 0 2^11 times, so
+	// Queue is split by 3000 and its rest rows pack to width 11 with 16
+	// exceptions, from rest row 8192.
+	f.Add(slices.Concat([]byte{0xC4, 0x00}, u32(3000), []byte{0x00, 0x00},
+		[]byte{0xC4, 0x00}, u32(1000), []byte{0x00, 0x00},
+		[]byte{0xC4, 0x00}, u32(2000), []byte{0x00, 0x00},
+		[]byte{0x44, 0x00, edge(7), 0x00, 0x00},
+		[]byte{0xB4, 0x00}, u32(3000), []byte{0x00, 0x00}))
+	// Columns whose every row is the dominant value: reads with stages
+	// 0, 3000, 95000, 0 filling chunk 0, so Queue and Device split with
+	// no rest rows, then a read 1, 2, 3, 4.
+	f.Add(slices.Concat([]byte{0xE4, 0x00}, u32(3000), u32(95000), []byte{0x00},
+		[]byte{0x04, 1 << 2, 2 << 2, 3 << 2, 4 << 2}))
+	// A dominant value the candidate scan misses: reads with stages
+	// 0, 7, 0, 0 2^6 times, 0, 3000, 0, 0 2^11 times and 0, 7, 0, 0 2^10
+	// times, so Queue's first rows name 7, which it is split by, although
+	// 3000 is more frequent.
+	f.Add(slices.Concat([]byte{0x64, 0x00, 7 << 2, 0x00, 0x00},
+		[]byte{0xB4, 0x00}, u32(3000), []byte{0x00, 0x00},
+		[]byte{0xA4, 0x00, 7 << 2, 0x00, 0x00}))
+	// Exceptions that need every bit above their width: reads with stages
+	// 1, 0, 0, 0, then 2, 0, 0, 0 and 3, 0, 0, 0, 2^8 times each, then a
+	// read MinInt64, 0, 0, MinInt64, so NetIn and NetOut pack to width 15,
+	// the narrowest that leaves an exception at most maxHigh bits above
+	// it, each with one exception of 49 high bits.
+	f.Add([]byte{0x84, 1 << 2, 0x00, 0x00, 0x00,
+		0x84, 2 << 2, 0x00, 0x00, 0x00,
+		0x84, 3 << 2, 0x00, 0x00, 0x00,
+		0x04, edge(0), 0x00, 0x00, edge(0)})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		model, seals := decodeSamples(data)
 		r := NewRecorder()
@@ -532,86 +647,47 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 	})
 }
 
-// Bit-length histograms of the stages of ycsb-c's seed-1 requests:
-// lengths[i] counts the stages of bit length i+first.
-var (
-	netHist    = bitHist{15, []int64{5, 15577, 381182, 328319, 20839, 37206, 16491, 603, 77, 10, 7, 2, 1}}
-	queueHist  = bitHist{0, []int64{5, 9, 12, 37, 70, 135, 282, 547, 996, 2095, 4053, 8097, 780617, 298, 588, 857, 953, 498, 154, 16}}
-	deviceHist = bitHist{17, []int64{658835, 133972, 7512}}
-)
-
-type bitHist struct {
-	first   int
-	lengths []int64
-}
-
-// draw returns a value whose bit length is drawn from h, uniform among
-// the values of that length.
-func (h bitHist) draw(rng *rand.Rand) int64 {
-	var total int64
-	for _, n := range h.lengths {
-		total += n
-	}
-	x := rng.Int63n(total)
-	b := h.first
-	for _, n := range h.lengths {
-		if x < n {
-			break
-		}
-		x -= n
-		b++
-	}
-	if b == 0 {
-		return 0
-	}
-	return 1<<(b-1) | rng.Int63n(1<<(b-1))
-}
-
 // TestRecorderFootprint gates what recording costs: the live heap a
 // sealed Recorder grows by per sample, and one allocation per sealed
 // chunk besides the staging buffer, which the first Add allocates and
 // Seal frees. Each case records four and a half chunks, so that Seal
-// seals a partial one, of stages that sum to their Totals, in two shapes:
-//   - workload: stages drawn from the bit-length histograms of a
-//     simulated run (NetIn and NetOut near 2^17 with a congestion tail to
-//     2^27, Queue near 2^12, Device 2^17 to 2^19), at most 10 bytes per
-//     sample;
+// seals a partial one, of stages that sum to their Totals, in three
+// shapes (see chunk_test.go):
 //   - in-range: stages uniform in [0, 2^24-2], at most 13.5 bytes per
-//     sample.
+//     sample;
+//   - workload: stages drawn from the bit-length histograms of a
+//     simulated run, at most 10 bytes per sample;
+//   - dominant: as workload, but with Queue and Device exactly one value
+//     in 96.6% and 75.0% of samples, as a simulated run records them, at
+//     most 7 bytes per sample.
 //
 // Each shape is recorded as drawn and with one NetIn per 1,000 samples
 // of 256.5 ms, the largest latency the benchmark workloads record.
 func TestRecorderFootprint(t *testing.T) {
 	const n = 4*recorderChunk + recorderChunk/2
 	const chunks = 5
-	workload := func(rng *rand.Rand) Sample {
-		return Sample{NetIn: netHist.draw(rng), Queue: queueHist.draw(rng),
-			Device: deviceHist.draw(rng), NetOut: netHist.draw(rng)}
-	}
-	inRange := func(rng *rand.Rand) Sample {
-		return Sample{NetIn: rng.Int63n(1<<24 - 1), Queue: rng.Int63n(1<<24 - 1),
-			Device: rng.Int63n(1<<24 - 1), NetOut: rng.Int63n(1<<24 - 1)}
-	}
 	for _, tc := range []struct {
 		name     string
 		draw     func(*rand.Rand) Sample
 		escapes  bool
 		maxBytes float64
 	}{
-		{"in-range", inRange, false, 13.5},
-		{"one-escape-per-1000", inRange, true, 13.5},
-		{"workload", workload, false, 10},
-		{"workload-one-escape-per-1000", workload, true, 10},
+		{"in-range", inRangeStages, false, 13.5},
+		{"one-escape-per-1000", inRangeStages, true, 13.5},
+		{"workload", workloadStages, false, 10},
+		{"workload-one-escape-per-1000", workloadStages, true, 10},
+		{"dominant", dominantStages, false, 7},
+		{"dominant-one-escape-per-1000", dominantStages, true, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
 			samples := make([]Sample, n)
 			for i := range samples {
-				s := tc.draw(rng)
+				s := shapedSample(tc.draw, rng, i)
 				if tc.escapes && i%1000 == 0 {
 					s.NetIn = 256_500_000
+					s.Total = stageSum(s)
 				}
-				s.Total, s.Write, s.Redirected = stageSum(s), i%2 == 0, i%5 == 0
 				samples[i] = s
 			}
 			r := NewRecorder()
@@ -637,8 +713,8 @@ func TestRecorderFootprint(t *testing.T) {
 			mallocs := recorded.Mallocs - staged.Mallocs
 			excs := 0
 			for _, ch := range r.chunks {
-				for _, e := range ch.exc {
-					excs += int(e)
+				for _, l := range ch.cols {
+					excs += int(l.exc)
 				}
 			}
 			t.Logf("%d samples, %d exceptions: %.3f heap bytes per sample, %d allocations for %d chunks",
@@ -651,5 +727,28 @@ func TestRecorderFootprint(t *testing.T) {
 					len(r.chunks), mallocs, chunks)
 			}
 		})
+	}
+}
+
+// TestRecorderDecodeScratch: a reader decodes into scratch sized to the
+// largest sealed chunk, not to a full one, so Reads on 1,000 sealed
+// samples allocates under 64 KiB: six decoded columns of 8,000 bytes and
+// the distribution's 8,000.
+func TestRecorderDecodeScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := NewRecorder()
+	for i := range 1000 {
+		r.Add(shapedSample(dominantStages, rng, i), int64(i))
+	}
+	r.Seal()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reads := r.Reads()
+	runtime.ReadMemStats(&after)
+	allocated := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Reads on %d sealed samples (%d reads) allocated %d bytes", r.Len(), reads.Len(), allocated)
+	if allocated >= 64<<10 {
+		t.Errorf("Reads on %d sealed samples allocated %d bytes, want under %d", r.Len(), allocated, 64<<10)
 	}
 }

@@ -51,11 +51,14 @@ type ecGroup struct {
 	// pumpEv is the group's repair pump, bound once.
 	pumpEv sim.EventFunc
 
-	// parity, targets and sources are scratch buffers of writeHolders
-	// and the source pickers, valid until the next call.
+	// parity and targets are scratch buffers of writeHolders, valid
+	// until the next call.
 	parity  []int
 	targets []*instance
-	sources []*instance
+	// members and plan are the planner's scratch: every member's state
+	// (its rack fixed at build) and the last plan, sized in buildGroups.
+	members []ec.Member
+	plan    ec.Plan
 
 	// Re-integration state: once the reconstructor finishes a lost
 	// holder, the adopting member that received the rebuilt chunks is
@@ -133,8 +136,11 @@ func (r *Rack) buildGroups() error {
 		g.crashed = make([]bool, total)
 		g.repairing = make([]bool, total)
 		g.adopterFor = make([]*instance, total)
+		g.members = make([]ec.Member, total)
+		g.plan.Sources = make([]ec.Source, 0, total)
 		for i, sIdx := range servers {
 			srv := r.servers[sIdx]
+			g.members[i].Rack = srv.rackIdx
 			inst, err := r.newInstance(srv, uint32(100+gidx*total+i), alloc)
 			if err != nil {
 				return err
@@ -229,159 +235,36 @@ func inRack(members []*instance, rack int) bool {
 	return false
 }
 
-// adopter picks the surviving member that absorbs a dead holder's
-// traffic and rebuilt chunks: the next live, reachable member in group
-// order. The LRC family prefers a member in the dead holder's own rack
-// — an in-rack adopter is what lets the local-XOR repair plan rebuild
-// the chunk without any spine traffic.
-func (g *ecGroup) adopter(holder int) *instance {
-	n := len(g.insts)
-	if g.hasLocalParity() {
-		rack := g.insts[holder].server.rackIdx
-		for i := 1; i < n; i++ {
-			m := g.insts[(holder+i)%n]
-			if m.server.reachable() && m.server.rackIdx == rack {
-				return m
-			}
-		}
+// states refreshes the planner's view of every member. busy marks the
+// members collecting at now: a read fetches from them last, while repair
+// passes none, since repairPump admits a batch only while no member
+// collects.
+func (g *ecGroup) states(now sim.Time, busy bool) []ec.Member {
+	for i, m := range g.insts {
+		st := &g.members[i]
+		st.Down = !m.server.reachable()
+		st.Rebuilding = g.repairing[i]
+		st.Busy = busy && m.v.InGC(now)
 	}
-	for i := 1; i < n; i++ {
-		m := g.insts[(holder+i)%n]
-		if m.server.reachable() {
-			return m
-		}
+	return g.members
+}
+
+// adopter returns the member that absorbs a lost holder's traffic and
+// rebuilt chunks (ec.Spec.Adopter), or nil when every other member is
+// unreachable.
+func (g *ecGroup) adopter(holder int) *instance {
+	if i := g.spec.Adopter(g.states(0, false), holder); i >= 0 {
+		return g.insts[i]
 	}
 	return nil
 }
 
-// readSources orders the chunk sources for a degraded reconstruction
-// rack-local-first: the coordinator's own chunk (free of network hops),
-// then idle survivors in the coordinator's rack, then idle survivors in
-// other racks — which cost spine latency and metered cross-rack
-// bandwidth — and collecting survivors last. Every global member holds
-// exactly one chunk of every stripe, so any k of them suffice; the
-// ordering means the read spills onto the cross-rack link only when its
-// own rack cannot muster k healthy chunks. Holders with a rebuild
-// outstanding are never sources: a revived-but-catching-up member is
-// blank. Local parity holders never join an RS decode — their chunk is
-// a rack-local XOR, not a generator row — so only global members (and a
-// global coordinator) qualify.
-func (g *ecGroup) readSources(coord *instance, now sim.Time) []*instance {
-	width := g.spec.Width()
-	out := g.sources[:0]
-	if coord.slot < width {
-		out = append(out, coord)
-	}
-	// One pass per class keeps each class in group order: idle
-	// rack-local survivors, idle remote ones, collecting ones.
-	const local, remote, busy = 0, 1, 2
-	for class := local; class <= busy; class++ {
-		for i, m := range g.insts[:width] {
-			if m == coord || !m.server.reachable() || g.repairing[i] {
-				continue
-			}
-			c := local
-			switch {
-			case m.v.InGC(now):
-				c = busy
-			case m.server.rackIdx != coord.server.rackIdx:
-				c = remote
-			}
-			if c == class {
-				out = append(out, m)
-			}
-		}
-	}
-	g.sources = out
-	return out
-}
-
-// degradedSources picks the reconstruction plan for a degraded read at
-// coordinator coord: under the LRC family, when the home holder's rack
-// contains the coordinator and every other rack member (global chunks
-// plus the local parity) is healthy, the lost chunk is the XOR of
-// exactly those rack-local chunks — the zero-spine plan, needing no
-// cross-rack fetch at all. Otherwise it falls back to the global RS
-// decode from any k global survivors (readSources order). It returns
-// the sources, how many are needed, and whether the rack-local plan was
-// chosen.
-func (g *ecGroup) degradedSources(coord *instance, home int, now sim.Time) ([]*instance, int, bool) {
-	if g.hasLocalParity() {
-		if h := g.insts[home]; h != coord && h.server.rackIdx == coord.server.rackIdx {
-			rack := coord.server.rackIdx
-			local := append(g.sources[:0], coord)
-			complete := true
-			for j, m := range g.insts {
-				if m.server.rackIdx != rack || m == coord || j == home {
-					continue
-				}
-				if !m.server.reachable() || g.repairing[j] {
-					complete = false
-					break
-				}
-				local = append(local, m)
-			}
-			g.sources = local
-			if complete {
-				return local, len(local), true
-			}
-		}
-	}
-	return g.readSources(coord, now), g.spec.K, false
-}
-
-// repairSources picks the survivor set for rebuilding one lost holder
-// onto adopter. Under the LRC family, when the adopter sits in the lost
-// holder's own rack and every other member of that rack (global chunks
-// plus the local parity) is healthy, the lost chunk is the XOR of
-// exactly those rack-local chunks — the zero-spine local plan; the
-// returned bool reports it. Otherwise the global plan applies: the
-// adopter's own chunk first (unless it is the blank rebuild target),
-// then rack-local global survivors, then remote ones, k in total —
-// local parity holders never feed an RS decode.
-func (g *ecGroup) repairSources(holder int, adopter *instance) ([]*instance, bool) {
-	if g.hasLocalParity() && adopter.server.rackIdx == g.insts[holder].server.rackIdx {
-		rack := adopter.server.rackIdx
-		local := g.sources[:0]
-		complete := true
-		for j, m := range g.insts {
-			if m.server.rackIdx != rack || j == holder {
-				continue
-			}
-			if !m.server.reachable() || g.repairing[j] {
-				complete = false
-				break
-			}
-			local = append(local, m)
-		}
-		g.sources = local
-		if complete {
-			return local, true
-		}
-	}
-	width := g.spec.Width()
-	sources := g.sources[:0]
-	if adopter.slot < width && adopter != g.insts[holder] {
-		sources = append(sources, adopter)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for j, m := range g.insts[:width] {
-			if len(sources) == g.spec.K {
-				break
-			}
-			if m == adopter || m == g.insts[holder] ||
-				!m.server.reachable() || g.repairing[j] {
-				continue
-			}
-			local := m.server.rackIdx == adopter.server.rackIdx
-			if (pass == 0) != local {
-				continue
-			}
-			sources = append(sources, m)
-		}
-	}
-	g.sources = sources
-	return sources, false
+// planFor plans the fetches coord makes to rebuild member want's chunk
+// (ec.Spec.Plan); read reports a degraded read at now rather than a
+// repair batch. The plan is valid until the next call.
+func (g *ecGroup) planFor(want int, coord *instance, now sim.Time, read bool) *ec.Plan {
+	g.spec.Plan(&g.plan, g.states(now, read), want, coord.slot)
+	return &g.plan
 }
 
 // sendEC fans one logical request out to its chunk holders. A write
@@ -411,9 +294,9 @@ func (r *Rack) sendEC(st *reqState) {
 
 // startDegradedRead reconstructs a chunk at a surviving holder: the
 // switch steered this read away from its home, so the coordinator
-// fetches any k chunks of the stripe (its own local one plus k-1 remote)
-// and decodes. Remote fetches charge two network hops each way and the
-// source device's channel time; they bypass the remote scheduler queue,
+// fetches the chunks ec.Spec.Plan picks (its own first) and decodes.
+// Remote fetches charge two network hops each way and the source
+// device's channel time; they bypass the remote scheduler queue,
 // modeling the priority repair lane real EC stores give chunk fetches.
 func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 	r := s.rack
@@ -447,28 +330,22 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		}
 	}
 
-	sources, needed, localPlan := g.degradedSources(inst, home, now)
-	if localPlan {
+	plan := g.planFor(home, inst, now, true)
+	sources := plan.Sources
+	if plan.Local {
 		r.res.LocalDegradedReads++
-	} else if len(sources) < needed {
+	} else if !plan.Decodes {
 		// More failures than parity: the stripe cannot be reconstructed
 		// right now. Serve the local chunk so the request terminates, and
 		// surface the loss in the counters (ec.ErrStripeUnrecoverable is
 		// the library-level twin of this path).
 		r.res.UnrecoverableReads++
 		if len(sources) == 0 {
-			sources = append(sources, inst)
+			sources = append(sources, ec.Source{Member: inst.slot})
 		} else {
 			sources = sources[:1]
 		}
-	} else {
-		sources = sources[:needed]
 	}
-	// Under the LRC family a global fallback decode still ships
-	// aggregates: each remote rack folds its survivors into one partial
-	// sum locally, and only the rack's designated shipper — its first
-	// source — pays the spine for one chunk.
-	aggregate := g.hasLocalParity() && !localPlan
 
 	var recSpan *trace.Span
 	if st.span != nil {
@@ -476,36 +353,29 @@ func (s *server) startDegradedRead(inst *instance, req *sched.Request) {
 		recSpan.Annotate(trace.Int("sources", int64(len(sources))),
 			trace.Int("stripe", int64(stripe)))
 		if g.hasLocalParity() {
-			plan := "aggregated"
-			if localPlan {
-				plan = "local_xor"
+			kind := "aggregated"
+			if plan.Local {
+				kind = "local_xor"
 			}
-			recSpan.Annotate(trace.String("plan", plan))
+			recSpan.Annotate(trace.String("plan", kind))
 		}
 	}
 	rd := r.degraded.Get()
 	rd.s, rd.inst, rd.req, rd.span, rd.stripe, rd.remaining = s, inst, req, recSpan, stripe, len(sources)
-	for i, src := range sources {
+	for _, src := range sources {
 		f := r.fetches.Get()
-		f.rd, f.src = rd, src
-		f.cross = src.server.rackIdx != inst.server.rackIdx
-		f.ships = !aggregate || firstOfRack(sources, i)
-		if src == inst {
+		f.rd, f.src, f.ships = rd, g.insts[src.Member], src.Ships
+		if f.src == inst {
 			f.read()
 			continue
 		}
 		out := r.net.PathLatency(now, 2)
-		if f.cross {
+		if f.src.server.rackIdx != inst.server.rackIdx {
 			out += r.spine.Propagation()
 		}
 		f.step = fetchRead
 		r.eng.ScheduleAfter(out, labelECChunkRead, f)
 	}
-}
-
-// firstOfRack reports whether srcs[i] is the first of srcs in its rack.
-func firstOfRack(srcs []*instance, i int) bool {
-	return !inRack(srcs[:i], srcs[i].server.rackIdx)
 }
 
 // degradedRead is one k-chunk reconstruction coordinated at inst: it
@@ -559,10 +429,8 @@ type chunkFetch struct {
 	rd   *degradedRead
 	src  *instance
 	step fetchStep
-	// cross marks a source in another rack than the coordinator; ships
-	// marks one that pays the spine for its chunk (under LRC
-	// aggregation, only its rack's first source does).
-	cross, ships bool
+	// ships marks a chunk that crosses the spine (ec.Source.Ships).
+	ships bool
 }
 
 func (f *chunkFetch) Fire(sim.Time) {
@@ -610,7 +478,7 @@ func (f *chunkFetch) send() {
 		rd.chunkArrived()
 		return
 	}
-	if f.cross && f.ships {
+	if f.ships {
 		f.step = fetchShipped
 		fs, fe := r.spine.CrossFetch(int64(r.cfg.Geometry.PageSize), f)
 		if rd.span != nil {
@@ -677,11 +545,10 @@ func (r *Rack) repairPump(g *ecGroup) {
 	// A zero-spine local-XOR plan (LRC, in-rack adopter, healthy rack)
 	// moves no cross-rack bytes, so it claims no spine tokens: it runs
 	// immediately instead of idling the rack behind the admission lane.
-	if adopter := g.adopterFor[task.Holder]; adopter != nil && adopter.server.reachable() {
-		if _, local := g.repairSources(task.Holder, adopter); local {
-			r.runRepairTask(g, task, 0)
-			return
-		}
+	if adopter := g.adopterFor[task.Holder]; adopter != nil && adopter.server.reachable() &&
+		g.planFor(task.Holder, adopter, 0, false).Local {
+		r.runRepairTask(g, task, 0)
+		return
 	}
 	// The token charge is the rebuilt chunk volume; the GC idle window
 	// was checked at claim time and the grant re-validates liveness in
@@ -709,17 +576,13 @@ func (a *repairGrant) Fire(sim.Time) {
 }
 
 // runRepairTask rebuilds one batch of a lost holder's chunks: chunk
-// reads spread over the survivors — under RS, k of them, intra-rack
-// first, spilling onto the metered cross-rack link only when the
-// adopter's rack cannot supply k; under LRC, either the rack-local XOR
-// set (zero spine bytes) or an aggregated global plan where each remote
-// rack ships one combined batch instead of one per survivor — the
+// reads from the sources ec.Spec.Plan picks for the adopter, the
 // decode, and the programs that land the rebuilt chunks on the adopting
-// holder. Channel time is charged in bulk per batch; spine crossings
-// serialize their batch bytes through the cluster link. charged is the
-// admission charge the pacer already collected for this task (0 when
-// unpaced or admitted via the token-free local plan); settle reconciles
-// it against the actual spine bytes.
+// holder. Channel time is charged in bulk per batch; each shipping
+// source serializes its batch bytes through the cluster link. charged
+// is the admission charge the pacer already collected for this task (0
+// when unpaced or admitted via the token-free local plan); settle
+// reconciles it against the actual spine bytes.
 func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 	now := r.eng.Now()
 	// batchBytes is the spine cost of one batch crossing below; the
@@ -747,8 +610,8 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 		// onto; the unrecoverable-read counter exposes the loss.
 		return
 	}
-	sources, localPlan := g.repairSources(task.Holder, adopter)
-	if !localPlan && len(sources) < g.spec.K {
+	plan := g.planFor(task.Holder, adopter, 0, false)
+	if !plan.Decodes {
 		// Unrecoverable with the current survivors: drop the task; the
 		// unrecoverable-read counter already exposes the data loss.
 		g.repairInFlight = false
@@ -770,25 +633,22 @@ func (r *Rack) runRepairTask(g *ecGroup, task ec.RepairTask, charged int64) {
 	var end sim.Time
 	var crossBytes int64
 	readDur := sim.Time(task.Stripes) * r.cfg.Device.ReadPage
-	for i, src := range sources {
-		chs := src.v.Channels()
-		_, e := src.server.dev.OccupyChannel(chs[task.FirstStripe%len(chs)], readDur)
-		if src.server.rackIdx != adopter.server.rackIdx {
+	for _, src := range plan.Sources {
+		m := g.insts[src.Member]
+		chs := m.v.Channels()
+		_, e := m.server.dev.OccupyChannel(chs[task.FirstStripe%len(chs)], readDur)
+		if src.Ships {
 			// The batch crosses the spine: meter it on the shared link.
-			// Under LRC the remote rack combines its survivors locally
-			// first and ships one aggregate per rack, not one per source.
-			if !g.hasLocalParity() || firstOfRack(sources, i) {
-				crossBytes += batchBytes
-				if _, te := r.spine.CrossFetch(batchBytes, nil); te+r.spine.Propagation() > e {
-					e = te + r.spine.Propagation()
-				}
+			crossBytes += batchBytes
+			if _, te := r.spine.CrossFetch(batchBytes, nil); te+r.spine.Propagation() > e {
+				e = te + r.spine.Propagation()
 			}
 		}
 		if e > end {
 			end = e
 		}
 	}
-	if localPlan {
+	if plan.Local {
 		r.res.LocalRepairStripes += int64(task.Stripes)
 	} else if g.hasLocalParity() && crossBytes > 0 {
 		r.res.AggregatedRepairStripes += int64(task.Stripes)

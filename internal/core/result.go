@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"rackblox/internal/ec"
 	"rackblox/internal/sim"
 	"rackblox/internal/stats"
 	"rackblox/internal/switchsim"
@@ -202,35 +203,17 @@ func (r *Rack) Run() *Result {
 		res.RepairDelayed += int64(g.recon.DelayCount())
 		// A stripe with fewer than k effectively-alive global chunks is
 		// data loss: every global member holds one chunk of every
-		// stripe. Under the LRC family a rack whose only casualty is a
-		// single global member still contributes that chunk — it is
-		// locally recoverable from the rack's survivors plus its local
-		// parity — so it counts as alive for durability.
-		width := g.spec.Width()
+		// stripe. A crashed member whose local plan (LRC: the rest of its
+		// rack survives) rebuilds it still counts; a dark ToR loses no
+		// data, so only crashes count here.
+		for i, m := range g.insts {
+			g.members[i] = ec.Member{Rack: m.server.rackIdx, Down: m.server.failed}
+		}
 		alive := 0
-		if g.hasLocalParity() {
-			deadByRack := make(map[int]int)
-			deadGlobalByRack := make(map[int]int)
-			for i, m := range g.insts {
-				if m.server.failed {
-					deadByRack[m.server.rackIdx]++
-					if i < width {
-						deadGlobalByRack[m.server.rackIdx]++
-					}
-				}
-			}
-			for _, m := range g.insts[:width] {
-				rack := m.server.rackIdx
-				if !m.server.failed ||
-					(deadByRack[rack] == 1 && deadGlobalByRack[rack] == 1) {
-					alive++
-				}
-			}
-		} else {
-			for _, m := range g.insts {
-				if !m.server.failed {
-					alive++
-				}
+		for i := range g.spec.Width() {
+			g.spec.Plan(&g.plan, g.members, i, i)
+			if !g.members[i].Down || g.plan.Local {
+				alive++
 			}
 		}
 		if alive < g.spec.K {

@@ -236,9 +236,10 @@ func (r *Rack) replayToR(rackIdx int) {
 
 	// Replay the per-rack stripe tables of every group touching this
 	// rack, then overlay the failure-era state that survives revival:
-	// repaired holders point at their replacements, still-dead local
-	// members get failover entries, still-dead remote members get
-	// remote-dead marks.
+	// repaired holders point at their replacements, and members that
+	// cannot be read (still dead, or revived blank with a catch-up
+	// repair outstanding) get failover entries when local and
+	// remote-dead marks when remote.
 	for _, g := range r.groups {
 		if !slices.Contains(g.tors, tor) {
 			continue
@@ -251,7 +252,7 @@ func (r *Rack) replayToR(rackIdx int) {
 				tor.ReplaceStripeMember(m.id, repl.id)
 				continue
 			}
-			if m.server.reachable() {
+			if m.server.reachable() && !g.repairing[i] {
 				continue
 			}
 			if m.server.rackIdx == rackIdx {

@@ -165,6 +165,73 @@ func TestServerRevivalCatchUpRestores(t *testing.T) {
 	}
 }
 
+// TestRevivedToRFailsOverCatchingUpHolders: a holder whose server came
+// back blank cannot serve its chunks until its catch-up repair lands. A
+// ToR that revives meanwhile must replay a failover entry for it, as for
+// a dead member, instead of routing its reads to the blank flash.
+func TestRevivedToRFailsOverCatchingUpHolders(t *testing.T) {
+	for _, red := range []RedundancySpec{ErasureCode(4, 2), LocalParityCode(4, 2)} {
+		t.Run(red.String(), func(t *testing.T) {
+			cfg := recoveryConfig()
+			cfg.Redundancy = red
+			revived := 200 * sim.Millisecond
+			cfg.Scenario = []Event{
+				FailServer(0, 120*sim.Millisecond),
+				ReviveServer(0, 160*sim.Millisecond),
+				FailToR(0, 165*sim.Millisecond),
+				ReviveToR(0, revived),
+			}
+			r, err := NewRack(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drive the run by hand so the tables can be read right after
+			// the ToR's replay.
+			r.stopIssuing = cfg.Warmup + cfg.Duration
+			r.startClients()
+			r.startGCMonitors()
+			r.scheduleScenario()
+			r.eng.RunUntil(revived)
+
+			tor := r.tors[0]
+			if tor.Down() {
+				t.Fatal("ToR 0 still down after its revival")
+			}
+			catchingUp := 0
+			for _, g := range r.groups {
+				for i, inst := range g.insts {
+					if inst.server.index != 0 {
+						continue
+					}
+					if !g.repairing[i] || g.replacement[i] != nil {
+						t.Fatalf("group %d holder %d: catch-up repair no longer outstanding at the ToR revival; the scenario is dead",
+							g.idx, i)
+					}
+					catchingUp++
+					if _, ok := tor.FailedOver(inst.id); !ok {
+						t.Errorf("group %d holder %d (vSSD %d) is catching up blank, but the revived ToR routes its reads to it",
+							g.idx, i, inst.id)
+					}
+				}
+			}
+			if catchingUp == 0 {
+				t.Fatal("no holder on server 0; test set up wrong")
+			}
+
+			// The dark ToR moved each catch-up onto an adopter; the
+			// holders still heal.
+			r.eng.Run()
+			for _, g := range r.groups {
+				for i, inst := range g.insts {
+					if inst.server.index == 0 && (g.repairing[i] || g.replacement[i] == nil) {
+						t.Errorf("group %d holder %d never re-integrated", g.idx, i)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestRepeatedFailHealCycle exercises what motivates the timeline API:
 // the same server fails, heals by catch-up after revival, and fails
 // again — the second loss healing through adopter re-integration — and

@@ -345,6 +345,13 @@ func (s *Switch) ReplacedBy(id uint32) (uint32, bool) {
 	return r, ok
 }
 
+// FailedOver returns the survivor a member's traffic is rewritten to, if
+// any.
+func (s *Switch) FailedOver(id uint32) (uint32, bool) {
+	survivor, ok := s.failover[id]
+	return survivor, ok
+}
+
 // applyReplaced rewrites a packet addressed to a repaired member toward
 // its registered replacement, chasing the chain that forms when a
 // replacement itself later fails and is repaired elsewhere, and reports

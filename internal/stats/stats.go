@@ -68,6 +68,9 @@ type Recorder struct {
 	staging *[numCols][recorderChunk]uint64
 	staged  int
 	n       int
+	// byFlags counts the samples with each value of the flags column,
+	// so that a distribution is sized to the samples it keeps.
+	byFlags [flagRedirected << 1]int
 	// start/end bound the measurement window for throughput.
 	start, end int64
 }
@@ -100,6 +103,7 @@ func (r *Recorder) Add(s Sample, now int64) {
 		flags |= flagRedirected
 	}
 	b[colFlags][i] = flags
+	r.byFlags[flags]++
 	r.n++
 	if r.staged++; r.staged == recorderChunk {
 		r.seal()
@@ -181,7 +185,13 @@ func (r *Recorder) dist(mask, want uint64, cols ...int) Dist {
 	if isTotal {
 		need = append(need, colTotal)
 	}
-	out := make([]int64, 0, r.n)
+	kept := 0
+	for f, n := range r.byFlags {
+		if uint64(f)&mask == want {
+			kept += n
+		}
+	}
+	out := make([]int64, 0, kept)
 	r.each(need, func(c *[numCols][]uint64) {
 		for i, f := range c[colFlags] {
 			if f&mask != want {

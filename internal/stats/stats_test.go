@@ -731,9 +731,10 @@ func TestRecorderFootprint(t *testing.T) {
 }
 
 // TestRecorderDecodeScratch: a reader decodes into scratch sized to the
-// largest sealed chunk, not to a full one, so Reads on 1,000 sealed
-// samples allocates under 64 KiB: six decoded columns of 8,000 bytes and
-// the distribution's 8,000.
+// largest sealed chunk, not to a full one, and sizes its distribution to
+// the samples it keeps. So Reads on 1,000 sealed samples, 500 of them
+// reads, allocates six decoded columns of 8,000 bytes, the
+// distribution's 4,000 and at most 2 KiB besides.
 func TestRecorderDecodeScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	r := NewRecorder()
@@ -748,7 +749,8 @@ func TestRecorderDecodeScratch(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("Reads on %d sealed samples (%d reads) allocated %d bytes", r.Len(), reads.Len(), allocated)
-	if allocated >= 64<<10 {
-		t.Errorf("Reads on %d sealed samples allocated %d bytes, want under %d", r.Len(), allocated, 64<<10)
+	if limit := uint64(6*8*r.Len() + 8*reads.Len() + 2<<10); allocated > limit {
+		t.Errorf("Reads on %d sealed samples (%d reads) allocated %d bytes, want at most %d",
+			r.Len(), reads.Len(), allocated, limit)
 	}
 }

@@ -13,7 +13,7 @@ import (
 var mixes = []float64{0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0}
 
 func mixLabel(writeFrac float64) string {
-	return workload.Mix(int(100 - writeFrac*100 + 0.5))
+	return workload.Mix(int(100 - float64(writeFrac*100) + 0.5))
 }
 
 // ycsbGrid is the YCSB mix x system grid of Figs. 9-12 and 15-16.

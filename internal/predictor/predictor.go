@@ -158,7 +158,7 @@ func NewIdle(alpha float64, threshold sim.Time) *Idle {
 func (p *Idle) OnRequest(now sim.Time) {
 	if p.started {
 		real := float64(now - p.lastReq)
-		p.pred = p.alpha*real + (1-p.alpha)*p.pred
+		p.pred = float64(p.alpha*real) + float64((1-p.alpha)*p.pred)
 	}
 	p.lastReq = now
 	p.started = true

@@ -20,7 +20,7 @@ func Rank(p float64, n int) int {
 	}
 	// The small epsilon keeps e.g. ceil(99.9/100*1000) at rank 999 despite
 	// binary floating point rounding 0.999*1000 up to 999.0000000000001.
-	rank := int(math.Ceil(p/100*float64(n) - 1e-9))
+	rank := int(math.Ceil(float64(p/100*float64(n)) - 1e-9))
 	if rank < 1 {
 		rank = 1
 	}

@@ -55,7 +55,7 @@ func (t *TokenBucket) Admit(pkt packet.Packet, now sim.Time) sim.Time {
 		t.buckets[pkt.SrcIP] = b
 	}
 	// Refill.
-	b.tokens += float64(now-b.last) / 1e9 * t.Rate
+	b.tokens += float64(float64(now-b.last) / 1e9 * t.Rate)
 	if b.tokens > t.Burst {
 		b.tokens = t.Burst
 	}

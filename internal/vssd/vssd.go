@@ -153,7 +153,7 @@ func (t *TokenBucket) Admit(now sim.Time) sim.Time {
 	if t.rate <= 0 {
 		return now
 	}
-	t.tokens += float64(now-t.last) / 1e9 * t.rate
+	t.tokens += float64(float64(now-t.last) / 1e9 * t.rate)
 	if t.tokens > t.burst {
 		t.tokens = t.burst
 	}

@@ -123,7 +123,7 @@ func New(cfg Config) (*Rack, error) {
 		dev := (i / cfg.Servers) % cfg.SSDsPerServer
 		row := rows[i%len(rows)]
 		// Jitter separates instances of the same workload (+/-30%).
-		jitter := 0.7 + 0.6*r.rng.Float64()
+		jitter := 0.7 + float64(0.6*r.rng.Float64())
 		rate := cfg.BaseEraseRate * row.WritePct / 100 * jitter
 		r.SSDs[srv][dev].Slots = append(r.SSDs[srv][dev].Slots,
 			vslot{Workload: row.Name, Rate: rate})

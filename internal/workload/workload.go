@@ -54,7 +54,7 @@ type ycsb struct {
 // given write fraction and mean interarrival gap (Poisson arrivals).
 func NewYCSB(rng *sim.RNG, n uint64, writeFrac float64, meanGap sim.Time) Generator {
 	return &ycsb{
-		name:      "YCSB " + Mix(int(100-writeFrac*100+0.5)),
+		name:      "YCSB " + Mix(int(100-float64(writeFrac*100)+0.5)),
 		writeFrac: writeFrac,
 		keys:      sim.NewZipf(rng.Fork(1), 0.99, n),
 		rng:       rng,

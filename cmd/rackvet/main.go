@@ -5,7 +5,7 @@
 //	simtime             — no wall-clock reads where sim logic runs
 //	eventlabel          — every scheduled event carries a stable handler label
 //	observerpure        — trace/stats observers never perturb the run they watch
-//	goroutinediscipline — `go` statements only in the shard runner
+//	goroutinediscipline — `go` statements only in the worker pool
 //	                      (internal/sim shardrun.go), nowhere else in internal/
 //
 // Two modes share the same analyzers:

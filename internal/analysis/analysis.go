@@ -164,10 +164,11 @@ func (p *Pass) CheckDirectiveRationales(name string) {
 	}
 }
 
-// InShardRunnerFile reports whether pos lies in the simulator's shard
-// runner — internal/sim's shardrun.go, the single file sanctioned to
-// spawn goroutines (the worker-per-shard pool behind ShardGroup.Run).
-func (p *Pass) InShardRunnerFile(pos token.Pos) bool {
+// InWorkerPoolFile reports whether pos lies in the simulator's worker
+// pool — internal/sim's shardrun.go, the single file sanctioned to
+// start goroutines (sim.Do's workers, which run ShardGroup windows and
+// core.NewRack's per-server and per-volume set-up).
+func (p *Pass) InWorkerPoolFile(pos token.Pos) bool {
 	if !PkgPathIs(p.Pkg, "rackblox/internal/sim") {
 		return false
 	}

@@ -1,23 +1,27 @@
 // Package goroutinediscipline implements the rackvet analyzer that pins
 // where concurrency may enter the simulator.
 //
-// The sharded runner (sim.ShardGroup.Run) executes one goroutine per
-// rack shard, and its byte-identity-to-sequential guarantee rests on a
-// structural argument: within a window each worker touches only its own
-// shard's state, and every cross-shard effect rides the deterministic
-// mailbox merge at the barrier. That argument holds precisely because
-// the worker pool in internal/sim's shardrun.go is the ONLY place
-// goroutines exist — a `go` statement anywhere else in internal/ would
-// reintroduce scheduler interleaving the replay tests cannot see until
-// it has already corrupted a result.
+// The simulator has one worker pool, sim.Do in internal/sim's
+// shardrun.go, and two callers run tasks on it: sim.ShardGroup.Run runs
+// each window's shards, and core.NewRack runs one task per server to
+// precondition its devices and one per volume to build its workload
+// generator. Both keep their results byte-identical to a one-goroutine
+// run by the same structural argument: a task touches only state of its
+// own (its shard's engine and outgoing mailboxes; its server's flash
+// array and FTLs; its volume's generator), and everything shared is
+// ordered before or after the tasks (the mailbox merge at the window
+// barrier; the streams' seeds drawn from the rack's stream in build
+// order). That argument holds precisely because
+// the pool is the ONLY place goroutines exist — a `go` statement
+// anywhere else in internal/ would reintroduce scheduler interleaving
+// the replay tests cannot see until it has already corrupted a result.
 //
 // Unlike simdeterminism (which guards the event-path packages), this
 // check covers all of internal/: observers, codecs, and tooling helpers
 // are called from the event path, so none of them may smuggle in
 // concurrency either. Tests are exempt — they own their goroutines and
 // the race detector watches them. There is deliberately no directive
-// escape hatch: new concurrency belongs in the shard runner or not in
-// the tree.
+// escape hatch: new concurrency runs as tasks of sim.Do or not at all.
 package goroutinediscipline
 
 import (
@@ -27,10 +31,10 @@ import (
 	"rackblox/internal/analysis"
 )
 
-// Analyzer restricts `go` statements to the shard-runner file.
+// Analyzer restricts `go` statements to the worker-pool file.
 var Analyzer = &analysis.Analyzer{
 	Name: "goroutinediscipline",
-	Doc: "restrict `go` statements to the shard runner (internal/sim shardrun.go); " +
+	Doc: "restrict `go` statements to the worker pool (internal/sim shardrun.go); " +
 		"anywhere else in internal/ goroutine interleaving breaks bit-exact replay",
 	Applies: applies,
 	Run:     run,
@@ -50,13 +54,14 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			if pass.InShardRunnerFile(g.Pos()) {
+			if pass.InWorkerPoolFile(g.Pos()) {
 				return true
 			}
 			pass.Reportf(g.Pos(),
-				"goroutine spawned outside the shard runner: only internal/sim's shardrun.go "+
-					"may introduce concurrency (the window-barrier pool behind ShardGroup.Run); "+
-					"everywhere else interleaving breaks bit-exact replay")
+				"goroutine spawned outside the worker pool: only internal/sim's shardrun.go "+
+					"may introduce concurrency (sim.Do's workers, which run ShardGroup windows "+
+					"and core.NewRack's per-server and per-volume set-up); run the work as "+
+					"sim.Do tasks instead, since everywhere else interleaving breaks bit-exact replay")
 			return true
 		})
 	}

@@ -6,13 +6,13 @@ package demo
 
 func fansOut(work []func()) {
 	for _, w := range work {
-		go w() // want "goroutine spawned outside the shard runner"
+		go w() // want "goroutine spawned outside the worker pool"
 	}
 }
 
 func nestedSpawn(done chan struct{}) {
 	helper := func() {
-		go func() { close(done) }() // want "goroutine spawned outside the shard runner"
+		go func() { close(done) }() // want "goroutine spawned outside the worker pool"
 	}
 	helper()
 }

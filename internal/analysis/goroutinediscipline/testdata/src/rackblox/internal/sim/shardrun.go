@@ -1,8 +1,8 @@
 package sim
 
-// startWorkers mirrors the real shard runner: the one file where `go`
-// statements are allowed, because the window-barrier protocol makes the
-// concurrency unobservable.
+// startWorkers mirrors the real worker pool: the one file where `go`
+// statements are allowed, because every task the pool runs owns the
+// state it touches, which makes the concurrency unobservable.
 func startWorkers(windows []chan Time) {
 	for range windows {
 		ch := make(chan Time)

@@ -1,4 +1,4 @@
-// Package sim is a goroutinediscipline fixture: the shard-runner file
+// Package sim is a goroutinediscipline fixture: the worker-pool file
 // (shardrun.go) is the one sanctioned concurrency site; a goroutine in
 // any other file of the same package is still a finding.
 package sim
@@ -10,5 +10,5 @@ type Time int64
 func RunUntil(end Time) {}
 
 func sneaksConcurrencyIntoTheEnginePackage(done chan struct{}) {
-	go func() { close(done) }() // want "goroutine spawned outside the shard runner"
+	go func() { close(done) }() // want "goroutine spawned outside the worker pool"
 }

@@ -183,11 +183,12 @@ func run(pass *analysis.Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				// The shard runner is the sanctioned exception: its
-				// worker-per-shard pool is what lets ShardGroup.Run stay
-				// byte-identical to RunSequential (goroutinediscipline
-				// carries the same carve-out).
-				if !pass.InShardRunnerFile(n.Pos()) {
+				// The worker pool is the sanctioned exception: its
+				// callers give every task state of its own, which is what
+				// lets ShardGroup.Run stay byte-identical to
+				// RunSequential (goroutinediscipline carries the same
+				// carve-out).
+				if !pass.InWorkerPoolFile(n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"goroutine spawn in simulation code: the engine is single-threaded; "+
 							"goroutine interleaving breaks bit-exact replay")

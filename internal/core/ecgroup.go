@@ -178,7 +178,7 @@ func (r *Rack) buildGroups() error {
 			perChunk = 1
 		}
 		g.usedStripes = perChunk
-		g.gen = r.makeGenerator(gidx, uint64(perChunk)*uint64(spec.K))
+		r.drawGenerator(&g.volume, uint64(perChunk)*uint64(spec.K))
 		r.groups = append(r.groups, g)
 	}
 	r.eng.Run() // drain registration events

@@ -88,8 +88,13 @@ type volume struct {
 	insts []*instance
 	// tors lists each ToR serving a member once, ordered by the first
 	// member it serves.
-	tors     []*switchsim.Switch
-	gen      workload.Generator
+	tors []*switchsim.Switch
+	gen  workload.Generator
+	// keys and seed are gen's key count and stream seed, drawn from the
+	// rack's stream in build order (drawGenerator); buildGenerators
+	// builds gen from them.
+	keys     uint64
+	seed     int64
 	inflight int
 	// issueEv is the volume's next client arrival, bound once.
 	issueEv sim.EventFunc
@@ -292,7 +297,10 @@ func NewRack(cfg Config) (*Rack, error) {
 	if r.tracer != nil {
 		r.installTraceHooks()
 	}
-	r.precondition()
+	r.buildGenerators()
+	if err := r.precondition(); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
@@ -376,7 +384,7 @@ func (r *Rack) buildPairs() error {
 		pr := &volume{idx: p}
 		r.addMember(pr, pri)
 		r.addMember(pr, rep)
-		pr.gen = r.makeGenerator(p, uint64(float64(pri.v.FTL.LogicalPages())*cfg.KeyspaceFrac))
+		r.drawGenerator(pr, uint64(float64(pri.v.FTL.LogicalPages())*cfg.KeyspaceFrac))
 		r.pairs = append(r.pairs, pr)
 
 		// Register both instances in their racks' ToR tables (create_vssd).
@@ -490,57 +498,117 @@ func (r *Rack) hermesTransport(pri, rep *instance) replication.Transport {
 	}
 }
 
-// makeGenerator builds the workload generator of volume idx over keys
-// logical pages.
-func (r *Rack) makeGenerator(idx int, keys uint64) workload.Generator {
-	cfg := r.cfg
-	if keys < 64 {
-		keys = 64
+// volumes returns every volume: the replicated pairs, or the
+// erasure-coded groups' volumes.
+func (r *Rack) volumes() []*volume {
+	if len(r.groups) == 0 {
+		return r.pairs
 	}
-	rng := r.rng.Fork(int64(200 + idx))
-	if cfg.Workload.Name == "" || cfg.Workload.Name == "YCSB" {
-		return workload.NewYCSB(rng, keys, cfg.Workload.WriteFrac, cfg.Workload.MeanGap)
+	vols := make([]*volume, len(r.groups))
+	for i, g := range r.groups {
+		vols[i] = &g.volume
 	}
-	gen, err := workload.ByName(cfg.Workload.Name, rng, keys, cfg.Workload.MeanGap)
-	if err != nil {
-		panic(err) // Validate accepted the config; ByName must agree
-	}
-	return gen
+	return vols
+}
+
+// drawGenerator draws the stream of volume v's workload generator, over
+// keys logical pages, from r.rng.
+func (r *Rack) drawGenerator(v *volume, keys uint64) {
+	v.keys = max(keys, 64)
+	v.seed = r.rng.ForkSeed(int64(200 + v.idx))
+}
+
+// buildGenerators builds every volume's workload generator from the
+// stream drawGenerator drew for it, one sim.Do task per volume. A task
+// writes only its own volume's generator, and the generator draws only
+// from its own stream, so the generators are the same on any number of
+// CPUs.
+func (r *Rack) buildGenerators() {
+	vols := r.volumes()
+	w := r.cfg.Workload
+	sim.Do(len(vols), func(i int) {
+		v := vols[i]
+		rng := sim.NewRNG(v.seed)
+		if w.Name == "" || w.Name == "YCSB" {
+			v.gen = workload.NewYCSB(rng, v.keys, w.WriteFrac, w.MeanGap)
+			return
+		}
+		gen, err := workload.ByName(w.Name, rng, v.keys, w.MeanGap)
+		if err != nil {
+			panic(err) // Validate accepted the config; ByName must agree
+		}
+		v.gen = gen
+	})
 }
 
 // precondition fills each instance's key space and fragments it until
 // roughly half the free blocks are consumed (§4.1), without charging
-// virtual time.
-func (r *Rack) precondition() {
+// virtual time. It runs one sim.Do task per server. A task writes only
+// its own server's flash array and the FTLs on it, and each FTL's
+// fragmentation stream is seeded from r.rng in instance order before any
+// task starts, so the devices and r.rng end up the same on any number
+// of CPUs. When writes fail, the lowest-numbered failing server's error
+// is returned.
+func (r *Rack) precondition() error {
+	type job struct {
+		v    *vssd.VSSD
+		seed int64
+	}
+	jobs := make([][]job, len(r.servers))
 	for _, inst := range r.insts {
-		ftls := []*ssd.FTL{inst.v.FTL}
+		vs := []*vssd.VSSD{inst.v}
 		if inst.peer != nil {
-			ftls = append(ftls, inst.peer.FTL)
+			vs = append(vs, inst.peer)
 		}
-		for _, ftl := range ftls {
-			keys := int(float64(ftl.LogicalPages()) * r.cfg.KeyspaceFrac)
-			if keys < 64 {
-				keys = 64
-			}
-			for lpn := 0; lpn < keys; lpn++ {
-				if _, err := ftl.Write(lpn); err != nil {
-					ftl.CollectOnce()
-					lpn--
-				}
-			}
-			// Fragment until just above the soft threshold so every
-			// system reaches its GC steady state within the compressed
-			// simulation horizon (the paper preconditions to 50% free and
-			// runs for minutes; this matches where that converges).
-			target := r.cfg.SoftThreshold + 0.06
-			z := sim.NewZipf(r.rng.Fork(int64(300+inst.id)), 0.99, uint64(keys))
-			for ftl.FreeRatio() > target {
-				if _, err := ftl.Write(int(z.Next())); err != nil {
-					break
-				}
-			}
+		for _, v := range vs {
+			i := inst.server.index
+			jobs[i] = append(jobs[i], job{v, r.rng.ForkSeed(int64(300 + inst.id))})
 		}
 	}
+	errs := make([]error, len(r.servers))
+	sim.Do(len(r.servers), func(i int) {
+		for _, j := range jobs[i] {
+			if err := r.preconditionFTL(j.v.FTL, j.seed); err != nil {
+				errs[i] = fmt.Errorf("core: preconditioning vSSD %d on server %d: %w", j.v.ID, i, err)
+				return
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// preconditionFTL writes every key of ftl once, then overwrites keys
+// drawn by a Zipf sampler seeded with seed until ftl's free ratio falls
+// to the precondition target.
+func (r *Rack) preconditionFTL(ftl *ssd.FTL, seed int64) error {
+	keys := int(float64(ftl.LogicalPages()) * r.cfg.KeyspaceFrac)
+	if keys < 64 {
+		keys = 64
+	}
+	// No page is stale yet, so garbage collection could free nothing:
+	// a failed write here fails the rack.
+	for lpn := 0; lpn < keys; lpn++ {
+		if _, err := ftl.Write(lpn); err != nil {
+			return err
+		}
+	}
+	// Fragment until just above the soft threshold so every system
+	// reaches its GC steady state within the compressed simulation
+	// horizon (the paper preconditions to 50% free and runs for minutes;
+	// this matches where that converges).
+	target := r.cfg.SoftThreshold + 0.06
+	z := sim.NewZipf(sim.NewRNG(seed), 0.99, uint64(keys))
+	for ftl.FreeRatio() > target {
+		if _, err := ftl.Write(int(z.Next())); err != nil {
+			break
+		}
+	}
+	return nil
 }
 
 // peerOf returns the other member of a two-member channel group, nil when

@@ -19,9 +19,13 @@ func NewRNG(seed int64) *RNG {
 
 // Fork derives an independent child stream; the label keeps child seeds
 // distinct even when several children fork from the same parent state.
-func (g *RNG) Fork(label int64) *RNG {
+func (g *RNG) Fork(label int64) *RNG { return NewRNG(g.ForkSeed(label)) }
+
+// ForkSeed advances g exactly as Fork does and returns the child's seed,
+// so that NewRNG(seed) can build the child later, on another goroutine.
+func (g *RNG) ForkSeed(label int64) int64 {
 	const goldenGamma = 0x9e3779b97f4a7c15
-	return NewRNG(g.r.Int63() ^ int64(uint64(label)*goldenGamma))
+	return g.r.Int63() ^ int64(uint64(label)*goldenGamma)
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -21,8 +21,8 @@ import (
 // canonical (time, source shard, send sequence) order at each window
 // barrier, so the executed schedule — and therefore every observable
 // result — is byte-identical whether the shards run on one goroutine
-// (RunSequential) or one goroutine each (Run, see shardrun.go, the one
-// file in the tree allowed to spawn goroutines).
+// (RunSequential) or as tasks of the worker pool (Run, see shardrun.go,
+// the one file in the tree allowed to start goroutines).
 //
 // Shard 0 is the coordinator, meant for the spine/cluster layer (shared
 // bandwidth metering, the scenario driver); shards 1..n are the racks.
@@ -55,6 +55,10 @@ type ShardGroup struct {
 	// merge is the reusable delivery scratch buffer (kept across rounds
 	// so steady-state delivery does not allocate).
 	merge []mailItem
+	// end is the window Run is executing, and runShard, bound once so
+	// that a window allocates nothing, runs shard i up to it.
+	end      Time
+	runShard func(i int)
 }
 
 // NewShardGroup returns a group of racks+1 engines: shard 0 is the
@@ -81,6 +85,7 @@ func NewShardGroup(racks int, lookahead Time) *ShardGroup {
 		g.mail[i] = make([][]mailItem, n)
 		g.sendSeq[i] = make([]uint64, n)
 	}
+	g.runShard = func(i int) { g.engines[i].RunUntil(g.end) }
 	return g
 }
 
@@ -217,8 +222,8 @@ func (g *ShardGroup) window() (Time, bool) {
 // seqWindow runs one window on the calling goroutine, shards stepped in
 // index order. Window execution order across shards is unobservable —
 // shards share no state and interact only through the mailboxes drained
-// at barriers — which is exactly why the parallel runner can substitute
-// one goroutine per shard without changing a single result byte.
+// at barriers — which is exactly why the parallel runner can run the
+// shards as pool tasks without changing a single result byte.
 func (g *ShardGroup) seqWindow(end Time) {
 	for _, e := range g.engines {
 		e.RunUntil(end)
@@ -226,7 +231,7 @@ func (g *ShardGroup) seqWindow(end Time) {
 }
 
 // runLoop drives windows until the group idles or a shard stops; run
-// executes one window (sequentially or on the worker goroutines).
+// executes one window (sequentially or on the worker pool).
 func (g *ShardGroup) runLoop(run func(end Time)) {
 	for {
 		end, ok := g.window()

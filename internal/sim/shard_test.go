@@ -284,36 +284,44 @@ func TestShardGroupMailboxCanonicalOrder(t *testing.T) {
 }
 
 // TestShardGroupSteadyStateAllocs is the shard runner's allocation gate:
-// once the mailboxes and the merge buffer have grown, sequential windows
-// in which every shard sends cross-shard mail to both of its neighbours
-// allocate nothing, mailbox merge included.
+// once the mailboxes and the merge buffer have grown, windows in which
+// every shard sends cross-shard mail to both of its neighbours allocate
+// nothing, mailbox merge included, whether they run sequentially or on
+// the worker pool.
 func TestShardGroupSteadyStateAllocs(t *testing.T) {
 	const windows = 10
-	g := NewShardGroup(2, 10)
-	n := g.Shards()
-	hops := make([]*shardHop, 2*n)
-	for i := range hops {
-		hops[i] = &shardHop{g: g, step: 1}
-		if i >= n {
-			hops[i].step = n - 1 // the other way round the ring
+	for _, parallel := range []bool{false, true} {
+		g := NewShardGroup(2, 10)
+		n := g.Shards()
+		hops := make([]*shardHop, 2*n)
+		for i := range hops {
+			hops[i] = &shardHop{g: g, step: 1}
+			if i >= n {
+				hops[i].step = n - 1 // the other way round the ring
+			}
 		}
-	}
-	run := func() {
-		for i, h := range hops {
-			h.shard, h.left = i%n, windows
-			eng := g.Shard(h.shard)
-			eng.Schedule(eng.Now(), labelShardHop, h)
+		run := func() {
+			for i, h := range hops {
+				h.shard, h.left = i%n, windows
+				eng := g.Shard(h.shard)
+				eng.Schedule(eng.Now(), labelShardHop, h)
+			}
+			if parallel {
+				g.Run()
+			} else {
+				g.RunSequential()
+			}
 		}
-		g.RunSequential()
-	}
-	run()
-	if got, want := g.Processed(), uint64(len(hops)*(windows+1)); got != want {
-		t.Fatalf("Processed = %d, want %d", got, want)
-	}
-	avg := testing.AllocsPerRun(20, run)
-	t.Logf("%.1f allocations per %d windows of cross-shard mail", avg, windows)
-	if avg != 0 {
-		t.Errorf("steady-state windows allocate %.1f objects per %d windows, want 0", avg, windows)
+		run()
+		if got, want := g.Processed(), uint64(len(hops)*(windows+1)); got != want {
+			t.Fatalf("parallel=%v: Processed = %d, want %d", parallel, got, want)
+		}
+		avg := testing.AllocsPerRun(20, run)
+		t.Logf("parallel=%v: %.1f allocations per %d windows of cross-shard mail", parallel, avg, windows)
+		if avg != 0 {
+			t.Errorf("parallel=%v: steady-state windows allocate %.1f objects per %d windows, want 0",
+				parallel, avg, windows)
+		}
 	}
 }
 

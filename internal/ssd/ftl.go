@@ -403,3 +403,42 @@ func (f *FTL) GiveBack(blocks []BlockRef) {
 
 // BorrowedInUse returns how many borrowed blocks currently hold data.
 func (f *FTL) BorrowedInUse() int { return len(f.borrowedInUse) }
+
+// Fingerprint hashes the FTL's state: its mapping and reverse map, its
+// counters, its allocation cursor, its chips' free lists and active
+// blocks, and the flash state of those chips' blocks. Two FTLs that
+// replayed the same writes have equal fingerprints, so tests compare
+// whole devices with it.
+func (f *FTL) Fingerprint() uint64 {
+	h := uint64(14695981039346656037) // FNV-1a offset basis, a word at a time
+	mix := func(v int) { h = (h ^ uint64(v)) * 1099511628211 }
+	ints := func(s []int32) {
+		mix(len(s))
+		for _, x := range s {
+			mix(int(x))
+		}
+	}
+	ints(f.mapping)
+	ints(f.reverse)
+	mix(int(f.hostWrites))
+	mix(int(f.gcMoves))
+	mix(int(f.gcErases))
+	mix(f.nextChip)
+	arr := f.dev.Array()
+	for _, ca := range f.chips {
+		mix(ca.active)
+		mix(len(ca.free))
+		for _, b := range ca.free {
+			mix(b)
+		}
+		for _, blk := range arr.Chips[chipFlat(f.dev, ca.ref)].Blocks {
+			mix(blk.WritePtr)
+			mix(blk.Valid)
+			mix(blk.EraseCount)
+			for _, st := range blk.State {
+				mix(int(st))
+			}
+		}
+	}
+	return h
+}

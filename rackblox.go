@@ -231,8 +231,9 @@
 // and compares their results byte for byte. Cross-rack traffic goes
 // through the core.Spine boundary, the seam along which the datapath is
 // to move onto sim.ShardGroup, the tested lookahead runner: one engine
-// per rack plus a coordinator shard, run on parallel goroutines under
-// conservative-lookahead synchronization. Each window extends to the
+// per rack plus a coordinator shard, run as tasks of sim.Do, the
+// simulator's one worker pool, under conservative-lookahead
+// synchronization. Each window extends to the
 // earliest pending event time plus the cross-shard lookahead (the spine
 // propagation delay) minus one tick, so shards never need to see each
 // other's state mid-window; cross-shard events travel through per-edge
@@ -245,6 +246,21 @@
 // carries only by-value data through ShardGroup.Post, whose lookahead
 // contract (deliveries at least one lookahead in the future) is
 // enforced at the call site.
+//
+// Building a rack runs on the same pool, on the calling goroutine and up
+// to GOMAXPROCS-1 pool workers. Preconditioning (§4.1) fills and
+// fragments every vSSD's FTL off the clock, one sim.Do task per server,
+// and each volume's workload generator is built by a task of its own.
+// The tasks cannot race: an FTL allocates only on chips no other FTL
+// takes, the instances a task preconditions are exactly those on its
+// server, so a server's flash array, chips and FTLs are written by its
+// own task alone, and a generator task writes only its own volume's
+// generator. They replay exactly: every stream a task draws from is
+// seeded from the rack's stream, in the order the rack was built,
+// before any task starts, and no task draws from another's stream, so
+// the devices, the generators and the rack's stream come out the same
+// whichever goroutine ran which task, and in whatever order (checked at
+// GOMAXPROCS 1 and 2, under the race detector in CI).
 //
 // The datapath is allocation-free in steady state, and stays so by four
 // rules. Hot events are typed records: every hop of a request (client to
@@ -280,9 +296,9 @@
 //     transport or callback, assumed to schedule) must iterate sorted
 //     keys or carry a `//rackvet:commutative <rationale>` directive
 //     asserting the body commutes — and no global math/rand use or
-//     goroutine spawns (the shard runner's worker pool in internal/sim's
-//     shardrun.go is the one sanctioned exception). Same-seed runs
-//     replay byte-identically, parallel or sequential.
+//     goroutine spawns (the worker pool in internal/sim's shardrun.go
+//     is the one sanctioned exception). Same-seed runs replay
+//     byte-identically, parallel or sequential.
 //   - simtime: no wall-clock reads (time.Now/Since/Until/Sleep/timers)
 //     anywhere simulation logic runs; the only clock is virtual
 //     sim.Time. _test.go files, cmd/, and examples/ are exempt, and
@@ -301,10 +317,11 @@
 //     write simulation-state fields — the static side of the
 //     "instrumented runs are byte-identical" guarantee.
 //   - goroutinediscipline: `go` statements appear in exactly one file
-//     of the internal tree — internal/sim's shardrun.go, the shard
-//     worker pool whose window barrier keeps the concurrency
-//     unobservable. There is deliberately no directive escape hatch:
-//     new concurrency must go through the shard runner or move the
+//     of the internal tree — internal/sim's shardrun.go, the worker pool
+//     behind sim.Do, whose callers (shard windows, a rack's per-server
+//     preconditioning and per-volume generators) give each task state
+//     of its own, which keeps the concurrency unobservable. There is deliberately no directive
+//     escape hatch: new concurrency runs as sim.Do tasks or moves the
 //     carve-out in review.
 //
 // Run the suite standalone (CI does both of these on every push):

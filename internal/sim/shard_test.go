@@ -87,8 +87,8 @@ func runRackModel(racks, opsPerRack int, parallel bool) groupState {
 }
 
 // TestShardGroupParallelMatchesSequential is the heart of the sharding
-// contract: one goroutine per shard under window barriers executes the
-// byte-identical schedule of the single-goroutine oracle.
+// contract: the shards run as worker-pool tasks under window barriers
+// execute the byte-identical schedule of the single-goroutine oracle.
 func TestShardGroupParallelMatchesSequential(t *testing.T) {
 	for _, racks := range []int{1, 2, 3, 8} {
 		seq := runRackModel(racks, 400, false)
